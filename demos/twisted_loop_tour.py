@@ -9,7 +9,7 @@ distance-2 MDS code with a sharply transitive symmetry group.
 from topolinear import (check_regular_condition, chase_to_zero_cp,
                         cp_regular_generators, cp_regular_witness, is_mds,
                         is_topolinear, make_cp, mulclose, twisted_graph_code)
-from topolinear.isometry import ic_p_generators
+from topolinear.constructions import ic_p_generators
 
 p = 5
 L = make_cp(p)

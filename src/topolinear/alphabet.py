@@ -1,4 +1,4 @@
-"""Alphabet descriptors and index lenses.
+"""Index lenses over structured alphabets.
 
 Symbols are always dense integers 0..q-1. Structured views (residue-bit pairs
 over a 2p-element set, pairs over a product set) are conversions on top of the
@@ -6,66 +6,6 @@ integer index, not separate element types.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Size plus an optional structure tag used for serialization and lenses."""
-
-    q: int
-    kind: str = "plain"  # plain | two_indexed | field | pair
-    params: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.q < 2:
-            raise ValueError("alphabet needs at least 2 symbols")
-        expect = {"plain": 0, "two_indexed": 1, "field": 2, "pair": 2}
-        if self.kind not in expect:
-            raise ValueError(f"unknown alphabet kind {self.kind!r}")
-        if len(self.params) != expect[self.kind]:
-            raise ValueError(f"kind {self.kind} takes {expect[self.kind]} params")
-        if self.kind == "two_indexed" and 2 * self.params[0] != self.q:
-            raise ValueError("two-indexed alphabet must have q = 2p")
-        if self.kind == "field" and self.params[0] ** self.params[1] != self.q:
-            raise ValueError("field alphabet must have q = p**k")
-        if self.kind == "pair" and self.params[0] * self.params[1] != self.q:
-            raise ValueError("pair alphabet must have q = q1*q2")
-
-    @staticmethod
-    def plain(q: int) -> "Alphabet":
-        return Alphabet(q)
-
-    @staticmethod
-    def two_indexed(p: int) -> "Alphabet":
-        return Alphabet(2 * p, "two_indexed", (p,))
-
-    @staticmethod
-    def field(p: int, k: int) -> "Alphabet":
-        return Alphabet(p**k, "field", (p, k))
-
-    @staticmethod
-    def pair(q1: int, q2: int) -> "Alphabet":
-        return Alphabet(q1 * q2, "pair", (q1, q2))
-
-    @property
-    def tag(self) -> str:
-        if self.kind == "plain":
-            return "plain"
-        name = self.kind.replace("_", "-")
-        return f"{name}({','.join(str(x) for x in self.params)})"
-
-    @staticmethod
-    def from_tag(tag: str, q: int) -> "Alphabet":
-        if tag == "plain":
-            return Alphabet.plain(q)
-        name, _, rest = tag.partition("(")
-        if not rest.endswith(")"):
-            raise ValueError(f"malformed alphabet tag {tag!r}")
-        params = tuple(int(x) for x in rest[:-1].split(","))
-        kind = name.replace("-", "_")
-        return Alphabet(q, kind, params)
 
 
 # two-indexed lens over Q_{2p}: index u = residue + p * bit, so 0_0 is 0

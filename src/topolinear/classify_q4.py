@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .codes import MdsCode, NAryQuasigroup, pair_code, subcode
-from .isometry import (Isotopism, equivalent_codes,
-                       is_isotopically_transitive)
+from .codes import Isotopism, MdsCode, NAryQuasigroup, pair_code, subcode
+from .isometry import equivalent_codes, is_isotopically_transitive
 
 X_BIT = (0, 1, 0, 1)
 Y_BIT = (0, 0, 1, 1)

@@ -2,8 +2,10 @@
 equivalent, count, gloop.
 
 Exit codes: 0 verdict true / command succeeded, 1 verdict false, 2 malformed
-input, 3 budget exhausted or inconclusive. Every command is deterministic
-given its inputs; verdict paths never consult randomness.
+input (including a certificate that does not fit the code), 3 budget
+exhausted or inconclusive, 4 internal error: any other exception, reported on
+one line. A crash never exits 1. Every command is deterministic given its
+inputs; verdict paths never consult randomness.
 """
 from __future__ import annotations
 
@@ -14,18 +16,19 @@ import sys
 from .budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .classify_q4 import classify
 from .codes import is_mds
-from .counting import lower_bound_report, partition_exact, ratio_report
+from .counting import lower_bound_report, ratio_report
 from .isometry import (TransitivityCertificate, equivalent_codes,
                        is_isotopically_transitive, is_topolinear)
 from .loops import is_g_loop
-from .serialize import (BUILTIN_LOOPS, MalformedInput, builtin_loop,
-                        certificate_to_json, load_certificate, load_code,
-                        load_loop, load_spec, save_certificate, save_code)
+from .constructions import BUILTIN_LOOPS, MalformedInput, builtin_loop
+from .serialize import (load_certificate, load_code, load_loop, load_spec,
+                        save_certificate, save_code)
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_MALFORMED = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _budget(args) -> SearchBudget:
@@ -65,6 +68,16 @@ def _cmd_construct(args) -> int:
     return EXIT_TRUE
 
 
+def _require_fit(cert: TransitivityCertificate, M) -> None:
+    """A certificate for other word lengths or another alphabet is malformed
+    input for this code, not a false verdict."""
+    if len(cert.base) != M.n or any(len(w) != M.n for w in cert.witnesses):
+        raise MalformedInput(f"certificate words do not have the code's length {M.n}")
+    if any(len(t) != M.q for g in cert.witnesses.values() for t in g.taus):
+        raise MalformedInput(f"certificate permutations do not act on the code's "
+                             f"{M.q} symbols")
+
+
 def _cmd_verify(args) -> int:
     M = load_code(args.code)
     if args.mode == "mds":
@@ -75,6 +88,7 @@ def _cmd_verify(args) -> int:
 
     if args.certificate:
         cert = load_certificate(args.certificate)
+        _require_fit(cert, M)
         if args.mode == "topolinear" and cert.mode != "topolinear":
             # replay the stronger group checks regardless of the stored tag
             cert = TransitivityCertificate("topolinear", cert.base, cert.witnesses)
@@ -88,8 +102,11 @@ def _cmd_verify(args) -> int:
     if args.mode == "transitive":
         res = is_isotopically_transitive(M, budget=budget)
         detail = "" if res.transitive else f" (failing word {res.failing_word})"
+        if res.reason:
+            detail += f" ({res.reason})"
         _emit(args, f"transitive: {res.transitive}{detail}",
               {"mode": "transitive", "ok": res.transitive, "method": res.method,
+               "reason": res.reason,
                "failing_word": list(res.failing_word) if res.failing_word else None})
         return EXIT_TRUE if res.transitive else EXIT_FALSE
     res = is_topolinear(M, budget=budget)
@@ -258,6 +275,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:  # noqa: BLE001 - the exit-code contract's last resort
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

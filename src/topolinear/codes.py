@@ -1,9 +1,11 @@
-"""Distance-2 MDS codes over dense integer alphabets, and n-ary quasigroups.
+"""Distance-2 MDS codes over dense integer alphabets, their isotopisms, and
+n-ary quasigroups.
 
 A code M over {0..q-1}^n is MDS here when |M| = q^(n-1) and every line (all n-1
 coordinates fixed except one) carries exactly one codeword; equivalently the
 pairwise Hamming distance is at least 2. Such codes are exactly the graphs of
-(n-1)-ary quasigroups once an output coordinate is chosen.
+(n-1)-ary quasigroups once an output coordinate is chosen. An isotopism
+permutes the symbols of each coordinate separately.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Alphabet, pair_join
+from .perms import compose, identity_perm, invert
 
 
 class MdsCode:
@@ -23,14 +25,9 @@ class MdsCode:
     canonical form used for equality, hashing and serialization.
     """
 
-    def __init__(self, q, n, words, alphabet=None, provenance=None, check_symbols=True):
+    def __init__(self, q, n, words, provenance=None, check_symbols=True):
         self.q = int(q)
         self.n = int(n)
-        if alphabet is None:
-            alphabet = Alphabet.plain(self.q)
-        if alphabet.q != self.q:
-            raise ValueError("alphabet size disagrees with q")
-        self.alphabet = alphabet
         ws = sorted(tuple(int(s) for s in w) for w in words)
         if check_symbols:
             for w in ws:
@@ -104,10 +101,58 @@ class MdsCode:
             self._slots = table
         return self._slots
 
-    def complete_line(self, coord: int, rest: tuple[int, ...]):
-        """Value at coord of the unique codeword whose other coordinates are
-        rest (in coordinate order), or None."""
-        return self.completion_maps()[coord].get(tuple(rest))
+
+class Isotopism:
+    """Tuple of per-coordinate symbol permutations."""
+
+    __slots__ = ("taus",)
+
+    def __init__(self, taus):
+        self.taus = tuple(tuple(int(v) for v in t) for t in taus)
+
+    @property
+    def n(self) -> int:
+        return len(self.taus)
+
+    @property
+    def q(self) -> int:
+        return len(self.taus[0])
+
+    @staticmethod
+    def identity(q: int, n: int) -> "Isotopism":
+        return Isotopism((identity_perm(q),) * n)
+
+    def apply_word(self, w) -> tuple[int, ...]:
+        return tuple(t[s] for t, s in zip(self.taus, w))
+
+    def apply_code(self, M: MdsCode) -> MdsCode:
+        prov = {"construction": "isotopism-image", "of": M.provenance}
+        return MdsCode(M.q, M.n, [self.apply_word(w) for w in M.words],
+                       provenance=prov, check_symbols=False)
+
+    def compose(self, other: "Isotopism") -> "Isotopism":
+        """(self o other): other is applied first."""
+        return Isotopism(tuple(compose(a, b) for a, b in zip(self.taus, other.taus)))
+
+    def inverse(self) -> "Isotopism":
+        return Isotopism(tuple(invert(t) for t in self.taus))
+
+    def is_automorphism_of(self, M: MdsCode) -> bool:
+        arr = M.word_array()
+        out = np.empty_like(arr)
+        for i, t in enumerate(self.taus):
+            out[:, i] = np.asarray(t, dtype=np.int64)[arr[:, i]]
+        weights = M.q ** np.arange(M.n - 1, -1, -1, dtype=np.int64)
+        return np.array_equal(np.sort(out @ weights), M.encoded())
+
+    def __eq__(self, other):
+        return isinstance(other, Isotopism) and self.taus == other.taus
+
+    def __hash__(self):
+        return hash(self.taus)
+
+    def __repr__(self):
+        return f"Isotopism(q={self.q}, n={self.n})"
 
 
 @dataclass
@@ -120,21 +165,13 @@ class MdsVerdict:
         return self.ok
 
 
-def is_mds(code_or_words, q: int | None = None, n: int | None = None) -> MdsVerdict:
+def is_mds(M: MdsCode) -> MdsVerdict:
     """Check size q^(n-1) and exactly one codeword per line.
 
     On failure the witness is either a pair of words at distance < 2 or a
     direction whose projection misses some line.
     """
-    if isinstance(code_or_words, MdsCode):
-        words, q, n = code_or_words.words, code_or_words.q, code_or_words.n
-    else:
-        if q is None or n is None:
-            raise ValueError("q and n required for a raw word list")
-        words = [tuple(w) for w in code_or_words]
-        for w in words:
-            if len(w) != n or any(not 0 <= s < q for s in w):
-                raise ValueError(f"malformed word {w}")
+    words, q, n = M.words, M.q, M.n
     if n < 2:
         raise ValueError("codes of length < 2 are out of scope")
     expected = q ** (n - 1)
@@ -160,7 +197,7 @@ class NAryQuasigroup:
     """Total n-ary operation on {0..q-1} that is a bijection in each argument
     when the others are fixed. The table has shape (q,)*arity."""
 
-    def __init__(self, table, alphabet: Alphabet | None = None):
+    def __init__(self, table):
         arr = np.asarray(table, dtype=np.int64)
         if arr.ndim < 1:
             raise ValueError("table must have at least one axis")
@@ -170,21 +207,6 @@ class NAryQuasigroup:
         self.table = arr
         self.q = q
         self.arity = arr.ndim
-        self.alphabet = alphabet if alphabet is not None else Alphabet.plain(q)
-
-    def value(self, *args: int) -> int:
-        if len(args) != self.arity:
-            raise ValueError(f"expected {self.arity} arguments")
-        return int(self.table[args])
-
-    def is_valid(self) -> bool:
-        """Every unary retract is a permutation."""
-        target = np.arange(self.q)
-        for axis in range(self.arity):
-            moved = np.moveaxis(self.table, axis, -1).reshape(-1, self.q)
-            if not np.array_equal(np.sort(moved, axis=1), np.tile(target, (moved.shape[0], 1))):
-                return False
-        return True
 
     def __eq__(self, other):
         return isinstance(other, NAryQuasigroup) and np.array_equal(self.table, other.table)
@@ -199,8 +221,7 @@ def graph_of(f: NAryQuasigroup, provenance=None) -> MdsCode:
     words = []
     for xs in itertools.product(range(q), repeat=m):
         words.append(xs + (int(f.table[xs]),))
-    return MdsCode(q, m + 1, words, alphabet=f.alphabet,
-                   provenance=provenance, check_symbols=False)
+    return MdsCode(q, m + 1, words, provenance=provenance, check_symbols=False)
 
 
 def quasigroup_of(M: MdsCode, output_coord: int) -> NAryQuasigroup:
@@ -216,7 +237,7 @@ def quasigroup_of(M: MdsCode, output_coord: int) -> NAryQuasigroup:
     for w in M.words:
         key = w[:output_coord] + w[output_coord + 1:]
         table[key] = w[output_coord]
-    return NAryQuasigroup(table, alphabet=M.alphabet)
+    return NAryQuasigroup(table)
 
 
 def pair_code(f: NAryQuasigroup, g: NAryQuasigroup, provenance=None) -> MdsCode:
@@ -231,8 +252,8 @@ def pair_code(f: NAryQuasigroup, g: NAryQuasigroup, provenance=None) -> MdsCode:
     for xs in itertools.product(range(q), repeat=f.arity):
         for ys in fibers[int(f.table[xs])]:
             words.append(xs + ys)
-    return MdsCode(q, f.arity + g.arity, words, alphabet=f.alphabet,
-                   provenance=provenance, check_symbols=False)
+    return MdsCode(q, f.arity + g.arity, words, provenance=provenance,
+                   check_symbols=False)
 
 
 def subcode(M: MdsCode, fixed: dict[int, int]) -> MdsCode:
@@ -253,27 +274,7 @@ def subcode(M: MdsCode, fixed: dict[int, int]) -> MdsCode:
             words.append(tuple(w[i] for i in free))
     prov = {"construction": "subcode", "fixed": {str(k): v for k, v in sorted(fixed.items())},
             "of": M.provenance}
-    return MdsCode(M.q, len(free), words, alphabet=M.alphabet,
-                   provenance=prov, check_symbols=False)
-
-
-def product_code(A: MdsCode, B: MdsCode) -> MdsCode:
-    """Componentwise pairing over the product alphabet; pair (a, b) gets index
-    a * qB + b."""
-    if A.n != B.n:
-        raise ValueError("factors must have equal length")
-    qb = B.q
-    words = []
-    for wa in A.words:
-        for wb in B.words:
-            words.append(tuple(pair_join(a, b, qb) for a, b in zip(wa, wb)))
-    prov = {"construction": "product",
-            "a": {"q": A.q, "words": [list(w) for w in A.words],
-                  "provenance": A.provenance},
-            "b": {"q": B.q, "words": [list(w) for w in B.words],
-                  "provenance": B.provenance}}
-    return MdsCode(A.q * B.q, A.n, words, alphabet=Alphabet.pair(A.q, B.q),
-                   provenance=prov, check_symbols=False)
+    return MdsCode(M.q, len(free), words, provenance=prov, check_symbols=False)
 
 
 def parity_code(q: int, n: int, provenance=None) -> MdsCode:

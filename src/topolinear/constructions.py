@@ -1,7 +1,10 @@
 """Constructions of isotopically transitive codes with explicit witnesses.
 
-Three families:
+Four families, one table (`CONSTRUCTIONS`) mapping each kind to its parser,
+build function, witness family and group generators:
 
+  * the graph of the twisted loop C_p, with three explicit families of
+    autotopisms (A1-A3) and a sharply transitive group built from them;
   * iterated group codes: words whose left group product folds to the
     identity, carrying a sharply transitive group of conjugation-twisted
     translations (the star group);
@@ -10,23 +13,232 @@ Three families:
   * quadratic codes: pairs of linear words over a finite field coupled by a
     quadratic form, with two-stage translation witnesses.
 
-Every witness here is constructive: apply it to its word and you land on the
-all-zero word; all of them are verified symmetries in the tests.
+Every witness here is constructive: it is computed from its word by formula,
+never searched for, and links that word with the all-zero word; all of them
+are verified symmetries in the tests. One parser per kind reads both
+construction spec files and the provenance its build function records, so a
+code file's provenance is checked like any other input.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
-from .alphabet import Alphabet, pair_join, pair_split
-from .codes import MdsCode
+from .alphabet import from_residue_bit, pair_join, pair_split, to_residue_bit
+from .codes import Isotopism, MdsCode
 from .fields import field_make
-from .isometry import Isotopism, chase_to_zero_cp, ic_p_generators
-from .loops import Loop, is_associative, make_cp, make_dihedral, make_zp_z2
+from .loops import (BinaryQuasigroup, Loop, find_non_g_loop_order6, graph_code,
+                    is_associative, make_cp, make_dihedral, make_zp_z2,
+                    twisted_graph_code)
 from .perms import compose as compose_perm, identity_perm, invert
+
+
+class MalformedInput(ValueError):
+    """Input file or spec that fails schema validation."""
+
+
+def _require(cond: bool, msg: str):
+    if not cond:
+        raise MalformedInput(msg)
+
+
+def _as_int(value, what: str) -> int:
+    # bool is an int subtype; reject it explicitly
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{what} must be an integer")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# loops named or tabulated in specs and provenance
+
+def _fits(shape, q: int, n: int):
+    """Provenance must describe codes of its code's shape (q, n); checked on
+    the raw fields, before anything sized by them is built."""
+    _require(shape in (None, (q, n)), f"describes codes of shape {(q, n)}, not {shape}")
+
+
+def loop_from_json(obj, loop_only: bool = True) -> BinaryQuasigroup:
+    """The loop a table object holds. With `loop_only` False, a Latin square
+    with no two-sided identity is read as its quasigroup instead."""
+    _require(isinstance(obj, dict), "loop file must be a JSON object")
+    table = obj.get("table")
+    _require(isinstance(table, list) and table, "table must be a nonempty matrix")
+    q = len(table)
+    for row in table:
+        _require(isinstance(row, list) and len(row) == q, "table must be square")
+        for v in row:
+            _as_int(v, "table entry")
+    identity = obj.get("identity")
+    if identity is not None:
+        _require(0 <= _as_int(identity, "identity") < q, f"identity {identity} out of range")
+    try:
+        square = BinaryQuasigroup(table)
+        if identity is None and not loop_only and square.find_identity() is None:
+            return square
+        return Loop(square.table, identity=identity, check=False)
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
+
+
+BUILTIN_LOOPS = {"cp": make_cp, "dihedral": make_dihedral, "zpz2": make_zp_z2,
+                 "non-g-6": lambda p: find_non_g_loop_order6()}
+
+
+def builtin_loop(name: str, p: int | None = None) -> Loop:
+    """Loops addressable by name from the command line."""
+    _require(isinstance(name, str) and name in BUILTIN_LOOPS, f"unknown builtin loop {name!r}")
+    _require(p is not None or name == "non-g-6", f"builtin loop {name!r} needs a parameter p")
+    return BUILTIN_LOOPS[name](p)
+
+
+def _parse_loop(obj, n: int, shape=None, loop_only: bool = True) -> BinaryQuasigroup:
+    """Loop of a spec or provenance for codes of length n."""
+    if isinstance(obj, dict) and "table" in obj:
+        loop = loop_from_json(obj, loop_only)
+        _fits(shape, loop.q, n)
+        return loop
+    if isinstance(obj, dict) and "name" in obj:
+        name, p = obj["name"], obj.get("p")
+        _require(isinstance(name, str) and name in BUILTIN_LOOPS, f"unknown builtin loop {name!r}")
+        _fits(shape, 6 if name == "non-g-6" else 2 * _as_int(p, "p"), n)
+        return builtin_loop(name, p)
+    raise MalformedInput("loop spec needs a table or a builtin name")
+
+
+# ---------------------------------------------------------------------------
+# explicit symmetry families of the twisted-loop graph
+
+@dataclass(frozen=True)
+class GraphSpec:
+    """Graph of the twisted loop C_p when `p` is set, whose explicit families
+    then apply, else of the quasigroup `loop`."""
+
+    p: int | None = None
+    loop: BinaryQuasigroup | None = None
+
+
+def _signed(p: int, sign_bit: int, x: int) -> int:
+    return (-x if sign_bit & 1 else x) % p
+
+
+def cp_autotopism_a1(p: int, beta: int) -> Isotopism:
+    """First family: x_s -> ((-1)^beta x + s*beta)_s, and the second and third
+    coordinates get their index bit flipped by beta."""
+    q = 2 * p
+    tx, ty, tz = [0] * q, [0] * q, [0] * q
+    for u in range(q):
+        x, s = to_residue_bit(u, p)
+        tx[u] = from_residue_bit(_signed(p, beta, x) + s * beta, s, p)
+        ty[u] = from_residue_bit(x, s ^ beta, p)
+        tz[u] = from_residue_bit(x, s ^ beta, p)
+    return Isotopism((tx, ty, tz))
+
+
+def cp_autotopism_a2(p: int, a1: int, b: int, alpha: int) -> Isotopism:
+    """Second family: translations whose first and third components flip sign
+    with the index bit relative to alpha."""
+    q = 2 * p
+    tx, ty, tz = [0] * q, [0] * q, [0] * q
+    for u in range(q):
+        x, s = to_residue_bit(u, p)
+        tx[u] = from_residue_bit(x - a1 * (-1) ** (s ^ alpha), s, p)
+        ty[u] = from_residue_bit(x - b, s, p)
+        tz[u] = from_residue_bit(x - a1 * (-1) ** (s ^ alpha) - b, s, p)
+    return Isotopism((tx, ty, tz))
+
+
+def cp_autotopism_a3(p: int, alpha: int) -> Isotopism:
+    """Third family: global sign flip with an index-bit swap on the outer
+    coordinates and a shear on the middle one."""
+    q = 2 * p
+    tx, ty, tz = [0] * q, [0] * q, [0] * q
+    for u in range(q):
+        x, s = to_residue_bit(u, p)
+        tx[u] = from_residue_bit(_signed(p, alpha, x), s ^ alpha, p)
+        ty[u] = from_residue_bit(_signed(p, alpha, x) - alpha * s, s, p)
+        tz[u] = from_residue_bit(_signed(p, alpha, x), s ^ alpha, p)
+    return Isotopism((tx, ty, tz))
+
+
+def ic_p_generators(p: int) -> list[Isotopism]:
+    """All members of the three families over all parameter choices."""
+    gens = [cp_autotopism_a1(p, beta) for beta in (0, 1)]
+    gens += [
+        cp_autotopism_a2(p, a1, b, alpha)
+        for a1 in range(p)
+        for b in range(p)
+        for alpha in (0, 1)
+    ]
+    gens += [cp_autotopism_a3(p, alpha) for alpha in (0, 1)]
+    return gens
+
+
+def chase_to_zero_cp(p: int, word) -> Isotopism:
+    """Compose one member of each family so the given graph word lands on
+    (0, 0, 0). Parameters are read off the word itself."""
+    a, alpha = to_residue_bit(word[0], p)
+    b, beta = to_residue_bit(word[1], p)
+    g1 = cp_autotopism_a1(p, beta)
+    a1 = (_signed(p, beta, a) + alpha * beta) % p
+    g2 = cp_autotopism_a2(p, a1, b, alpha)
+    g3 = cp_autotopism_a3(p, alpha)
+    return g3.compose(g2.compose(g1))
+
+
+def cp_shear(p: int) -> Isotopism:
+    """Composite of family maps that fixes (0, 0, 0) but is not the identity:
+    on every coordinate it sends a symbol with upper bit s to itself minus 2s.
+    Its powers are the full stabilizer of the base word inside the closure of
+    the three families, which is therefore p times larger than sharply
+    transitive."""
+    g1 = cp_autotopism_a1(p, 1)
+    g3 = cp_autotopism_a3(p, 1)
+    k = g3.compose(g1)
+    return cp_autotopism_a2(p, p - 1, 1, 0).compose(k.compose(k))
+
+
+def cp_regular_generators(p: int) -> list[Isotopism]:
+    """Composites of family maps generating a sharply transitive group of
+    symmetries of graph(C_p), of order (2p)^2 = one element per codeword.
+
+    Closing every family member over all parameters gives a group p times
+    larger that contains cp_shear(p), so it cannot be sharply transitive.
+    The shear moves the first components of its non-identity elements by
+    different amounts on the two halves of the alphabet; the maps whose first
+    component shifts both halves equally form a complement to the shear
+    powers, and the four products below generate exactly that subgroup.
+    """
+    g1 = cp_autotopism_a1(p, 1)
+    g3 = cp_autotopism_a3(p, 1)
+    k = g3.compose(g1)
+    m = k.compose(k)  # first component x - 1, no bit flips
+    s = cp_shear(p)
+    w = g1
+    for _ in range((p - 1) // 2):
+        w = w.compose(s)  # first component becomes plain negation
+    return [cp_autotopism_a2(p, 0, 1, 0), m, g3, w]
+
+
+def cp_regular_witness(p: int, word) -> Isotopism:
+    """The unique member of the sharply transitive group carrying (0, 0, 0)
+    to `word`. The inverted chase composite already does the carrying but may
+    land outside the group; composing with the right power of cp_shear(p),
+    which fixes the base word, repairs membership without any search."""
+    c = chase_to_zero_cp(p, word).inverse()
+    tx = c.taus[0]
+    sgn = 1 if (tx[1] - tx[0]) % p == 1 else -1
+    delta = (tx[p] - tx[0]) % p
+    t = (delta * pow(2 * sgn, -1, p)) % p
+    s = cp_shear(p)
+    for _ in range(t):
+        c = c.compose(s)
+    return c
 
 
 def element_inverse(loop: Loop, x: int) -> int:
@@ -113,8 +325,7 @@ def iterated_code(spec: IteratedGroupSpec) -> MdsCode:
         words.append(xs + (element_inverse(loop, fold(loop, xs)),))
     prov = {"construction": "iterated", "table": [list(r) for r in loop.table],
             "identity": loop.identity, "n": n}
-    return MdsCode(loop.q, n, words, alphabet=loop.alphabet,
-                   provenance=prov, check_symbols=False)
+    return MdsCode(loop.q, n, words, provenance=prov, check_symbols=False)
 
 
 def regular_group_iterated(spec: IteratedGroupSpec, M: MdsCode | None = None):
@@ -268,8 +479,7 @@ def composition_code(spec: CompositionSpec) -> MdsCode:
         words.append((fold(outer, vs),) + zs)
     prov = {"construction": "composition", "outer": spec.outer, "p": spec.p,
             "inner": list(spec.inner)}
-    return MdsCode(q, spec.length, words, alphabet=Alphabet.two_indexed(spec.p),
-                   provenance=prov, check_symbols=False)
+    return MdsCode(q, spec.length, words, provenance=prov, check_symbols=False)
 
 
 @lru_cache(maxsize=None)
@@ -303,7 +513,8 @@ def composition_witness(spec: CompositionSpec, word) -> Isotopism:
         shift = shift_isotopism(dih, moved)
         taus.extend(compose_perm(a, b) for a, b in zip(shift.taus, block_taus))
     out = Isotopism(taus)
-    assert out.apply_word(word) == (0,) * spec.length
+    if out.apply_word(word) != (0,) * spec.length:
+        raise ValueError(f"{word} is not a word of the composition code")
     return out
 
 
@@ -388,8 +599,7 @@ def quadratic_code(spec: QuadraticSpec) -> MdsCode:
     prov = {"construction": "quadratic", "p": spec.p, "k": spec.k, "n": n,
             "alpha": [list(r_) for r_ in spec.alpha],
             "beta": [list(b) for b in spec.beta]}
-    return MdsCode(q * q, n, words, alphabet=Alphabet.pair(q, q),
-                   provenance=prov, check_symbols=False)
+    return MdsCode(q * q, n, words, provenance=prov, check_symbols=False)
 
 
 def quadratic_witness(spec: QuadraticSpec, word) -> Isotopism:
@@ -400,6 +610,12 @@ def quadratic_witness(spec: QuadraticSpec, word) -> Isotopism:
     q = spec.q
     axs = [pair_split(s, q)[0] for s in word]
     bys = [pair_split(s, q)[1] for s in word]
+    # the stages carry any word to zero, so membership is checked up front
+    sum_x, sum_y = 0, quadratic_r(spec, axs)
+    for x, y in zip(axs, bys):
+        sum_x, sum_y = F.a(sum_x, x), F.a(sum_y, y)
+    if sum_x or sum_y:
+        raise ValueError(f"{word} is not a word of the quadratic code")
     taus = []
     for i in range(spec.n):
         ai = axs[i]
@@ -425,108 +641,183 @@ def quadratic_witness(spec: QuadraticSpec, word) -> Isotopism:
             xp, yp = stage1(x, y)
             perm[s] = pair_join(xp, F.s(yp, ci), q)
         taus.append(tuple(perm))
-    out = Isotopism(taus)
-    assert out.apply_word(word) == (0,) * spec.n
-    return out
+    return Isotopism(taus)
 
 
 # ---------------------------------------------------------------------------
-# rebuilding witness families from recorded provenance
+# the construction table
 
-def _loop_from(prov) -> Loop:
-    return Loop(prov["table"], identity=prov.get("identity"), check=False)
-
-
-def composition_spec_from(prov) -> CompositionSpec:
-    return CompositionSpec(prov["outer"], int(prov["p"]), tuple(prov["inner"]))
-
-
-def quadratic_spec_from(prov) -> QuadraticSpec:
-    return QuadraticSpec(int(prov["p"]), int(prov["k"]), int(prov["n"]),
-                         tuple(tuple(r) for r in prov["alpha"]),
-                         tuple(tuple(b) for b in prov["beta"]))
-
-
-def witnesses_from_provenance(M: MdsCode):
-    """Map word -> symmetry carrying the all-zero word to it, or None when the
-    recorded construction carries no such family."""
-    prov = M.provenance or {}
-    kind = prov.get("construction")
-    if kind == "iterated":
-        loop = _loop_from(prov)
-        wits = {}
-        adjust = None
-        if loop.identity != 0:
-            adjust = star_isotopism(loop, (0,) * M.n).inverse()
-        for w in M.words:
-            g = star_isotopism(loop, w)
-            wits[w] = g.compose(adjust) if adjust is not None else g
-        return wits
-    if kind == "composition":
-        spec = composition_spec_from(prov)
-        try:
-            return {w: composition_witness(spec, w).inverse() for w in M.words}
-        except ValueError:
-            return None
-    if kind == "quadratic":
-        spec = quadratic_spec_from(prov)
-        return {w: quadratic_witness(spec, w).inverse() for w in M.words}
-    return None
+def _normalized_inner(outer: str, inner) -> tuple[int, ...]:
+    _require(isinstance(inner, list) and inner, "inner must be a nonempty list")
+    arities = tuple(_as_int(m, "inner arity") for m in inner)
+    if outer == "cp" and len(arities) == 1:
+        # single entry read as the total of the block arities; only accepted
+        # when the split over the two outer arguments is forced
+        total = arities[0]
+        _require(total == 2, f"inner total {total} has no unique split over "
+                             "a binary outer; list both block arities")
+        return (1, 1)
+    return arities
 
 
-def generators_from_provenance(M: MdsCode):
-    """Generators of a candidate sharply transitive symmetry group read off
-    the recorded construction, or None."""
-    prov = M.provenance or {}
-    kind = prov.get("construction")
-    if kind == "graph":
-        if prov.get("loop") == "cp":
-            return ic_p_generators(int(prov["p"]))
-        table = prov.get("table")
-        if table is None:
-            return None
-        loop = _loop_from(prov)
-        if not is_associative(loop):
-            return None
-        # the graph is the length-3 iterated code with its last coordinate
-        # relabeled by inversion; conjugate the star group through the relabel
-        inv_perm = tuple(element_inverse(loop, v) for v in range(loop.q))
-        ident = identity_perm(loop.q)
-        relabel = Isotopism((ident, ident, inv_perm))
-        spec = IteratedGroupSpec(loop, 3)
-        gens = []
-        for g in regular_group_iterated(spec):
-            gens.append(relabel.compose(g).compose(relabel))
-        return gens
-    if kind == "iterated":
-        loop = _loop_from(prov)
-        return [star_isotopism(loop, w) for w in M.words]
-    if kind in ("composition", "quadratic"):
-        wits = witnesses_from_provenance(M)
-        return None if wits is None else list(wits.values())
-    if kind == "product":
-        from .isometry import _provenance_generators
+_TERM_RE = re.compile(r"^(\d+)?((?:x\d+)+)$")
 
-        lifted = []
-        sides = []
-        for key in ("a", "b"):
-            info = prov[key]
-            words = [tuple(w) for w in info["words"]]
-            factor = MdsCode(int(info["q"]), M.n, words,
-                             provenance=info["provenance"], check_symbols=False)
-            gens = _provenance_generators(factor)
-            if gens is None:
-                return None
-            sides.append((factor.q, gens))
-        qa, gens_a = sides[0]
-        qb, gens_b = sides[1]
-        for g in gens_a:
-            lifted.append(Isotopism(tuple(
-                tuple(pair_join(t[a], b, qb) for a in range(qa) for b in range(qb))
-                for t in g.taus)))
-        for g in gens_b:
-            lifted.append(Isotopism(tuple(
-                tuple(pair_join(a, t[b], qb) for a in range(qa) for b in range(qb))
-                for t in g.taus)))
-        return lifted
-    return None
+
+def parse_r_expression(text: str, n: int, q: int) -> list[list[int]]:
+    """Quadratic part written as a sum of pair products, e.g. "x1x2+x3x4".
+    Returns the upper-triangular alpha table. Indices are 1-based in the
+    expression. "0" or "" denote the zero form."""
+    alpha = [[0] * n for _ in range(n)]
+    s = text.replace(" ", "")
+    if s in ("", "0"):
+        return alpha
+    for term in s.split("+"):
+        m = _TERM_RE.match(term)
+        _require(m is not None, f"bad term {term!r}")
+        coeff = int(m.group(1)) if m.group(1) else 1
+        _require(0 <= coeff < q, f"coefficient {coeff} out of range")
+        idxs = sorted(int(d) - 1 for d in re.findall(r"x(\d+)", m.group(2)))
+        _require(len(idxs) == 2 and idxs[0] != idxs[1],
+                 f"term {term!r} must be a product of two distinct variables")
+        i, j = idxs
+        _require(0 <= i and j < n, f"variable index out of range in {term!r}")
+        _require(alpha[i][j] == 0, f"duplicate pair in {term!r}")
+        alpha[i][j] = coeff
+    return alpha
+
+
+# Each parser reads a spec file object and the provenance its build function
+# records. A spec nests the loop ({"loop": {"name": "cp", "p": 5}}); the
+# provenance spells it inline ({"loop": "cp", "p": 5} or a top-level table).
+# Given the (q, n) of the code a provenance came with, a parser checks it
+# before it builds anything, so forged sizes cost no work.
+
+def _parse_graph(obj, shape=None) -> GraphSpec:
+    loop = obj.get("loop", obj)
+    if loop == "cp":
+        loop = {"name": "cp", "p": obj.get("p")}
+    if isinstance(loop, dict) and loop.get("name") == "cp":
+        p = _as_int(loop.get("p"), "p")
+        _require(p >= 2, "p must be >= 2")
+        _fits(shape, 2 * p, 3)
+        return GraphSpec(p=p)
+    return GraphSpec(loop=_parse_loop(loop, 3, shape, loop_only=False))
+
+
+def _parse_iterated(obj, shape=None) -> IteratedGroupSpec:
+    n = _as_int(obj.get("n"), "n")
+    return IteratedGroupSpec(_parse_loop(obj.get("loop", obj), n, shape), n)
+
+
+def _parse_composition(obj, shape=None) -> CompositionSpec:
+    outer, p = obj.get("outer"), _as_int(obj.get("p"), "p")
+    inner = _normalized_inner(outer, obj.get("inner"))
+    _fits(shape, 2 * p, 1 + sum(inner))
+    return CompositionSpec(outer, p, inner)
+
+
+def _parse_quadratic(obj, shape=None) -> QuadraticSpec:
+    p, k, n = (_as_int(obj.get(key), key) for key in ("p", "k", "n"))
+    q = field_make(p, k).q  # rejects a bad field before any table is sized by it
+    _fits(shape, q * q, n)
+    if "alpha" in obj:
+        alpha = obj["alpha"]
+        _require(isinstance(alpha, list), "alpha must be a matrix")
+    else:
+        r = obj.get("r")
+        _require(isinstance(r, str), "r must be an expression string")
+        alpha = parse_r_expression(r, n, q)
+    return QuadraticSpec.make(p, k, n, alpha=alpha, beta=obj.get("beta"))
+
+
+def _build_graph(spec: GraphSpec) -> MdsCode:
+    return twisted_graph_code(spec.p) if spec.loop is None else graph_code(spec.loop)
+
+
+def _graph_witnesses(spec: GraphSpec, M: MdsCode):
+    if spec.loop is not None:
+        return None
+    return {w: cp_regular_witness(spec.p, w) for w in M.words}
+
+
+def _graph_generators(spec: GraphSpec, M: MdsCode):
+    if spec.loop is None:
+        return cp_regular_generators(spec.p)
+    loop = spec.loop
+    if not isinstance(loop, Loop) or not is_associative(loop):
+        return None
+    # the graph is the length-3 iterated code with its last coordinate
+    # relabeled by inversion; conjugate the star group through the relabel
+    inv_perm = tuple(element_inverse(loop, v) for v in range(loop.q))
+    ident = identity_perm(loop.q)
+    relabel = Isotopism((ident, ident, inv_perm))
+    return [relabel.compose(g).compose(relabel)
+            for g in regular_group_iterated(IteratedGroupSpec(loop, 3))]
+
+
+def _iterated_witnesses(spec: IteratedGroupSpec, M: MdsCode):
+    # the star group is sharply transitive: it carries 0..0 to each word once
+    return {g.apply_word((0,) * M.n): g for g in regular_group_iterated(spec, M)}
+
+
+def _composition_witnesses(spec: CompositionSpec, M: MdsCode):
+    return {w: composition_witness(spec, w).inverse() for w in M.words}
+
+
+def _quadratic_witnesses(spec: QuadraticSpec, M: MdsCode):
+    return {w: quadratic_witness(spec, w).inverse() for w in M.words}
+
+
+def _witness_group(witnesses):
+    """Generators read off a witness family: the witnesses themselves."""
+    return lambda spec, M: list(witnesses(spec, M).values())
+
+
+@dataclass(frozen=True)
+class Construction:
+    """How one construction kind is read, built and certified.
+
+    `parse(obj, shape=None)` reads a spec file object, or a provenance
+    recorded for codes of `shape` (q, n), into a spec; `build(spec)` makes
+    the code. `witnesses(spec, M)` maps each word of M to a symmetry carrying
+    the base word 0..0 to it, and `generators(spec, M)` lists generators of a
+    candidate sharply transitive group; either is None when the kind offers
+    no such family. Nothing returned is trusted: the verdicts check it.
+    """
+
+    parse: Callable[..., object]
+    build: Callable[[object], MdsCode]
+    witnesses: Callable[[object, MdsCode], dict | None]
+    generators: Callable[[object, MdsCode], list | None]
+
+
+CONSTRUCTIONS = {
+    "graph": Construction(_parse_graph, _build_graph, _graph_witnesses, _graph_generators),
+    "iterated": Construction(_parse_iterated, iterated_code, _iterated_witnesses,
+                             regular_group_iterated),
+    "composition": Construction(_parse_composition, composition_code, _composition_witnesses,
+                                _witness_group(_composition_witnesses)),
+    "quadratic": Construction(_parse_quadratic, quadratic_code, _quadratic_witnesses,
+                              _witness_group(_quadratic_witnesses)),
+}
+
+
+def dropped_hint(M: MdsCode, why) -> str:
+    return f"provenance hint dropped ({M.provenance.get('construction')}): {why}"
+
+
+def construction_hint(M: MdsCode, family: str):
+    """(the `family`, "witnesses" or "generators", of the construction M's
+    provenance records, ""). Provenance is untrusted: when it does not parse,
+    describes codes of another shape than M, or its family cannot be built,
+    the result is (None, a note that the hint was dropped). It is (None, "")
+    when the provenance names no kind in the table or the kind has no such
+    family."""
+    kind = M.provenance.get("construction")
+    entry = CONSTRUCTIONS.get(kind) if isinstance(kind, str) else None
+    if entry is None:
+        return None, ""
+    try:
+        return getattr(entry, family)(entry.parse(M.provenance, (M.q, M.n)), M), ""
+    except (ValueError, KeyError, TypeError) as exc:
+        return None, dropped_hint(M, exc)

@@ -84,13 +84,15 @@ class FieldTable:
     """GF(p^k) with precomputed add/mul/neg/inv and exp/log tables."""
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if k < 1:
             raise ValueError("k must be >= 1")
+        # bound first: p and k may come from an untrusted file, and both the
+        # power and the primality test cost time that grows with them
+        if p > 256 or k > 8 or p**k > 256:
+            raise ValueError(f"order {p}^{k} exceeds the supported bound 256")
+        if not _is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         q = p**k
-        if q > 256:
-            raise ValueError(f"order {q} exceeds the supported bound 256")
         self.p = p
         self.k = k
         self.q = q

@@ -8,8 +8,11 @@ propelinear when some sharply transitive (regular) group of isometries sits
 inside the symmetry group, and topolinear when isotopisms alone suffice.
 
 Two certification routes coexist and are kept separate on purpose: explicit
-witness families attached by the constructions, and an independent
-backtracking search that knows nothing about how a code was built.
+witness families read off the construction a code's provenance records, and
+an independent backtracking search that knows nothing about how a code was
+built. Provenance is a hint, not a fact: when it does not parse, or its
+symmetries fail their checks, the verdict drops it, says so in its reason,
+and falls back to search.
 """
 
 from __future__ import annotations
@@ -17,69 +20,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .alphabet import from_residue_bit, to_residue_bit
 from .budget import BudgetExceeded, DEFAULT_BUDGET, EQUIVALENCE_BUDGET, SearchBudget
-from .codes import MdsCode, subcode
-from .perms import compose, identity_perm, invert
-
-
-class Isotopism:
-    """Tuple of per-coordinate symbol permutations."""
-
-    __slots__ = ("taus",)
-
-    def __init__(self, taus):
-        self.taus = tuple(tuple(int(v) for v in t) for t in taus)
-
-    @property
-    def n(self) -> int:
-        return len(self.taus)
-
-    @property
-    def q(self) -> int:
-        return len(self.taus[0])
-
-    @staticmethod
-    def identity(q: int, n: int) -> "Isotopism":
-        return Isotopism((identity_perm(q),) * n)
-
-    def apply_word(self, w) -> tuple[int, ...]:
-        return tuple(t[s] for t, s in zip(self.taus, w))
-
-    def apply_code(self, M: MdsCode) -> MdsCode:
-        prov = {"construction": "isotopism-image", "of": M.provenance}
-        return MdsCode(M.q, M.n, [self.apply_word(w) for w in M.words],
-                       alphabet=M.alphabet, provenance=prov, check_symbols=False)
-
-    def compose(self, other: "Isotopism") -> "Isotopism":
-        """(self o other): other is applied first."""
-        return Isotopism(tuple(compose(a, b) for a, b in zip(self.taus, other.taus)))
-
-    def inverse(self) -> "Isotopism":
-        return Isotopism(tuple(invert(t) for t in self.taus))
-
-    def is_automorphism_of(self, M: MdsCode) -> bool:
-        arr = M.word_array()
-        out = np.empty_like(arr)
-        for i, t in enumerate(self.taus):
-            out[:, i] = np.asarray(t, dtype=np.int64)[arr[:, i]]
-        weights = M.q ** np.arange(M.n - 1, -1, -1, dtype=np.int64)
-        return np.array_equal(np.sort(out @ weights), M.encoded())
-
-    def __eq__(self, other):
-        return isinstance(other, Isotopism) and self.taus == other.taus
-
-    def __hash__(self):
-        return hash(self.taus)
-
-    def __repr__(self):
-        return f"Isotopism(q={self.q}, n={self.n})"
-
-
-def is_automorphism(M: MdsCode, iso: Isotopism) -> bool:
-    return iso.is_automorphism_of(M)
+from .codes import Isotopism, MdsCode
+from .constructions import construction_hint, dropped_hint
+from .perms import compose, invert
 
 
 def permute_word(w, eps) -> tuple[int, ...]:
@@ -93,7 +37,7 @@ def permute_word(w, eps) -> tuple[int, ...]:
 def parastrophe(M: MdsCode, eps) -> MdsCode:
     prov = {"construction": "parastrophe", "eps": list(eps), "of": M.provenance}
     return MdsCode(M.q, M.n, [permute_word(w, eps) for w in M.words],
-                   alphabet=M.alphabet, provenance=prov, check_symbols=False)
+                   provenance=prov, check_symbols=False)
 
 
 class Isometry:
@@ -134,127 +78,6 @@ class Isometry:
 
     def __repr__(self):
         return f"Isometry(eps={self.eps}, q={self.iso.q})"
-
-
-# ---------------------------------------------------------------------------
-# explicit symmetry families of the twisted-loop graph
-
-def _signed(p: int, sign_bit: int, x: int) -> int:
-    return (-x if sign_bit & 1 else x) % p
-
-
-def cp_autotopism_a1(p: int, beta: int) -> Isotopism:
-    """First family: x_s -> ((-1)^beta x + s*beta)_s, and the second and third
-    coordinates get their index bit flipped by beta."""
-    q = 2 * p
-    tx, ty, tz = [0] * q, [0] * q, [0] * q
-    for u in range(q):
-        x, s = to_residue_bit(u, p)
-        tx[u] = from_residue_bit(_signed(p, beta, x) + s * beta, s, p)
-        ty[u] = from_residue_bit(x, s ^ beta, p)
-        tz[u] = from_residue_bit(x, s ^ beta, p)
-    return Isotopism((tx, ty, tz))
-
-
-def cp_autotopism_a2(p: int, a1: int, b: int, alpha: int) -> Isotopism:
-    """Second family: translations whose first and third components flip sign
-    with the index bit relative to alpha."""
-    q = 2 * p
-    tx, ty, tz = [0] * q, [0] * q, [0] * q
-    for u in range(q):
-        x, s = to_residue_bit(u, p)
-        tx[u] = from_residue_bit(x - a1 * (-1) ** (s ^ alpha), s, p)
-        ty[u] = from_residue_bit(x - b, s, p)
-        tz[u] = from_residue_bit(x - a1 * (-1) ** (s ^ alpha) - b, s, p)
-    return Isotopism((tx, ty, tz))
-
-
-def cp_autotopism_a3(p: int, alpha: int) -> Isotopism:
-    """Third family: global sign flip with an index-bit swap on the outer
-    coordinates and a shear on the middle one."""
-    q = 2 * p
-    tx, ty, tz = [0] * q, [0] * q, [0] * q
-    for u in range(q):
-        x, s = to_residue_bit(u, p)
-        tx[u] = from_residue_bit(_signed(p, alpha, x), s ^ alpha, p)
-        ty[u] = from_residue_bit(_signed(p, alpha, x) - alpha * s, s, p)
-        tz[u] = from_residue_bit(_signed(p, alpha, x), s ^ alpha, p)
-    return Isotopism((tx, ty, tz))
-
-
-def ic_p_generators(p: int) -> list[Isotopism]:
-    """All members of the three families over all parameter choices."""
-    gens = [cp_autotopism_a1(p, beta) for beta in (0, 1)]
-    gens += [
-        cp_autotopism_a2(p, a1, b, alpha)
-        for a1 in range(p)
-        for b in range(p)
-        for alpha in (0, 1)
-    ]
-    gens += [cp_autotopism_a3(p, alpha) for alpha in (0, 1)]
-    return gens
-
-
-def chase_to_zero_cp(p: int, word) -> Isotopism:
-    """Compose one member of each family so the given graph word lands on
-    (0, 0, 0). Parameters are read off the word itself."""
-    a, alpha = to_residue_bit(word[0], p)
-    b, beta = to_residue_bit(word[1], p)
-    g1 = cp_autotopism_a1(p, beta)
-    a1 = (_signed(p, beta, a) + alpha * beta) % p
-    g2 = cp_autotopism_a2(p, a1, b, alpha)
-    g3 = cp_autotopism_a3(p, alpha)
-    return g3.compose(g2.compose(g1))
-
-
-def cp_shear(p: int) -> Isotopism:
-    """Composite of family maps that fixes (0, 0, 0) but is not the identity:
-    on every coordinate it sends a symbol with upper bit s to itself minus 2s.
-    Its powers are the full stabilizer of the base word inside the closure of
-    the three families, which is therefore p times larger than sharply
-    transitive."""
-    g1 = cp_autotopism_a1(p, 1)
-    g3 = cp_autotopism_a3(p, 1)
-    k = g3.compose(g1)
-    return cp_autotopism_a2(p, p - 1, 1, 0).compose(k.compose(k))
-
-
-def cp_regular_generators(p: int) -> list[Isotopism]:
-    """Composites of family maps generating a sharply transitive group of
-    symmetries of graph(C_p), of order (2p)^2 = one element per codeword.
-
-    Closing every family member over all parameters gives a group p times
-    larger that contains cp_shear(p), so it cannot be sharply transitive.
-    The shear moves the first components of its non-identity elements by
-    different amounts on the two halves of the alphabet; the maps whose first
-    component shifts both halves equally form a complement to the shear
-    powers, and the four products below generate exactly that subgroup.
-    """
-    g1 = cp_autotopism_a1(p, 1)
-    g3 = cp_autotopism_a3(p, 1)
-    k = g3.compose(g1)
-    m = k.compose(k)  # first component x - 1, no bit flips
-    s = cp_shear(p)
-    w = g1
-    for _ in range((p - 1) // 2):
-        w = w.compose(s)  # first component becomes plain negation
-    return [cp_autotopism_a2(p, 0, 1, 0), m, g3, w]
-
-
-def cp_regular_witness(p: int, word) -> Isotopism:
-    """The unique member of the sharply transitive group carrying (0, 0, 0)
-    to `word`. The inverted chase composite already does the carrying but may
-    land outside the group; composing with the right power of cp_shear(p),
-    which fixes the base word, repairs membership without any search."""
-    c = chase_to_zero_cp(p, word).inverse()
-    tx = c.taus[0]
-    sgn = 1 if (tx[1] - tx[0]) % p == 1 else -1
-    delta = (tx[p] - tx[0]) % p
-    t = (delta * pow(2 * sgn, -1, p)) % p
-    s = cp_shear(p)
-    for _ in range(t):
-        c = c.compose(s)
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -490,49 +313,42 @@ class TransitivityResult:
     certificate: TransitivityCertificate | None = None
     failing_word: tuple | None = None
     method: str = "search"
+    reason: str = ""  # names a provenance hint the verdict dropped
 
     def __bool__(self):
         return self.transitive
 
 
-def _provenance_witnesses(M: MdsCode):
-    """Witness map word -> isotopism (base (0..0) to word) from the recorded
-    construction, or None when no explicit family applies."""
-    prov = M.provenance or {}
-    kind = prov.get("construction")
+def _shift_to_base(M: MdsCode):
+    """(isotope of M holding the base word 0..0, the shift carrying M onto
+    it), or None when M already holds it. Both verdicts are isotopy
+    invariant: they decide the isotope and conjugate the evidence back."""
     base = (0,) * M.n
-    if base not in M:
+    if base in M:
         return None
-    if kind == "graph" and prov.get("loop") == "cp":
-        p = int(prov["p"])
-        return {w: cp_regular_witness(p, w) for w in M.words}
-    if kind in ("iterated", "composition", "quadratic"):
-        from . import constructions
-
-        return constructions.witnesses_from_provenance(M)
-    return None
+    w0 = M.words[0]
+    shift = Isotopism(tuple(
+        tuple((s - w0[i]) % M.q for s in range(M.q)) for i in range(M.n)
+    ))
+    return shift.apply_code(M), shift
 
 
 def is_isotopically_transitive(M: MdsCode, method: str = "auto",
                                budget: SearchBudget = DEFAULT_BUDGET) -> TransitivityResult:
     """Decide whether some symmetry carries the base word to every codeword.
 
-    method "explicit" uses construction-attached witness families and verifies
-    each one; "pinned" runs one pinned search per codeword; "enumerate" lists
-    the full symmetry group once and reads off the orbit; "auto" prefers
-    explicit witnesses and falls back to pinned search.
+    method "explicit" uses the witness family of the recorded construction
+    and verifies each one; "pinned" runs one pinned search per codeword;
+    "auto" prefers explicit witnesses and falls back to pinned search.
     """
-    base = (0,) * M.n
-    if base not in M:
-        # transitivity is isotopy invariant; shift some word onto the base
-        w0 = M.words[0]
-        shift = Isotopism(tuple(
-            tuple((s - w0[i]) % M.q for s in range(M.q)) for i in range(M.n)
-        ))
-        moved = shift.apply_code(M)
-        res = is_isotopically_transitive(moved, method=method, budget=budget)
+    if method not in ("auto", "explicit", "pinned"):
+        raise ValueError(f"unknown method {method!r}")
+    moved = _shift_to_base(M)
+    if moved is not None:
+        shifted, shift = moved
+        res = is_isotopically_transitive(shifted, method=method, budget=budget)
+        inv = shift.inverse()
         if res.certificate is not None:
-            inv = shift.inverse()
             wits = {
                 inv.apply_word(w): inv.compose(g).compose(shift)
                 for w, g in res.certificate.witnesses.items()
@@ -540,43 +356,31 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
             res.certificate = TransitivityCertificate(
                 res.certificate.mode, inv.apply_word(res.certificate.base), wits)
         if res.failing_word is not None:
-            res.failing_word = shift.inverse().apply_word(res.failing_word)
+            res.failing_word = inv.apply_word(res.failing_word)
         return res
 
+    base = (0,) * M.n
+    note = ""
     if method in ("auto", "explicit"):
-        wits = _provenance_witnesses(M)
+        wits, note = construction_hint(M, "witnesses")
         if wits is not None:
-            for w, g in wits.items():
-                if g.apply_word(base) != w or not g.is_automorphism_of(M):
-                    raise AssertionError(f"explicit witness family broken at {w}")
             cert = TransitivityCertificate("isotopic", base, wits)
-            return TransitivityResult(True, cert, method="explicit")
+            ok, why = cert.verify(M)
+            if ok:
+                return TransitivityResult(True, cert, method="explicit")
+            note = dropped_hint(M, why)
         if method == "explicit":
-            raise ValueError("no explicit witness family for this provenance")
-
-    if method == "enumerate":
-        witnesses: dict = {}
-        for g in autotopism_search(M, budget=budget):
-            img = g.apply_word(base)
-            witnesses.setdefault(img, g)
-            if len(witnesses) == len(M):
-                break
-        if len(witnesses) == len(M):
-            return TransitivityResult(
-                True, TransitivityCertificate("isotopic", base, witnesses),
-                method="enumerate")
-        missing = next(w for w in M.words if w not in witnesses)
-        return TransitivityResult(False, None, missing, method="enumerate")
+            raise ValueError(note or "no explicit witness family for this provenance")
 
     witnesses = {}
     for w in M.words:
         pins = {(i, base[i]): w[i] for i in range(M.n)}
         found = next(autotopism_search(M, pins=pins, budget=budget), None)
         if found is None:
-            return TransitivityResult(False, None, w, method="pinned")
+            return TransitivityResult(False, None, w, method="pinned", reason=note)
         witnesses[w] = found
     cert = TransitivityCertificate("isotopic", base, witnesses)
-    return TransitivityResult(True, cert, method="pinned")
+    return TransitivityResult(True, cert, method="pinned", reason=note)
 
 
 # ---------------------------------------------------------------------------
@@ -590,18 +394,6 @@ class TopolinearResult:
 
     def __bool__(self):
         return bool(self.status)
-
-
-def _provenance_generators(M: MdsCode):
-    prov = M.provenance or {}
-    kind = prov.get("construction")
-    if kind == "graph" and prov.get("loop") == "cp":
-        return cp_regular_generators(int(prov["p"]))
-    if kind in ("iterated", "quadratic", "composition", "product"):
-        from . import constructions
-
-        return constructions.generators_from_provenance(M)
-    return None
 
 
 def _regular_subgroup_search(M: MdsCode, elements, budget: SearchBudget):
@@ -662,16 +454,41 @@ def _regular_subgroup_search(M: MdsCode, elements, budget: SearchBudget):
 def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> TopolinearResult:
     """Three-way verdict: True with a regular witness group, False after an
     exhaustive refusal, None when a budget stopped the deciding search."""
-    gens = _provenance_generators(M)
+    moved = _shift_to_base(M)
+    if moved is not None:
+        shifted, shift = moved
+        res = is_topolinear(shifted, budget=budget)
+        if res.group is not None:
+            inv = shift.inverse()
+            res.group = [inv.compose(g).compose(shift) for g in res.group]
+        return res
+
+    gens, note = construction_hint(M, "generators")
     if gens is not None:
-        group = mulclose(gens, cap=budget.max_group)
-        for coord in range(M.n):
-            verdict = _regular_condition_closed(M, group, coord)
-            if verdict:
-                return TopolinearResult(True, group,
-                                        f"construction group, coordinate {coord}")
+        try:
+            group = mulclose(gens, cap=budget.max_group)
+        except BudgetExceeded as exc:
+            note = dropped_hint(M, exc)
+        else:
+            for coord in range(M.n):
+                verdict = _regular_condition_closed(M, group, coord)
+                if verdict:
+                    return TopolinearResult(True, group,
+                                            f"construction group, coordinate {coord}")
+            note = dropped_hint(M, verdict.reason)
 
     trans = is_isotopically_transitive(M, budget=budget)
+    res = _topolinear_by_search(M, trans, budget)
+    note = note or trans.reason
+    if note:
+        res.reason += f"; {note}"
+    return res
+
+
+def _topolinear_by_search(M: MdsCode, trans: TransitivityResult,
+                          budget: SearchBudget) -> TopolinearResult:
+    """The verdict once no construction group decided: the closure of the
+    transitivity witnesses, then a search of the full symmetry group."""
     if not trans:
         return TopolinearResult(False, None,
                                 f"not isotopically transitive at {trans.failing_word}")
@@ -679,8 +496,7 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
         group = mulclose(trans.certificate.witnesses.values(), cap=budget.max_group)
         for coord in range(M.n):
             if _regular_condition_closed(M, group, coord):
-                return TopolinearResult(True, group,
-                                        f"witness closure, coordinate {coord}")
+                return TopolinearResult(True, group, f"witness closure, coordinate {coord}")
     except BudgetExceeded:
         pass
 
@@ -713,29 +529,3 @@ def equivalent_codes(M1: MdsCode, M2: MdsCode,
         if found is not None:
             return Isometry(found, eps)
     return None
-
-
-# ---------------------------------------------------------------------------
-# subcode witnesses by component restriction
-
-def restrict_witnesses(M: MdsCode, cert: TransitivityCertificate,
-                       fixed: dict[int, int]) -> tuple[MdsCode, TransitivityCertificate]:
-    """Carry a transitivity certificate down to the subcode fixing the given
-    coordinates at 0: the inverse witness of an embedded word fixes 0 on every
-    fixed coordinate, so its free components restrict to the subcode."""
-    if any(v != 0 for v in fixed.values()):
-        raise ValueError("restriction witnesses need the fixed values to be 0")
-    R = subcode(M, fixed)
-    free = [i for i in range(M.n) if i not in fixed]
-    base = (0,) * R.n
-    wits = {}
-    for v in R.words:
-        it = iter(v)
-        embedded = tuple(0 if i in fixed else next(it) for i in range(M.n))
-        g = cert.witnesses[embedded]
-        h = g.inverse()  # embedded -> base of M, fixing 0 at fixed coords
-        restricted = Isotopism(tuple(h.taus[i] for i in free))
-        if restricted.apply_word(v) != base or not restricted.is_automorphism_of(R):
-            raise AssertionError("restricted witness failed; certificate unsound?")
-        wits[v] = restricted.inverse()
-    return R, TransitivityCertificate("isotopic", base, wits)

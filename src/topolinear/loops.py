@@ -21,16 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Alphabet, from_residue_bit, to_residue_bit
+from .alphabet import from_residue_bit, to_residue_bit
 from .budget import BudgetExceeded
 from .codes import MdsCode, NAryQuasigroup, graph_of
-from .perms import compose, cycle_type, invert, transposition
+from .perms import cycle_type, invert, transposition
 
 
 class BinaryQuasigroup:
     """q x q Latin square; value(x, y) = table[x][y]."""
 
-    def __init__(self, table, alphabet: Alphabet | None = None, check=True):
+    def __init__(self, table, check=True):
         rows = tuple(tuple(int(v) for v in row) for row in table)
         q = len(rows)
         if check:
@@ -45,7 +45,6 @@ class BinaryQuasigroup:
                     raise ValueError("column is not a permutation")
         self.table = rows
         self.q = q
-        self.alphabet = alphabet if alphabet is not None else Alphabet.plain(q)
 
     def value(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -59,7 +58,7 @@ class BinaryQuasigroup:
         return tuple(row[y] for row in self.table)
 
     def as_nary(self) -> NAryQuasigroup:
-        return NAryQuasigroup(np.array(self.table, dtype=np.int64), alphabet=self.alphabet)
+        return NAryQuasigroup(np.array(self.table, dtype=np.int64))
 
     def find_identity(self) -> int | None:
         for e in range(self.q):
@@ -79,8 +78,8 @@ class BinaryQuasigroup:
 class Loop(BinaryQuasigroup):
     """Binary quasigroup with a two-sided identity."""
 
-    def __init__(self, table, identity: int | None = None, alphabet=None, check=True):
-        super().__init__(table, alphabet=alphabet, check=check)
+    def __init__(self, table, identity: int | None = None, check=True):
+        super().__init__(table, check=check)
         if identity is None:
             identity = self.find_identity()
             if identity is None:
@@ -101,7 +100,7 @@ def _two_indexed_table(p: int, component) -> Loop:
         for v in range(q):
             y, t = to_residue_bit(v, p)
             table[u][v] = from_residue_bit(component(x, s, y, t), s ^ t, p)
-    return Loop(table, identity=0, alphabet=Alphabet.two_indexed(p), check=False)
+    return Loop(table, identity=0, check=False)
 
 
 def make_zp_z2(p: int) -> Loop:
@@ -151,19 +150,9 @@ def twisted_graph_code(p: int) -> MdsCode:
 
 def is_associative(f: BinaryQuasigroup) -> bool:
     t = np.array(f.table, dtype=np.int64)
-    # t[t, :][x, y, z] = (xy)z and t[:, t][x, y, z] = x(yz)
-    return np.array_equal(t[t, :], t[:, t])
-
-
-def associativity_witness(f: BinaryQuasigroup):
-    """A triple (x, y, z) with (xy)z != x(yz), or None."""
-    t = np.array(f.table, dtype=np.int64)
-    left = t[t, :]
-    right = t[:, t]
-    bad = np.argwhere(left != right)
-    if len(bad) == 0:
-        return None
-    return tuple(int(v) for v in bad[0])
+    # one x at a time, so memory stays q^2 for tables read from files:
+    # t[t[x]][y, z] = (xy)z and t[x][t][y, z] = x(yz)
+    return all(np.array_equal(t[t[x]], t[x][t]) for x in range(f.q))
 
 
 def principal_isotope(f: BinaryQuasigroup, a: int, b: int) -> Loop:
@@ -184,7 +173,7 @@ def principal_isotope(f: BinaryQuasigroup, a: int, b: int) -> Loop:
     psi0 = tuple(fp[0][y] for y in range(q))
     xi0_inv, psi0_inv = invert(xi0), invert(psi0)
     table = [[fp[xi0_inv[x]][psi0_inv[y]] for y in range(q)] for x in range(q)]
-    return Loop(table, identity=0, alphabet=f.alphabet, check=False)
+    return Loop(table, identity=0, check=False)
 
 
 def _translation_profile(f: BinaryQuasigroup):

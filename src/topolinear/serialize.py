@@ -8,34 +8,16 @@ validated before use; schema violations raise MalformedInput.
 from __future__ import annotations
 
 import json
-import re
 
-from .codes import MdsCode
-from .constructions import (CompositionSpec, IteratedGroupSpec, QuadraticSpec,
-                            composition_code, iterated_code, quadratic_code)
-from .isometry import Isotopism, TransitivityCertificate
-from .loops import (Loop, find_non_g_loop_order6, graph_code, make_cp,
-                    make_dihedral, make_zp_z2, twisted_graph_code)
-
-
-class MalformedInput(ValueError):
-    """Input file or spec that fails schema validation."""
+from .codes import Isotopism, MdsCode
+from .constructions import (CONSTRUCTIONS, MalformedInput, _as_int, _require,
+                            loop_from_json)
+from .isometry import TransitivityCertificate
+from .loops import Loop
 
 
 def dumps_canonical(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise MalformedInput(msg)
-
-
-def _as_int(value, what: str) -> int:
-    # bool is an int subtype; reject it explicitly
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{what} must be an integer")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +79,6 @@ def loop_to_json(loop: Loop) -> dict:
             "identity": loop.identity}
 
 
-def loop_from_json(obj) -> Loop:
-    _require(isinstance(obj, dict), "loop file must be a JSON object")
-    table = obj.get("table")
-    _require(isinstance(table, list) and table, "table must be a nonempty matrix")
-    q = len(table)
-    for row in table:
-        _require(isinstance(row, list) and len(row) == q, "table must be square")
-        for v in row:
-            _as_int(v, "table entry")
-    identity = obj.get("identity")
-    if identity is not None:
-        identity = _as_int(identity, "identity")
-    try:
-        return Loop(table, identity=identity)
-    except ValueError as exc:
-        raise MalformedInput(str(exc)) from exc
-
-
 def save_loop(loop: Loop, path: str):
     with open(path, "w") as fh:
         fh.write(dumps_canonical(loop_to_json(loop)))
@@ -122,24 +86,6 @@ def save_loop(loop: Loop, path: str):
 
 def load_loop(path: str) -> Loop:
     return loop_from_json(_load(path))
-
-
-BUILTIN_LOOPS = ("cp", "dihedral", "zpz2", "non-g-6")
-
-
-def builtin_loop(name: str, p: int | None = None) -> Loop:
-    """Loops addressable by name from the command line."""
-    if name == "non-g-6":
-        return find_non_g_loop_order6()
-    if p is None:
-        raise MalformedInput(f"builtin loop {name!r} needs a parameter p")
-    if name == "cp":
-        return make_cp(p)
-    if name == "dihedral":
-        return make_dihedral(p)
-    if name == "zpz2":
-        return make_zp_z2(p)
-    raise MalformedInput(f"unknown builtin loop {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +117,7 @@ def certificate_from_json(obj) -> TransitivityCertificate:
             taus.append(tuple(t))
         _require(len(taus) == len(base), "one permutation per coordinate")
         witnesses[word] = Isotopism(taus)
-    return TransitivityCertificate(mode, tuple(base), witnesses)
+    return TransitivityCertificate(mode, tuple(_as_int(s, "symbol") for s in base), witnesses)
 
 
 def save_certificate(cert: TransitivityCertificate, path: str):
@@ -186,60 +132,8 @@ def load_certificate(path: str) -> TransitivityCertificate:
 # ---------------------------------------------------------------------------
 # construction spec files
 
-_TERM_RE = re.compile(r"^(\d+)?((?:x\d+)+)$")
-
-
-def parse_r_expression(text: str, n: int, q: int) -> list[list[int]]:
-    """Quadratic part written as a sum of pair products, e.g. "x1x2+x3x4".
-    Returns the upper-triangular alpha table. Indices are 1-based in the
-    expression. "0" or "" denote the zero form."""
-    alpha = [[0] * n for _ in range(n)]
-    s = text.replace(" ", "")
-    if s in ("", "0"):
-        return alpha
-    for term in s.split("+"):
-        m = _TERM_RE.match(term)
-        _require(m is not None, f"bad term {term!r}")
-        coeff = int(m.group(1)) if m.group(1) else 1
-        _require(0 <= coeff < q, f"coefficient {coeff} out of range")
-        idxs = sorted(int(d) - 1 for d in re.findall(r"x(\d+)", m.group(2)))
-        _require(len(idxs) == 2 and idxs[0] != idxs[1],
-                 f"term {term!r} must be a product of two distinct variables")
-        i, j = idxs
-        _require(0 <= i and j < n, f"variable index out of range in {term!r}")
-        _require(alpha[i][j] == 0, f"duplicate pair in {term!r}")
-        alpha[i][j] = coeff
-    return alpha
-
-
-def _loop_from_spec(obj) -> Loop:
-    if isinstance(obj, dict) and "table" in obj:
-        return loop_from_json(obj)
-    if isinstance(obj, dict) and "name" in obj:
-        name = obj["name"]
-        _require(isinstance(name, str), "loop name must be a string")
-        p = obj.get("p")
-        if p is not None:
-            p = _as_int(p, "p")
-        return builtin_loop(name, p)
-    raise MalformedInput("loop spec needs a table or a builtin name")
-
-
-def _normalized_inner(outer: str, inner) -> tuple[int, ...]:
-    _require(isinstance(inner, list) and inner, "inner must be a nonempty list")
-    arities = tuple(_as_int(m, "inner arity") for m in inner)
-    if outer == "cp" and len(arities) == 1:
-        # single entry read as the total of the block arities; only accepted
-        # when the split over the two outer arguments is forced
-        total = arities[0]
-        _require(total == 2, f"inner total {total} has no unique split over "
-                             "a binary outer; list both block arities")
-        return (1, 1)
-    return arities
-
-
 def build_from_spec(obj) -> MdsCode:
-    """Dispatch a construction spec to its builder.
+    """Build the code a construction spec describes.
 
     Schemas: composition {outer, p, inner}, quadratic {p, k, n, r|alpha
     [, beta]}, iterated {loop, n}, graph {loop}. The `construction` key is
@@ -258,42 +152,15 @@ def build_from_spec(obj) -> MdsCode:
             kind = "graph"
         else:
             raise MalformedInput("cannot identify the construction schema")
-
+    _require(isinstance(kind, str) and kind in CONSTRUCTIONS,
+             f"unknown construction {kind!r}")
+    entry = CONSTRUCTIONS[kind]
     try:
-        if kind == "composition":
-            outer = obj.get("outer")
-            _require(outer in ("cp", "zpz2"), "outer must be cp or zpz2")
-            p = _as_int(obj.get("p"), "p")
-            inner = _normalized_inner(outer, obj.get("inner"))
-            return composition_code(CompositionSpec(outer, p, inner))
-        if kind == "quadratic":
-            p = _as_int(obj.get("p"), "p")
-            k = _as_int(obj.get("k"), "k")
-            n = _as_int(obj.get("n"), "n")
-            q = p ** k
-            if "alpha" in obj:
-                alpha = obj["alpha"]
-                _require(isinstance(alpha, list), "alpha must be a matrix")
-            else:
-                r = obj.get("r")
-                _require(isinstance(r, str), "r must be an expression string")
-                alpha = parse_r_expression(r, n, q)
-            beta = obj.get("beta")
-            return quadratic_code(QuadraticSpec.make(p, k, n, alpha=alpha, beta=beta))
-        if kind == "iterated":
-            loop = _loop_from_spec(obj.get("loop"))
-            n = _as_int(obj.get("n"), "n")
-            return iterated_code(IteratedGroupSpec(loop, n))
-        if kind == "graph":
-            spec = obj.get("loop")
-            if isinstance(spec, dict) and spec.get("name") == "cp":
-                return twisted_graph_code(_as_int(spec.get("p"), "p"))
-            return graph_code(_loop_from_spec(spec))
+        return entry.build(entry.parse(obj))
     except MalformedInput:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise MalformedInput(str(exc)) from exc
-    raise MalformedInput(f"unknown construction {kind!r}")
 
 
 def load_spec(path: str) -> MdsCode:

@@ -15,14 +15,13 @@ from topolinear.classify_q4 import (all_latin_squares, classify, code_h,
                                     standard_semilinear_code)
 from topolinear.codes import MdsCode, NAryQuasigroup, graph_of, is_mds
 from topolinear.constructions import (CompositionSpec, QuadraticSpec,
-                                      composition_code, quadratic_code,
-                                      quadratic_witness)
+                                      chase_to_zero_cp, composition_code,
+                                      cp_regular_witness, ic_p_generators,
+                                      quadratic_code, quadratic_witness)
 from topolinear.counting import partition_exact, lower_bound_report, ratio_report
-from topolinear.isometry import (autotopism_search, chase_to_zero_cp,
-                                 check_regular_condition, cp_regular_witness,
-                                 equivalent_codes, ic_p_generators,
-                                 is_isotopically_transitive, is_topolinear,
-                                 mulclose)
+from topolinear.isometry import (autotopism_search, check_regular_condition,
+                                 equivalent_codes, is_isotopically_transitive,
+                                 is_topolinear, mulclose)
 from topolinear.loops import (cyclic_loop, find_non_g_loop_order6, graph_code,
                               is_g_loop, make_cp, make_dihedral,
                               random_latin_square, twisted_graph_code)

@@ -17,7 +17,7 @@ from topolinear.constructions import (CompositionSpec, IteratedGroupSpec,
                                       star_product)
 from topolinear.isometry import (check_regular_condition, equivalent_codes,
                                  is_isotopically_transitive, is_topolinear)
-from topolinear.loops import make_cp, make_dihedral
+from topolinear.loops import BinaryQuasigroup, graph_code, make_cp, make_dihedral
 from topolinear.perms import random_permutation
 
 
@@ -176,6 +176,37 @@ def test_quadratic_beta_tables_are_respected():
     plain = quadratic_code(QuadraticSpec.make(2, 1, 3))
     assert M.words != plain.words
     assert is_topolinear(M).status is True
+
+
+@pytest.mark.parametrize("build,witness,spec", [
+    (composition_code, composition_witness, CompositionSpec("cp", 3, (1, 1))),
+    (quadratic_code, quadratic_witness, QuadraticSpec.make(2, 1, 3, alpha=[[0, 1, 0],
+                                                                        [0, 0, 0],
+                                                                        [0, 0, 0]])),
+])
+def test_witnesses_reject_words_outside_the_code(build, witness, spec):
+    M = build(spec)
+    w = M.words[1]
+    outside = ((w[0] + 1) % M.q,) + w[1:]
+    assert outside not in M
+    with pytest.raises(ValueError):
+        witness(spec, outside)
+
+
+def test_graph_codes_of_groups_take_the_construction_group():
+    res = is_topolinear(graph_code(make_dihedral(3)))
+    assert res.status is True
+    assert res.reason == "construction group, coordinate 0"
+
+
+def test_graph_code_of_a_quasigroup_has_no_hint_to_drop():
+    # x, y -> -x - y mod 3: a Latin square with no identity element
+    M = graph_code(BinaryQuasigroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]]))
+    assert "identity" not in M.provenance
+    trans = is_isotopically_transitive(M)
+    assert trans.transitive and trans.reason == ""
+    res = is_topolinear(M)
+    assert res.status is True and "dropped" not in res.reason
 
 
 def test_element_inverse_is_two_sided_in_groups():

@@ -5,13 +5,14 @@ import pytest
 
 from topolinear.budget import BudgetExceeded, SearchBudget
 from topolinear.codes import MdsCode, parity_code
+from topolinear.constructions import (chase_to_zero_cp, cp_autotopism_a1,
+                                      cp_autotopism_a2, cp_autotopism_a3,
+                                      cp_regular_generators,
+                                      cp_regular_witness, ic_p_generators)
 from topolinear.isometry import (Isometry, Isotopism, autotopism_search,
-                                 chase_to_zero_cp, check_regular_condition,
-                                 cp_autotopism_a1, cp_autotopism_a2,
-                                 cp_autotopism_a3, cp_regular_generators,
-                                 cp_regular_witness, equivalent_codes,
-                                 ic_p_generators, is_isotopically_transitive,
-                                 is_topolinear, mulclose, search_isotopisms)
+                                 check_regular_condition, equivalent_codes,
+                                 is_isotopically_transitive, is_topolinear,
+                                 mulclose, search_isotopisms)
 from topolinear.loops import twisted_graph_code
 from topolinear.perms import random_permutation
 
@@ -161,6 +162,19 @@ def test_transitivity_handles_codes_missing_the_base_word():
     assert res.transitive
     ok, why = res.certificate.verify(shifted)
     assert ok, why
+
+
+def test_is_topolinear_on_a_code_without_the_base_word():
+    rng = random.Random(8)
+    image = random_isotopism(6, 3, rng).apply_code(twisted_graph_code(3))
+    off = next(w for w in itertools.product(range(6), repeat=3) if w not in image)
+    M = MdsCode(6, 3, [tuple((s - c) % 6 for s, c in zip(w, off)) for w in image.words])
+    assert (0, 0, 0) not in M
+    res = is_topolinear(M)
+    assert res.status is True
+    assert len(res.group) == len(M)
+    assert all(g.is_automorphism_of(M) for g in res.group)
+    assert len({g.apply_word(M.words[0]) for g in res.group}) == len(M)
 
 
 def test_is_topolinear_twisted_graph():

@@ -2,16 +2,18 @@ import json
 
 import pytest
 
+from topolinear import cli
 from topolinear.classify_q4 import code_h, standard_semilinear_code
 from topolinear.cli import main
+from topolinear.codes import MdsCode, parity_code
 from topolinear.isometry import is_isotopically_transitive
 from topolinear.loops import make_dihedral, twisted_graph_code
-from topolinear.serialize import (MalformedInput, build_from_spec,
-                                  builtin_loop, certificate_from_json,
+from topolinear.constructions import (MalformedInput, builtin_loop,
+                                      loop_from_json, parse_r_expression)
+from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
-                                  code_to_json, load_code, loop_from_json,
-                                  loop_to_json, parse_r_expression, save_code,
-                                  save_loop)
+                                  code_to_json, load_code, loop_to_json,
+                                  save_code, save_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +155,101 @@ def test_cli_exit_codes_for_bad_inputs(tmp_path):
     notjson.write_text("{oops")
     assert main(["verify", str(notjson)]) == 2
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
+    # certificates that do not fit the code are malformed input, not a false verdict
+    spec = write_json(tmp_path / "spec.json", {"p": 3, "outer": "cp", "inner": [2]})
+    cert = str(tmp_path / "cert.json")
+    assert main(["construct", spec, out, "--certificate", cert]) == 0
+    good = json.loads(open(cert).read())
+
+    def short_tau(c):
+        c["witnesses"][0]["taus"][0] = [0, 1, 2, 3, 4]
+
+    def long_word(c):
+        c["witnesses"][0]["word"].append(0)
+
+    def short_base(c):
+        c["base"].pop()
+        for row in c["witnesses"]:
+            row["taus"].pop()
+
+    for mutate in (short_tau, long_word, short_base):
+        c = json.loads(json.dumps(good))
+        mutate(c)
+        bad_cert = write_json(tmp_path / f"{mutate.__name__}.json", c)
+        for mode in ("transitive", "topolinear"):
+            assert main(["verify", out, "--mode", mode, "--certificate", bad_cert]) == 2
+
+
+def test_cli_unexpected_errors_exit_4(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_count", boom)
+    assert main(["count"]) == 4
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["internal error: RuntimeError: boom"]
+
+
+FORGED_PROVENANCE = [
+    pytest.param({"construction": "graph", "loop": "cp", "p": 3},
+                 ("transitive", "topolinear"), id="graph-cp3"),
+    pytest.param({"construction": "graph", "loop": "cp"},
+                 ("transitive", "topolinear"), id="graph-no-p"),
+    pytest.param({"construction": "iterated", "table": [[0]], "n": 3},
+                 ("transitive", "topolinear"), id="iterated-order-1"),
+    pytest.param({"construction": "composition", "outer": "cp", "p": 3, "inner": [1]},
+                 ("transitive", "topolinear"), id="composition-one-block"),
+    pytest.param({"construction": "quadratic", "p": 2, "k": 1, "n": 3, "alpha": "x",
+                  "beta": [[0, 0]] * 3}, ("transitive", "topolinear"), id="quadratic-alpha"),
+    # refused by the field's size bound before 3**k is computed
+    pytest.param({"construction": "quadratic", "p": 3, "k": 10**9, "n": 3, "r": "0"},
+                 ("transitive", "topolinear"), id="quadratic-huge-k"),
+    # not a construction kind: nothing to read, nothing to drop
+    pytest.param({"construction": "product", "a": {"q": 1}}, (), id="product"),
+    # a valid loop, but not the code's; graph tables carry generators only
+    pytest.param(dict(construction="graph", **loop_to_json(make_dihedral(3))),
+                 ("topolinear",), id="graph-other-loop"),
+    pytest.param({"construction": "iterated", "table": loop_to_json(make_dihedral(3))["table"],
+                  "identity": 7, "n": 3}, ("transitive", "topolinear"), id="identity-range"),
+    # sized by forged fields: refused on the code's shape before anything is built
+    pytest.param({"construction": "graph", "loop": {"name": "dihedral", "p": 100000}},
+                 ("transitive", "topolinear"), id="graph-builtin-huge-p"),
+    pytest.param({"construction": "iterated", "loop": {"name": "cp", "p": 100000}, "n": 3},
+                 ("transitive", "topolinear"), id="iterated-builtin-huge-p"),
+    pytest.param({"construction": "quadratic", "p": 2, "k": 1, "n": 100000, "r": "0"},
+                 ("transitive", "topolinear"), id="quadratic-huge-n"),
+    pytest.param({"construction": "quadratic", "p": 2, "k": 8, "n": 10**7, "alpha": [[0]]},
+                 ("transitive", "topolinear"), id="quadratic-huge-n-no-beta"),
+]
+
+
+@pytest.mark.parametrize("prov,dropped_in", FORGED_PROVENANCE)
+def test_forged_provenance_is_a_dropped_hint(tmp_path, capsys, prov, dropped_in):
+    M = parity_code(6, 3)
+    plain, forged = str(tmp_path / "plain.json"), str(tmp_path / "forged.json")
+    save_code(M, plain)
+    save_code(MdsCode(M.q, M.n, M.words, provenance=prov), forged)
+    for mode in ("transitive", "topolinear"):
+        want = main(["verify", plain, "--mode", mode, "--json"])
+        expected = json.loads(capsys.readouterr().out)
+        got = main(["verify", forged, "--mode", mode, "--json"])
+        out = capsys.readouterr()
+        payload = json.loads(out.out)
+        assert (got, payload["ok"]) == (want, expected["ok"])
+        assert out.err == ""
+        named = f"provenance hint dropped ({prov['construction']})" in payload["reason"]
+        assert named == (mode in dropped_in)
+
+
+def test_loop_identity_out_of_range_is_malformed(tmp_path):
+    table = loop_to_json(make_dihedral(3))["table"]
+    for identity in (7, -1):
+        with pytest.raises(MalformedInput):
+            loop_from_json({"table": table, "identity": identity})
+    spec = write_json(tmp_path / "spec.json",
+                      {"construction": "iterated", "loop": {"table": table, "identity": 7},
+                       "n": 3})
+    assert main(["construct", spec, str(tmp_path / "out.json")]) == 2
 
 
 def test_cli_oversized_search_exits_3(tmp_path):
