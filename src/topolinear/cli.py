@@ -106,7 +106,7 @@ def _cmd_verify(args) -> int:
             detail += f" ({res.reason})"
         _emit(args, f"transitive: {res.transitive}{detail}",
               {"mode": "transitive", "ok": res.transitive, "method": res.method,
-               "reason": res.reason,
+               "reason": res.reason, "searches": res.searches,
                "failing_word": list(res.failing_word) if res.failing_word else None})
         return EXIT_TRUE if res.transitive else EXIT_FALSE
     res = is_topolinear(M, budget=budget)

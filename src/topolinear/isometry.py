@@ -13,6 +13,15 @@ an independent backtracking search that knows nothing about how a code was
 built. Provenance is a hint, not a fact: when it does not parse, or its
 symmetries fail their checks, the verdict drops it, says so in its reason,
 and falls back to search.
+
+The search route is the orbit algorithm (Seress, Permutation Group
+Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 4.1): a pinned search runs only for a codeword the orbit of the base
+word has not reached yet, each isotopism it finds becomes a generator, and
+the orbit is closed under the generators, each new word keeping a Schreier
+witness (generator composed with the witness of the word it came from). The
+witness group of the topolinear verdict is then closed from those few
+generators instead of from one witness per codeword.
 """
 
 from __future__ import annotations
@@ -314,9 +323,17 @@ class TransitivityResult:
     failing_word: tuple | None = None
     method: str = "search"
     reason: str = ""  # names a provenance hint the verdict dropped
+    generators: list = field(default_factory=list)  # searched isotopisms
 
     def __bool__(self):
         return self.transitive
+
+    @property
+    def searches(self) -> int:
+        """Pinned searches run: one per generator, plus the one that failed."""
+        if self.method != "pinned":
+            return 0
+        return len(self.generators) + (self.failing_word is not None)
 
 
 def _shift_to_base(M: MdsCode):
@@ -338,8 +355,12 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
     """Decide whether some symmetry carries the base word to every codeword.
 
     method "explicit" uses the witness family of the recorded construction
-    and verifies each one; "pinned" runs one pinned search per codeword;
-    "auto" prefers explicit witnesses and falls back to pinned search.
+    and verifies each one; "pinned" closes the orbit of the base word,
+    running a pinned search only for a codeword not reached yet (see
+    `_orbit_closure`); "auto" prefers explicit witnesses and falls back to
+    pinned search. On the pinned route `generators` holds the searched
+    isotopisms, which generate the group of the witnesses; the explicit
+    route leaves it empty.
     """
     if method not in ("auto", "explicit", "pinned"):
         raise ValueError(f"unknown method {method!r}")
@@ -348,13 +369,16 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
         shifted, shift = moved
         res = is_isotopically_transitive(shifted, method=method, budget=budget)
         inv = shift.inverse()
+
+        def back(g):
+            return inv.compose(g).compose(shift)
+
         if res.certificate is not None:
-            wits = {
-                inv.apply_word(w): inv.compose(g).compose(shift)
-                for w, g in res.certificate.witnesses.items()
-            }
+            wits = {inv.apply_word(w): back(g)
+                    for w, g in res.certificate.witnesses.items()}
             res.certificate = TransitivityCertificate(
                 res.certificate.mode, inv.apply_word(res.certificate.base), wits)
+        res.generators = [back(g) for g in res.generators]
         if res.failing_word is not None:
             res.failing_word = inv.apply_word(res.failing_word)
         return res
@@ -372,15 +396,49 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
         if method == "explicit":
             raise ValueError(note or "no explicit witness family for this provenance")
 
-    witnesses = {}
+    witnesses, generators, failing = _orbit_closure(M, base, budget)
+    cert = None if failing else TransitivityCertificate("isotopic", base, witnesses)
+    return TransitivityResult(failing is None, cert, failing, method="pinned",
+                              reason=note, generators=generators)
+
+
+def _orbit_closure(M: MdsCode, base, budget: SearchBudget):
+    """(Schreier witnesses of the orbit of `base`, the searched generators,
+    the first word no symmetry reaches or None).
+
+    Words are visited in order; a pinned search runs only for a word outside
+    the orbit so far. Its isotopism joins the generators and the orbit is
+    closed again: the new generator moves every word reached before, and
+    every generator moves each newly reached word. The new generator
+    carries the base word, whose witness is the identity, to the word it was
+    searched for, so it becomes that word's witness: the witnesses generate
+    the same group as the generators. A failed search names the first word
+    outside the full orbit, since every earlier word was reached or searched
+    successfully."""
+    witnesses = {base: Isotopism.identity(M.q, M.n)}
+    generators: list[Isotopism] = []
     for w in M.words:
+        if w in witnesses:
+            continue
         pins = {(i, base[i]): w[i] for i in range(M.n)}
-        found = next(autotopism_search(M, pins=pins, budget=budget), None)
-        if found is None:
-            return TransitivityResult(False, None, w, method="pinned", reason=note)
-        witnesses[w] = found
-    cert = TransitivityCertificate("isotopic", base, witnesses)
-    return TransitivityResult(True, cert, method="pinned", reason=note)
+        g = next(autotopism_search(M, pins=pins, budget=budget), None)
+        if g is None:
+            return witnesses, generators, w
+        generators.append(g)
+        fresh = []
+        for u, h in list(witnesses.items()):
+            v = g.apply_word(u)
+            if v not in witnesses:
+                witnesses[v] = g.compose(h)
+                fresh.append(v)
+        while fresh:
+            u = fresh.pop()
+            for gen in generators:
+                v = gen.apply_word(u)
+                if v not in witnesses:
+                    witnesses[v] = gen.compose(witnesses[u])
+                    fresh.append(v)
+    return witnesses, generators, None
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +454,7 @@ class TopolinearResult:
         return bool(self.status)
 
 
-def _regular_subgroup_search(M: MdsCode, elements, budget: SearchBudget):
+def _regular_subgroup_search(M: MdsCode, elements):
     """DFS for a sharply transitive subgroup inside a listed symmetry group.
     Prunes as soon as a closure holds two elements over one base-word image."""
     base = (0,) * M.n
@@ -487,28 +545,32 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
 
 def _topolinear_by_search(M: MdsCode, trans: TransitivityResult,
                           budget: SearchBudget) -> TopolinearResult:
-    """The verdict once no construction group decided: the closure of the
-    transitivity witnesses, then a search of the full symmetry group."""
+    """The verdict once no construction group decided: the group of the
+    transitivity witnesses, closed from the searched generators when there
+    are any, then a search of the full symmetry group."""
     if not trans:
         return TopolinearResult(False, None,
                                 f"not isotopically transitive at {trans.failing_word}")
+    stopped = ""
     try:
-        group = mulclose(trans.certificate.witnesses.values(), cap=budget.max_group)
+        group = mulclose(trans.generators or trans.certificate.witnesses.values(),
+                         cap=budget.max_group)
+    except BudgetExceeded as exc:
+        stopped = f"; witness closure stopped: {exc}"
+    else:
         for coord in range(M.n):
             if _regular_condition_closed(M, group, coord):
                 return TopolinearResult(True, group, f"witness closure, coordinate {coord}")
-    except BudgetExceeded:
-        pass
 
     try:
         elements = list(autotopism_search(M, budget=budget))
-        found = _regular_subgroup_search(M, elements, budget)
+        found = _regular_subgroup_search(M, elements)
     except BudgetExceeded as exc:
-        return TopolinearResult(None, None, f"inconclusive: {exc}")
+        return TopolinearResult(None, None, f"inconclusive: {exc}{stopped}")
     if found is not None:
-        return TopolinearResult(True, found, "regular subgroup of the full group")
-    return TopolinearResult(False, None,
-                            "full symmetry group holds no sharply transitive subgroup")
+        return TopolinearResult(True, found, "regular subgroup of the full group" + stopped)
+    return TopolinearResult(False, None, "full symmetry group holds no sharply "
+                                         "transitive subgroup" + stopped)
 
 
 # ---------------------------------------------------------------------------

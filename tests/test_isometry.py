@@ -4,11 +4,14 @@ import random
 import pytest
 
 from topolinear.budget import BudgetExceeded, SearchBudget
-from topolinear.codes import MdsCode, parity_code
-from topolinear.constructions import (chase_to_zero_cp, cp_autotopism_a1,
-                                      cp_autotopism_a2, cp_autotopism_a3,
-                                      cp_regular_generators,
-                                      cp_regular_witness, ic_p_generators)
+from topolinear.classify_q4 import (all_latin_squares, code_h,
+                                    standard_semilinear_code)
+from topolinear.codes import MdsCode, NAryQuasigroup, graph_of, parity_code
+from topolinear.constructions import (QuadraticSpec, chase_to_zero_cp,
+                                      cp_autotopism_a1, cp_autotopism_a2,
+                                      cp_autotopism_a3, cp_regular_generators,
+                                      cp_regular_witness, ic_p_generators,
+                                      quadratic_code)
 from topolinear.isometry import (Isometry, Isotopism, autotopism_search,
                                  check_regular_condition, equivalent_codes,
                                  is_isotopically_transitive, is_topolinear,
@@ -164,11 +167,101 @@ def test_transitivity_handles_codes_missing_the_base_word():
     assert ok, why
 
 
+def scrambled(M, seed):
+    """Random isotope of M with no provenance, so only search can decide it."""
+    image = random_isotopism(M.q, M.n, random.Random(seed)).apply_code(M)
+    return MdsCode(M.q, M.n, image.words)
+
+
+def without_base_word(M):
+    """Translate of M by a point outside it, so the code misses 0..0."""
+    off = next(w for w in itertools.product(range(M.q), repeat=M.n) if w not in M)
+    return MdsCode(M.q, M.n, [tuple((s - c) % M.q for s, c in zip(w, off))
+                              for w in M.words])
+
+
+def per_word_pinned(M):
+    """The loop the orbit closure replaces: one pinned search for every
+    codeword in order, on the translate that carries the first word to 0..0.
+    Returns (verdict, first failing word of M or None)."""
+    w0 = M.words[0]
+    moved = sorted(tuple((s - c) % M.q for s, c in zip(w, w0)) for w in M.words)
+    T = MdsCode(M.q, M.n, moved)
+    for w in T.words:
+        pins = {(i, 0): w[i] for i in range(M.n)}
+        if next(autotopism_search(T, pins=pins), None) is None:
+            return False, tuple((s + c) % M.q for s, c in zip(w, w0))
+    return True, None
+
+
+def oracle_cases():
+    squares = all_latin_squares(4)
+    cases = [("twisted-3", scrambled(twisted_graph_code(3), 31)),
+             ("twisted-5", scrambled(twisted_graph_code(5), 32)),
+             ("H", code_h()),
+             ("quadratic-2-4", quadratic_code(
+                 QuadraticSpec.make(2, 1, 4, alpha=[[0, 1, 0, 0], [0, 0, 0, 0],
+                                                    [0, 0, 0, 1], [0, 0, 0, 0]]))),
+             ("shifted-cubic", without_base_word(scrambled(
+                 standard_semilinear_code(4, [(0, 1, 2)]), 33)))]
+    for name, mono in [("r1", []), ("r2", [(0, 1), (2, 3)]), ("r3", [(0, 1)]),
+                       ("r4", [(0, 1, 2)])]:
+        cases.append((name, standard_semilinear_code(4, mono)))
+    cases += [(f"square-{k}", graph_of(NAryQuasigroup(squares[k])))
+              for k in range(0, len(squares), 9)]
+    return cases
+
+
+def test_orbit_closure_agrees_with_the_per_word_search():
+    cases = oracle_cases()
+    assert sum(name.startswith("square-") for name, _ in cases) >= 50
+    verdicts = set()  # every order-4 square is transitive: r4 and the cubic code are not
+    for name, M in cases:
+        res = is_isotopically_transitive(M, method="pinned")
+        expected, failing = per_word_pinned(M)
+        assert (res.transitive, res.failing_word) == (expected, failing), name
+        verdicts.add(expected)
+        if expected:
+            assert res.certificate.verify(M) == (True, None), name
+            assert (set(mulclose(res.generators))
+                    == set(mulclose(res.certificate.witnesses.values()))), name
+    assert verdicts == {True, False}
+
+
+def test_orbit_closure_needs_few_searches_on_a_large_code():
+    M = scrambled(twisted_graph_code(9), 34)
+    res = is_isotopically_transitive(M, method="pinned")
+    assert res.transitive and len(M) == 324
+    assert res.searches <= 8  # 4 when written, against 324 per-word searches
+    assert res.certificate.verify(M) == (True, None)
+
+
+def test_generators_of_a_shifted_code_are_its_symmetries():
+    M = without_base_word(scrambled(twisted_graph_code(3), 35))
+    assert (0, 0, 0) not in M
+    res = is_isotopically_transitive(M, method="pinned")
+    assert res.transitive and res.generators
+    assert all(g.is_automorphism_of(M) for g in res.generators)
+    assert res.certificate.verify(M) == (True, None)
+
+
+def test_is_topolinear_reports_an_exhausted_node_budget_as_inconclusive():
+    # the pinned searches fit in 50 nodes; enumerating the full group of
+    # order 32 does not
+    res = is_topolinear(parity_code(4, 3), budget=SearchBudget(max_nodes=50))
+    assert res.status is None and res.group is None
+    assert res.reason.startswith("inconclusive")
+
+
+def test_is_topolinear_records_a_stopped_witness_closure():
+    res = is_topolinear(parity_code(4, 3), budget=SearchBudget(max_group=10))
+    assert res.status is True
+    assert res.reason == ("regular subgroup of the full group; "
+                          "witness closure stopped: group closure limit 10")
+
+
 def test_is_topolinear_on_a_code_without_the_base_word():
-    rng = random.Random(8)
-    image = random_isotopism(6, 3, rng).apply_code(twisted_graph_code(3))
-    off = next(w for w in itertools.product(range(6), repeat=3) if w not in image)
-    M = MdsCode(6, 3, [tuple((s - c) % 6 for s, c in zip(w, off)) for w in image.words])
+    M = without_base_word(scrambled(twisted_graph_code(3), 8))
     assert (0, 0, 0) not in M
     res = is_topolinear(M)
     assert res.status is True

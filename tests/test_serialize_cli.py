@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
                                   code_to_json, load_code, loop_to_json,
                                   save_code, save_loop)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +142,39 @@ def test_cli_construct_verify_round_trip(tmp_path, capsys):
     assert main(["verify", out, "--mode", "transitive", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True and payload["mode"] == "transitive"
+    assert payload["method"] == "explicit" and payload["searches"] == 0
+
+
+def test_cli_verify_json_reports_the_pinned_search_count(tmp_path, capsys):
+    out = tmp_path / "parity.json"
+    save_code(parity_code(4, 3), out)
+    assert main(["verify", str(out), "--mode", "transitive", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "pinned"
+    assert 0 < payload["searches"] < 16
+
+
+def _verify_process(path, *flags):
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "topolinear", "verify", str(path),
+                           *flags], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_cli_exhausted_budget_exits_3(tmp_path):
+    out = tmp_path / "parity.json"
+    save_code(parity_code(4, 3), out)
+    # transitive mode has no inconclusive verdict: the budget error itself
+    proc = _verify_process(out, "--mode", "transitive", "--budget-states", "5")
+    assert proc.returncode == 3
+    assert "budget exhausted" in proc.stderr
+    # topolinear mode: the pinned searches fit in 50 nodes, the full group
+    # does not, so the verdict is inconclusive
+    proc = _verify_process(out, "--mode", "topolinear", "--budget-states", "50")
+    assert proc.returncode == 3
+    assert proc.stdout.startswith("topolinear: None (inconclusive")
+    # a budget that stops the pinned searches exits 3 too
+    proc = _verify_process(out, "--mode", "topolinear", "--budget-states", "5")
+    assert proc.returncode == 3
 
 
 def test_cli_topolinear_certificate_replay(tmp_path):
