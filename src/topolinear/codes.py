@@ -41,6 +41,7 @@ class MdsCode:
         self._word_set = None
         self._complete = None
         self._slots = None
+        self._arr = None
         self._enc = None
 
     def __len__(self):
@@ -70,7 +71,11 @@ class MdsCode:
         return self._word_set
 
     def word_array(self) -> np.ndarray:
-        return np.array(self.words, dtype=np.int64)
+        """The words as a read-only (|M|, n) integer array, built once."""
+        if self._arr is None:
+            self._arr = np.array(self.words, dtype=np.int64)
+            self._arr.flags.writeable = False
+        return self._arr
 
     def encoded(self) -> np.ndarray:
         """Sorted base-q integer encodings of the words."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,17 +8,19 @@ from topolinear.budget import BudgetExceeded, SearchBudget
 from topolinear.classify_q4 import (all_latin_squares, code_h,
                                     standard_semilinear_code)
 from topolinear.codes import MdsCode, NAryQuasigroup, graph_of, parity_code
-from topolinear.constructions import (QuadraticSpec, chase_to_zero_cp,
-                                      cp_autotopism_a1, cp_autotopism_a2,
-                                      cp_autotopism_a3, cp_regular_generators,
-                                      cp_regular_witness, ic_p_generators,
-                                      quadratic_code)
-from topolinear.isometry import (Isometry, Isotopism, autotopism_search,
-                                 check_regular_condition, equivalent_codes,
-                                 is_isotopically_transitive, is_topolinear,
-                                 mulclose, search_isotopisms)
-from topolinear.loops import twisted_graph_code
+from topolinear.constructions import (IteratedGroupSpec, QuadraticSpec,
+                                      chase_to_zero_cp, cp_autotopism_a1,
+                                      cp_autotopism_a2, cp_autotopism_a3,
+                                      cp_regular_generators, cp_regular_witness,
+                                      ic_p_generators, quadratic_code,
+                                      regular_group_iterated)
+from topolinear.isometry import (Isometry, Isotopism, TransitivityCertificate,
+                                 autotopism_search, check_regular_condition,
+                                 equivalent_codes, is_isotopically_transitive,
+                                 is_topolinear, mulclose, search_isotopisms)
+from topolinear.loops import make_dihedral, twisted_graph_code
 from topolinear.perms import random_permutation
+from topolinear.serialize import build_from_spec
 
 
 def random_isotopism(q, n, rng):
@@ -306,3 +309,154 @@ def test_check_points_budget_guard():
     small = SearchBudget(max_points=10, max_nodes=100, max_group=100)
     with pytest.raises(BudgetExceeded):
         small.check_points(6, 3)
+
+
+def test_is_topolinear_reports_a_stopped_pinned_search_as_inconclusive():
+    # 10 nodes stop the pinned transitivity search itself, before any group
+    # is closed; the verdict is inconclusive, as when the full group is cut
+    res = is_topolinear(parity_code(4, 3), budget=SearchBudget(max_nodes=10))
+    assert res.status is None and res.group is None
+    assert res.reason == "inconclusive: search nodes limit 10"
+
+
+# ---------------------------------------------------------------------------
+# group closure against an all-pairs oracle, and the cost of replay
+
+def naive_closure(gens):
+    """Sorted taus of the group generated by `gens`: every pair of elements
+    known so far is composed both ways until nothing new appears. Works on
+    raw permutation tuples, independent of Isotopism.compose."""
+    def comp(f, g):
+        return tuple(tuple(a[b[x]] for x in range(len(a))) for a, b in zip(f, g))
+
+    gens = [g.taus for g in gens]
+    elems = {tuple(tuple(range(len(gens[0][0]))) for _ in gens[0]), *gens}
+    frontier = list(elems)
+    while frontier:
+        known = list(elems)
+        new = {c for a in frontier for b in known for c in (comp(a, b), comp(b, a))
+               if c not in elems}
+        elems |= new
+        frontier = list(new)
+    return sorted(elems)
+
+
+QUADRATIC_4 = {"construction": "quadratic", "p": 2, "k": 1, "n": 4,
+               "alpha": [[0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]}
+QUADRATIC_5 = {"construction": "quadratic", "p": 2, "k": 1, "n": 5,
+               "alpha": [[0, 1, 1, 0, 1], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1],
+                         [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]}
+COMPOSITION = {"construction": "composition", "outer": "zpz2", "p": 3, "inner": [2, 1]}
+ITERATED_D3 = {"construction": "iterated", "loop": {"name": "dihedral", "p": 3}, "n": 4}
+TWISTED_9 = {"construction": "graph", "loop": {"name": "cp", "p": 9}}
+
+
+def explicit_witnesses(M):
+    """The construction's witness of each word, in word order."""
+    wits = is_isotopically_transitive(M, method="explicit").certificate.witnesses
+    return [wits[w] for w in M.words]
+
+
+def redundant(gens, q, n, rng):
+    """`gens` shuffled with duplicates and the identity mixed in."""
+    out = list(gens) + [rng.choice(gens) for _ in range(len(gens))]
+    out += [Isotopism.identity(q, n)] * 3
+    rng.shuffle(out)
+    return out
+
+
+def mulclose_cases():
+    rng = random.Random(41)
+    star = regular_group_iterated(IteratedGroupSpec(make_dihedral(3), 4))
+    yield "iterated-D3-4", star
+    yield "quadratic-4", explicit_witnesses(build_from_spec(QUADRATIC_4))
+    yield "composition", explicit_witnesses(build_from_spec(COMPOSITION))
+    for p in (3, 5):
+        yield f"cp-regular-{p}", redundant(cp_regular_generators(p), 2 * p, 3, rng)
+    yield "ic-3", redundant(ic_p_generators(3), 6, 3, rng)
+
+
+def test_mulclose_matches_the_all_pairs_oracle():
+    sizes = {}
+    for name, gens in mulclose_cases():
+        got = mulclose(gens)
+        assert [g.taus for g in got] == naive_closure(gens), name
+        sizes[name] = len(got)
+    assert sizes == {"iterated-D3-4": 216, "quadratic-4": 64, "composition": 216,
+                     "cp-regular-3": 36, "cp-regular-5": 100, "ic-3": 4 * 27}
+
+
+def test_mulclose_cap_is_the_largest_group_it_returns():
+    for name, gens in mulclose_cases():
+        size = len(mulclose(gens))
+        assert len(mulclose(gens, cap=size)) == size, name
+        with pytest.raises(BudgetExceeded) as exc:
+            mulclose(gens, cap=size - 1)
+        assert (exc.value.bound, exc.value.limit) == ("group closure", size - 1), name
+
+
+def topolinear_replay(M, witnesses):
+    return TransitivityCertificate("topolinear", (0,) * M.n, witnesses).verify(M)
+
+
+def test_topolinear_replay_rejects_the_pinned_witnesses_of_a_twisted_code():
+    # the Schreier witnesses of the orbit closure generate the whole
+    # autotopy group, five times the code: they are no group themselves
+    M = scrambled(twisted_graph_code(5), 36)
+    res = is_isotopically_transitive(M, method="pinned")
+    assert res.certificate.verify(M) == (True, None)
+    cert = res.certificate
+    assert (TransitivityCertificate("topolinear", cert.base, cert.witnesses).verify(M)
+            == (False, "witness set is not closed under composition"))
+
+
+def test_topolinear_replay_rejects_a_regular_set_with_one_witness_swapped():
+    p = 5
+    M = twisted_graph_code(p)
+    wits = {w: cp_regular_witness(p, w) for w in M.words}
+    assert topolinear_replay(M, wits) == (True, None)
+    w = M.words[7]
+    fibre = list(autotopism_search(M, pins={(i, 0): w[i] for i in range(3)}))
+    assert len(fibre) == p and wits[w] in fibre
+    wits[w] = next(g for g in fibre if g != wits[w])
+    assert topolinear_replay(M, wits) == (False, "witness set is not closed under composition")
+    # the isotopic checks alone still pass: only the group check catches it
+    assert TransitivityCertificate("isotopic", (0, 0, 0), wits).verify(M) == (True, None)
+
+
+@pytest.mark.parametrize("spec", [QUADRATIC_5, COMPOSITION, ITERATED_D3],
+                         ids=["quadratic", "composition", "iterated"])
+def test_topolinear_replay_accepts_the_explicit_regular_sets(spec):
+    M = build_from_spec(spec)
+    wits = is_isotopically_transitive(M, method="explicit").certificate.witnesses
+    assert topolinear_replay(M, wits) == (True, None)
+
+
+@pytest.fixture
+def compositions(monkeypatch):
+    """Counter of Isotopism.compose calls made while the fixture is live."""
+    count = [0]
+    original = Isotopism.compose
+
+    def counted(self, other):
+        count[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Isotopism, "compose", counted)
+    return count
+
+
+@pytest.mark.parametrize("spec", [TWISTED_9, QUADRATIC_5, ITERATED_D3],
+                         ids=["twisted-9", "quadratic-5", "iterated-D3-4"])
+def test_group_checks_cost_m_log_m_compositions(spec, compositions):
+    # an all-pairs check costs |M|^2: 46k to 105k compositions on these codes
+    M = build_from_spec(spec)
+    bound = len(M) * (math.ceil(math.log2(len(M))) + 1)
+    wits = is_isotopically_transitive(M, method="explicit").certificate.witnesses
+    compositions[0] = 0
+    assert topolinear_replay(M, wits) == (True, None)
+    assert compositions[0] <= bound
+    compositions[0] = 0
+    res = is_topolinear(M)
+    assert res.status is True and res.reason.startswith("construction group")
+    assert compositions[0] <= bound

@@ -172,9 +172,10 @@ def test_cli_exhausted_budget_exits_3(tmp_path):
     proc = _verify_process(out, "--mode", "topolinear", "--budget-states", "50")
     assert proc.returncode == 3
     assert proc.stdout.startswith("topolinear: None (inconclusive")
-    # a budget that stops the pinned searches exits 3 too
+    # a budget that stops the pinned searches is inconclusive too
     proc = _verify_process(out, "--mode", "topolinear", "--budget-states", "5")
     assert proc.returncode == 3
+    assert proc.stdout.startswith("topolinear: None (inconclusive")
 
 
 def test_cli_topolinear_certificate_replay(tmp_path):
