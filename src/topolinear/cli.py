@@ -17,10 +17,11 @@ from .budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .classify_q4 import classify
 from .codes import is_mds
 from .counting import lower_bound_report, ratio_report
+from .fields import field_make
 from .isometry import (TransitivityCertificate, equivalent_codes,
                        is_isotopically_transitive, is_topolinear)
 from .loops import is_g_loop
-from .constructions import BUILTIN_LOOPS, MalformedInput, builtin_loop
+from .constructions import BUILTIN_LOOPS, MalformedInput, builtin_loop, builtin_order
 from .serialize import (load_certificate, load_code, load_loop, load_spec,
                         save_certificate, save_code)
 
@@ -156,11 +157,17 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _cmd_count(args) -> int:
     Ns = _parse_int_list(args.partitions)
+    if any(N < 1 for N in Ns):
+        raise MalformedInput("partition sizes must be positive")
     rows = ratio_report(Ns)
     params = _parse_int_list(args.forms)
-    if len(params) != 3:
-        raise MalformedInput("--forms needs q,s,n")
+    if len(params) != 3 or params[2] < 2:
+        raise MalformedInput("--forms needs q,s,n with n >= 2")
     q, s, n = params
+    try:
+        field_make(q, s)  # bounds q^s before anything is sized by it
+    except ValueError as exc:
+        raise MalformedInput(f"--forms: {exc}") from exc
     rep = lower_bound_report(q, s, n)
     payload = {
         "partitions": [{"N": r.N, "exact": r.exact, "estimate": r.estimate,
@@ -186,12 +193,15 @@ def _cmd_count(args) -> int:
 
 def _cmd_gloop(args) -> int:
     if args.loop in BUILTIN_LOOPS:
-        loop = builtin_loop(args.loop, args.p)
+        loop, order = None, builtin_order(args.loop, args.p)
     else:
         loop = load_loop(args.loop)
-    if loop.q > args.bound:
-        print(f"order {loop.q} over bound {args.bound}", file=sys.stderr)
+        order = loop.q
+    if order > args.bound:
+        print(f"order {order} over bound {args.bound}", file=sys.stderr)
         return EXIT_BUDGET
+    if loop is None:
+        loop = builtin_loop(args.loop, args.p)
     verdict = is_g_loop(loop, bound=args.bound)
     if verdict:
         _emit(args, "g-loop: True", {"g_loop": True})

@@ -115,6 +115,13 @@ class Isotopism:
     def __init__(self, taus):
         self.taus = tuple(tuple(int(v) for v in t) for t in taus)
 
+    @classmethod
+    def _of(cls, taus: tuple) -> "Isotopism":
+        """Isotopism of `taus`, already tuples of ints: skips normalising."""
+        g = object.__new__(cls)
+        g.taus = taus
+        return g
+
     @property
     def n(self) -> int:
         return len(self.taus)
@@ -125,7 +132,7 @@ class Isotopism:
 
     @staticmethod
     def identity(q: int, n: int) -> "Isotopism":
-        return Isotopism((identity_perm(q),) * n)
+        return Isotopism._of((identity_perm(q),) * n)
 
     def apply_word(self, w) -> tuple[int, ...]:
         return tuple(t[s] for t, s in zip(self.taus, w))
@@ -137,10 +144,10 @@ class Isotopism:
 
     def compose(self, other: "Isotopism") -> "Isotopism":
         """(self o other): other is applied first."""
-        return Isotopism(tuple(compose(a, b) for a, b in zip(self.taus, other.taus)))
+        return Isotopism._of(tuple(compose(a, b) for a, b in zip(self.taus, other.taus)))
 
     def inverse(self) -> "Isotopism":
-        return Isotopism(tuple(invert(t) for t in self.taus))
+        return Isotopism._of(tuple(invert(t) for t in self.taus))
 
     def is_automorphism_of(self, M: MdsCode) -> bool:
         arr = M.word_array()

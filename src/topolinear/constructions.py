@@ -1,7 +1,7 @@
 """Constructions of isotopically transitive codes with explicit witnesses.
 
 Four families, one table (`CONSTRUCTIONS`) mapping each kind to its parser,
-build function, witness family and group generators:
+build function and witness formula:
 
   * the graph of the twisted loop C_p, with three explicit families of
     autotopisms (A1-A3) and a sharply transitive group built from them;
@@ -15,9 +15,11 @@ build function, witness family and group generators:
 
 Every witness here is constructive: it is computed from its word by formula,
 never searched for, and links that word with the all-zero word; all of them
-are verified symmetries in the tests. One parser per kind reads both
-construction spec files and the provenance its build function records, so a
-code file's provenance is checked like any other input.
+are verified symmetries in the tests. The transitivity verdict asks a
+formula only for the few words its orbit closure has not reached. One parser
+per kind reads both construction spec files and the provenance its build
+function records, so a code file's provenance is checked like any other
+input.
 """
 
 from __future__ import annotations
@@ -90,10 +92,19 @@ BUILTIN_LOOPS = {"cp": make_cp, "dihedral": make_dihedral, "zpz2": make_zp_z2,
                  "non-g-6": lambda p: find_non_g_loop_order6()}
 
 
+def builtin_order(name: str, p: int | None = None) -> int:
+    """Order of a named loop, known before it is built."""
+    _require(isinstance(name, str) and name in BUILTIN_LOOPS, f"unknown builtin loop {name!r}")
+    if name == "non-g-6":
+        return 6
+    _require(p is not None, f"builtin loop {name!r} needs a parameter p")
+    _require(_as_int(p, "p") >= 2, "p must be >= 2")
+    return 2 * p
+
+
 def builtin_loop(name: str, p: int | None = None) -> Loop:
     """Loops addressable by name from the command line."""
-    _require(isinstance(name, str) and name in BUILTIN_LOOPS, f"unknown builtin loop {name!r}")
-    _require(p is not None or name == "non-g-6", f"builtin loop {name!r} needs a parameter p")
+    builtin_order(name, p)
     return BUILTIN_LOOPS[name](p)
 
 
@@ -105,8 +116,7 @@ def _parse_loop(obj, n: int, shape=None, loop_only: bool = True) -> BinaryQuasig
         return loop
     if isinstance(obj, dict) and "name" in obj:
         name, p = obj["name"], obj.get("p")
-        _require(isinstance(name, str) and name in BUILTIN_LOOPS, f"unknown builtin loop {name!r}")
-        _fits(shape, 6 if name == "non-g-6" else 2 * _as_int(p, "p"), n)
+        _fits(shape, builtin_order(name, p), n)
         return builtin_loop(name, p)
     raise MalformedInput("loop spec needs a table or a builtin name")
 
@@ -734,43 +744,29 @@ def _build_graph(spec: GraphSpec) -> MdsCode:
     return twisted_graph_code(spec.p) if spec.loop is None else graph_code(spec.loop)
 
 
-def _graph_witnesses(spec: GraphSpec, M: MdsCode):
-    if spec.loop is not None:
-        return None
-    return {w: cp_regular_witness(spec.p, w) for w in M.words}
+def _star_witness(loop: Loop, src):
+    """Word -> the star translation carrying `src` to it."""
+    src_inv = star_inverse(loop, src)
+    return lambda w: star_isotopism(loop, star_product(loop, src_inv, w))
 
 
-def _graph_generators(spec: GraphSpec, M: MdsCode):
+def _graph_witness(spec: GraphSpec):
     if spec.loop is None:
-        return cp_regular_generators(spec.p)
+        return lambda w: cp_regular_witness(spec.p, w)
     loop = spec.loop
     if not isinstance(loop, Loop) or not is_associative(loop):
         return None
     # the graph is the length-3 iterated code with its last coordinate
-    # relabeled by inversion; conjugate the star group through the relabel
-    inv_perm = tuple(element_inverse(loop, v) for v in range(loop.q))
+    # relabeled by inversion; conjugate the star translation through the relabel
     ident = identity_perm(loop.q)
-    relabel = Isotopism((ident, ident, inv_perm))
-    return [relabel.compose(g).compose(relabel)
-            for g in regular_group_iterated(IteratedGroupSpec(loop, 3))]
+    relabel = Isotopism((ident, ident, tuple(element_inverse(loop, v) for v in range(loop.q))))
+    star = _star_witness(loop, relabel.apply_word((0, 0, 0)))
+    return lambda w: relabel.compose(star(relabel.apply_word(w))).compose(relabel)
 
 
-def _iterated_witnesses(spec: IteratedGroupSpec, M: MdsCode):
-    # the star group is sharply transitive: it carries 0..0 to each word once
-    return {g.apply_word((0,) * M.n): g for g in regular_group_iterated(spec, M)}
-
-
-def _composition_witnesses(spec: CompositionSpec, M: MdsCode):
-    return {w: composition_witness(spec, w).inverse() for w in M.words}
-
-
-def _quadratic_witnesses(spec: QuadraticSpec, M: MdsCode):
-    return {w: quadratic_witness(spec, w).inverse() for w in M.words}
-
-
-def _witness_group(witnesses):
-    """Generators read off a witness family: the witnesses themselves."""
-    return lambda spec, M: list(witnesses(spec, M).values())
+def _inverted(to_zero):
+    """Witness column of a formula carrying each word to 0..0."""
+    return lambda spec: lambda w: to_zero(spec, w).inverse()
 
 
 @dataclass(frozen=True)
@@ -779,26 +775,23 @@ class Construction:
 
     `parse(obj, shape=None)` reads a spec file object, or a provenance
     recorded for codes of `shape` (q, n), into a spec; `build(spec)` makes
-    the code. `witnesses(spec, M)` maps each word of M to a symmetry carrying
-    the base word 0..0 to it, and `generators(spec, M)` lists generators of a
-    candidate sharply transitive group; either is None when the kind offers
+    the code. `witness(spec)` is a function taking a word of the code to a
+    symmetry carrying the base word 0..0 to it, or None when the kind offers
     no such family. Nothing returned is trusted: the verdicts check it.
     """
 
     parse: Callable[..., object]
     build: Callable[[object], MdsCode]
-    witnesses: Callable[[object, MdsCode], dict | None]
-    generators: Callable[[object, MdsCode], list | None]
+    witness: Callable[[object], Callable[[tuple], Isotopism] | None]
 
 
 CONSTRUCTIONS = {
-    "graph": Construction(_parse_graph, _build_graph, _graph_witnesses, _graph_generators),
-    "iterated": Construction(_parse_iterated, iterated_code, _iterated_witnesses,
-                             regular_group_iterated),
-    "composition": Construction(_parse_composition, composition_code, _composition_witnesses,
-                                _witness_group(_composition_witnesses)),
-    "quadratic": Construction(_parse_quadratic, quadratic_code, _quadratic_witnesses,
-                              _witness_group(_quadratic_witnesses)),
+    "graph": Construction(_parse_graph, _build_graph, _graph_witness),
+    "iterated": Construction(_parse_iterated, iterated_code,
+                             lambda spec: _star_witness(spec.loop, (0,) * spec.n)),
+    "composition": Construction(_parse_composition, composition_code,
+                                _inverted(composition_witness)),
+    "quadratic": Construction(_parse_quadratic, quadratic_code, _inverted(quadratic_witness)),
 }
 
 
@@ -806,18 +799,18 @@ def dropped_hint(M: MdsCode, why) -> str:
     return f"provenance hint dropped ({M.provenance.get('construction')}): {why}"
 
 
-def construction_hint(M: MdsCode, family: str):
-    """(the `family`, "witnesses" or "generators", of the construction M's
-    provenance records, ""). Provenance is untrusted: when it does not parse,
-    describes codes of another shape than M, or its family cannot be built,
-    the result is (None, a note that the hint was dropped). It is (None, "")
-    when the provenance names no kind in the table or the kind has no such
-    family."""
+def construction_hint(M: MdsCode):
+    """(the witness function of the construction M's provenance records, "").
+    Provenance is untrusted: when it does not parse, describes codes of
+    another shape than M, or its witness family cannot be set up, the result
+    is (None, a note that the hint was dropped). It is (None, "") when the
+    provenance names no kind in the table or the kind has no witness family.
+    The witnesses themselves are checked by the verdict that asks for them."""
     kind = M.provenance.get("construction")
     entry = CONSTRUCTIONS.get(kind) if isinstance(kind, str) else None
     if entry is None:
         return None, ""
     try:
-        return getattr(entry, family)(entry.parse(M.provenance, (M.q, M.n)), M), ""
+        return entry.witness(entry.parse(M.provenance, (M.q, M.n))), ""
     except (ValueError, KeyError, TypeError) as exc:
         return None, dropped_hint(M, exc)

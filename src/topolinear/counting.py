@@ -99,7 +99,7 @@ class FormEquivalenceReport:
     forms at one parameter point. `classes` lists form indices grouped by
     code equivalence; `witnesses` maps an index pair to the isometry found.
     When the budget refuses the sweep, `verified` is False and only the raw
-    count stands."""
+    count stands; `forms` is empty when the points bound refused it."""
     q: int
     s: int
     n: int
@@ -116,19 +116,16 @@ def lower_bound_report(q: int, s: int, n: int,
     """Count the upper-triangular forms over GF(q^s) and, within budget,
     resolve the pairwise equivalence of their codes by exhaustive search."""
     size = q ** s
-    forms = list(upper_triangular_forms(size, n))
     count = quadratic_form_count(size, n)
-    assert len(forms) == count
-    codes = []
     try:
-        for alpha in forms:
-            spec = QuadraticSpec.make(q, s, n, alpha=alpha)
-            M = quadratic_code(spec)
-            budget.check_points(M.q, M.n)
-            codes.append(M)
+        # the codes are over pairs of field symbols; refused before any is listed
+        budget.check_points(size * size, n)
     except BudgetExceeded as exc:
-        return FormEquivalenceReport(q, s, n, count, forms, None, {}, False,
+        return FormEquivalenceReport(q, s, n, count, [], None, {}, False,
                                      f"unverified: {exc}")
+    forms = list(upper_triangular_forms(size, n))
+    assert len(forms) == count
+    codes = [quadratic_code(QuadraticSpec.make(q, s, n, alpha=alpha)) for alpha in forms]
     witnesses: dict = {}
     parent = list(range(count))
 

@@ -7,21 +7,19 @@ there is an isotopism of M onto itself carrying a fixed base word (0..0) to it,
 propelinear when some sharply transitive (regular) group of isometries sits
 inside the symmetry group, and topolinear when isotopisms alone suffice.
 
-Two certification routes coexist and are kept separate on purpose: explicit
-witness families read off the construction a code's provenance records, and
-an independent backtracking search that knows nothing about how a code was
-built. Provenance is a hint, not a fact: when it does not parse, or its
-symmetries fail their checks, the verdict drops it, says so in its reason,
-and falls back to search.
-
-The search route is the orbit algorithm (Seress, Permutation Group
+Both verdicts rest on one orbit algorithm (Seress, Permutation Group
 Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 4.1): a pinned search runs only for a codeword the orbit of the base
-word has not reached yet, each isotopism it finds becomes a generator, and
-the orbit is closed under the generators, each new word keeping a Schreier
-witness (generator composed with the witness of the word it came from). The
-witness group of the topolinear verdict is then closed from those few
-generators instead of from one witness per codeword.
+Theory, 4.1). A symmetry carrying the base word to a codeword is looked for
+only when the orbit of the base word has not reached that codeword yet; it
+becomes a generator, and the orbit is closed under the generators, each new
+word keeping a Schreier witness (generator composed with the witness of the
+word it came from). The explicit route asks the witness formula of the
+construction a code's provenance records and checks each answer; the pinned
+route runs a backtracking search that knows nothing about how the code was
+built. Provenance is a hint, not a fact: when it does not parse, or a
+witness fails its checks, the verdict drops it, says so in its reason, and
+falls back to search. The topolinear verdict closes the group of the few
+generators, capped at |M| elements.
 """
 
 from __future__ import annotations
@@ -144,11 +142,7 @@ def check_regular_condition(M: MdsCode, witnesses, coord: int,
     word forces equal component at `coord`. When it holds, the closure is
     regular of order |M| (two elements agreeing on the base word then agree
     everywhere, one line at a time)."""
-    return _regular_condition_closed(M, mulclose(witnesses, cap), coord)
-
-
-def _regular_condition_closed(M: MdsCode, elements, coord: int) -> RegularVerdict:
-    elements = list(elements)
+    elements = mulclose(witnesses, cap)
     base = (0,) * M.n
     if base not in M:
         return RegularVerdict(False, len(elements), "base word not in code")
@@ -344,7 +338,7 @@ class TransitivityResult:
     failing_word: tuple | None = None
     method: str = "search"
     reason: str = ""  # names a provenance hint the verdict dropped
-    generators: list = field(default_factory=list)  # searched isotopisms
+    generators: list = field(default_factory=list)  # checked symmetries found
 
     def __bool__(self):
         return self.transitive
@@ -375,13 +369,12 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
                                budget: SearchBudget = DEFAULT_BUDGET) -> TransitivityResult:
     """Decide whether some symmetry carries the base word to every codeword.
 
-    method "explicit" uses the witness family of the recorded construction
-    and verifies each one; "pinned" closes the orbit of the base word,
-    running a pinned search only for a codeword not reached yet (see
-    `_orbit_closure`); "auto" prefers explicit witnesses and falls back to
-    pinned search. On the pinned route `generators` holds the searched
-    isotopisms, which generate the group of the witnesses; the explicit
-    route leaves it empty.
+    Both routes close the orbit of the base word (see `_orbit_closure`).
+    Method "explicit" finds a symmetry for a word outside the orbit by the
+    recorded construction's witness formula, checked as `verify` checks a
+    witness; "pinned" by a pinned search; "auto" tries explicit, then
+    pinned. `generators` holds the symmetries found, which generate the
+    group of the witnesses.
     """
     if method not in ("auto", "explicit", "pinned"):
         raise ValueError(f"unknown method {method!r}")
@@ -407,42 +400,62 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
     base = (0,) * M.n
     note = ""
     if method in ("auto", "explicit"):
-        wits, note = construction_hint(M, "witnesses")
-        if wits is not None:
-            cert = TransitivityCertificate("isotopic", base, wits)
-            ok, why = cert.verify(M)
-            if ok:
-                return TransitivityResult(True, cert, method="explicit")
-            note = dropped_hint(M, why)
+        formula, note = construction_hint(M)
+
+        def explicit(w):
+            g = formula(w)
+            if g.apply_word(base) != w:
+                raise ValueError(f"witness for {w} misses its word")
+            if not g.is_automorphism_of(M):
+                raise ValueError(f"witness for {w} is not a symmetry of the code")
+            return g
+
+        if formula is not None:
+            try:
+                witnesses, generators, _ = _orbit_closure(M, base, explicit)
+            except (ValueError, KeyError, TypeError) as exc:
+                note = dropped_hint(M, exc)
+            else:
+                cert = TransitivityCertificate("isotopic", base, witnesses)
+                return TransitivityResult(True, cert, method="explicit",
+                                          generators=generators)
         if method == "explicit":
             raise ValueError(note or "no explicit witness family for this provenance")
 
-    witnesses, generators, failing = _orbit_closure(M, base, budget)
+    def pinned(w):
+        pins = {(i, base[i]): w[i] for i in range(M.n)}
+        return next(autotopism_search(M, pins=pins, budget=budget), None)
+
+    try:
+        witnesses, generators, failing = _orbit_closure(M, base, pinned)
+    except BudgetExceeded as exc:
+        if note:  # a refusal still names the hint it dropped
+            exc.args = (f"{exc}; {note}",)
+        raise
     cert = None if failing else TransitivityCertificate("isotopic", base, witnesses)
     return TransitivityResult(failing is None, cert, failing, method="pinned",
                               reason=note, generators=generators)
 
 
-def _orbit_closure(M: MdsCode, base, budget: SearchBudget):
-    """(Schreier witnesses of the orbit of `base`, the searched generators,
-    the first word no symmetry reaches or None).
+def _orbit_closure(M: MdsCode, base, find):
+    """(Schreier witnesses of the orbit of `base`, the generators found, the
+    first word no symmetry reaches or None). `find(w)` gives a symmetry
+    carrying `base` to w, or None when it shows there is none.
 
-    Words are visited in order; a pinned search runs only for a word outside
-    the orbit so far. Its isotopism joins the generators and the orbit is
-    closed again: the new generator moves every word reached before, and
-    every generator moves each newly reached word. The new generator
-    carries the base word, whose witness is the identity, to the word it was
-    searched for, so it becomes that word's witness: the witnesses generate
-    the same group as the generators. A failed search names the first word
-    outside the full orbit, since every earlier word was reached or searched
-    successfully."""
+    Words are visited in order; `find` runs only for a word outside the
+    orbit so far. Its symmetry joins the generators and the orbit is closed
+    again: the new generator moves every word reached before, and every
+    generator moves each newly reached word. The new generator carries the
+    base word, whose witness is the identity, to the word it was found for,
+    so it becomes that word's witness: the witnesses generate the same group
+    as the generators. A failed `find` names the first word outside the full
+    orbit, since every earlier word was reached or found."""
     witnesses = {base: Isotopism.identity(M.q, M.n)}
     generators: list[Isotopism] = []
     for w in M.words:
         if w in witnesses:
             continue
-        pins = {(i, base[i]): w[i] for i in range(M.n)}
-        g = next(autotopism_search(M, pins=pins, budget=budget), None)
+        g = find(w)
         if g is None:
             return witnesses, generators, w
         generators.append(g)
@@ -532,7 +545,11 @@ def _regular_subgroup_search(M: MdsCode, elements):
 
 def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> TopolinearResult:
     """Three-way verdict: True with a regular witness group, False after an
-    exhaustive refusal, None when a budget stopped the deciding search."""
+    exhaustive refusal, None when a budget stopped the deciding search.
+
+    The transitivity generators are checked symmetries whose group is
+    transitive, so it is sharply transitive exactly when it closes within
+    |M| elements; otherwise the full symmetry group is searched."""
     moved = _shift_to_base(M)
     if moved is not None:
         shifted, shift = moved
@@ -542,60 +559,34 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
             res.group = [inv.compose(g).compose(shift) for g in res.group]
         return res
 
-    gens, note = construction_hint(M, "generators")
-    if gens is not None:
-        try:
-            group = mulclose(gens, cap=budget.max_group)
-        except BudgetExceeded as exc:
-            note = dropped_hint(M, exc)
-        else:
-            for coord in range(M.n):
-                verdict = _regular_condition_closed(M, group, coord)
-                if verdict:
-                    return TopolinearResult(True, group,
-                                            f"construction group, coordinate {coord}")
-            note = dropped_hint(M, verdict.reason)
-
     try:
         trans = is_isotopically_transitive(M, budget=budget)
     except BudgetExceeded as exc:
-        res = TopolinearResult(None, None, f"inconclusive: {exc}")
-    else:
-        res = _topolinear_by_search(M, trans, budget)
-        note = note or trans.reason
-    if note:
-        res.reason += f"; {note}"
-    return res
-
-
-def _topolinear_by_search(M: MdsCode, trans: TransitivityResult,
-                          budget: SearchBudget) -> TopolinearResult:
-    """The verdict once no construction group decided: the group of the
-    transitivity witnesses, closed from the searched generators when there
-    are any, then a search of the full symmetry group."""
+        return TopolinearResult(None, None, f"inconclusive: {exc}")
+    note = f"; {trans.reason}" if trans.reason else ""
     if not trans:
         return TopolinearResult(False, None,
-                                f"not isotopically transitive at {trans.failing_word}")
+                                f"not isotopically transitive at {trans.failing_word}{note}")
+    route = "construction group" if trans.method == "explicit" else "witness closure"
+    cap = min(len(M), budget.max_group)
     stopped = ""
     try:
-        group = mulclose(trans.generators or trans.certificate.witnesses.values(),
-                         cap=budget.max_group)
+        # the identity closes the empty generator list of a one-word code
+        group = mulclose([Isotopism.identity(M.q, M.n), *trans.generators], cap=cap)
     except BudgetExceeded as exc:
-        stopped = f"; witness closure stopped: {exc}"
+        if cap < len(M):
+            stopped = f"; {route} stopped: {exc}"
     else:
-        for coord in range(M.n):
-            if _regular_condition_closed(M, group, coord):
-                return TopolinearResult(True, group, f"witness closure, coordinate {coord}")
+        return TopolinearResult(True, group, route + note)
 
     try:
-        elements = list(autotopism_search(M, budget=budget))
-        found = _regular_subgroup_search(M, elements)
+        found = _regular_subgroup_search(M, list(autotopism_search(M, budget=budget)))
     except BudgetExceeded as exc:
-        return TopolinearResult(None, None, f"inconclusive: {exc}{stopped}")
+        return TopolinearResult(None, None, f"inconclusive: {exc}{stopped}{note}")
     if found is not None:
-        return TopolinearResult(True, found, "regular subgroup of the full group" + stopped)
+        return TopolinearResult(True, found, f"regular subgroup of the full group{stopped}{note}")
     return TopolinearResult(False, None, "full symmetry group holds no sharply "
-                                         "transitive subgroup" + stopped)
+                                         f"transitive subgroup{stopped}{note}")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ def code_from_json(obj) -> MdsCode:
     _require(isinstance(obj, dict), "code file must be a JSON object")
     q = _as_int(obj.get("q"), "q")
     n = _as_int(obj.get("n"), "n")
-    _require(q >= 1 and n >= 1, "q and n must be positive")
+    _require(q >= 1 and n >= 2, "q must be positive and n at least 2")
     words = obj.get("words")
     _require(isinstance(words, list) and words, "words must be a nonempty list")
     for w in words:

@@ -196,7 +196,7 @@ def test_witnesses_reject_words_outside_the_code(build, witness, spec):
 def test_graph_codes_of_groups_take_the_construction_group():
     res = is_topolinear(graph_code(make_dihedral(3)))
     assert res.status is True
-    assert res.reason == "construction group, coordinate 0"
+    assert res.reason == "construction group"
 
 
 def test_graph_code_of_a_quasigroup_has_no_hint_to_drop():

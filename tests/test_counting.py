@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from topolinear import counting
 from topolinear.budget import SearchBudget
 from topolinear.constructions import QuadraticSpec, quadratic_code
 from topolinear.counting import (lower_bound_report, partition_asymptotic,
@@ -121,6 +122,17 @@ def test_lower_bound_report_budget_refusal_tags_unverified():
     assert rep.form_count == 64
     assert rep.classes is None
     assert "unverified" in rep.note
+
+
+def test_lower_bound_report_refuses_before_listing_the_forms(monkeypatch):
+    # 2^21 forms on 4^7 points: refused without listing any
+    def unlisted(q, n):
+        raise AssertionError("forms listed before the points check")
+
+    monkeypatch.setattr(counting, "upper_triangular_forms", unlisted)
+    rep = lower_bound_report(2, 1, 7)
+    assert not rep.verified and rep.form_count == 2 ** 21 and rep.forms == []
+    assert rep.note == "unverified: points limit 1296 (needed 16384)"
 
 
 def test_lower_bound_report_custom_budget():

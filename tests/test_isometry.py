@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -8,17 +9,19 @@ from topolinear.budget import BudgetExceeded, SearchBudget
 from topolinear.classify_q4 import (all_latin_squares, code_h,
                                     standard_semilinear_code)
 from topolinear.codes import MdsCode, NAryQuasigroup, graph_of, parity_code
-from topolinear.constructions import (IteratedGroupSpec, QuadraticSpec,
-                                      chase_to_zero_cp, cp_autotopism_a1,
+from topolinear.constructions import (CONSTRUCTIONS, IteratedGroupSpec,
+                                      QuadraticSpec, chase_to_zero_cp,
+                                      composition_witness, cp_autotopism_a1,
                                       cp_autotopism_a2, cp_autotopism_a3,
                                       cp_regular_generators, cp_regular_witness,
-                                      ic_p_generators, quadratic_code,
-                                      regular_group_iterated)
+                                      element_inverse, ic_p_generators,
+                                      iterated_code, quadratic_code,
+                                      quadratic_witness, regular_group_iterated)
 from topolinear.isometry import (Isometry, Isotopism, TransitivityCertificate,
                                  autotopism_search, check_regular_condition,
                                  equivalent_codes, is_isotopically_transitive,
                                  is_topolinear, mulclose, search_isotopisms)
-from topolinear.loops import make_dihedral, twisted_graph_code
+from topolinear.loops import Loop, graph_code, make_dihedral, twisted_graph_code
 from topolinear.perms import random_permutation
 from topolinear.serialize import build_from_spec
 
@@ -263,6 +266,21 @@ def test_is_topolinear_records_a_stopped_witness_closure():
                           "witness closure stopped: group closure limit 10")
 
 
+def test_is_topolinear_falls_back_when_the_witness_group_outgrows_the_code():
+    # the pinned generators close to the full autotopy group, five times the
+    # code; the closure capped at |M| overflows without a budget being hit
+    M = scrambled(twisted_graph_code(5), 36)
+    res = is_topolinear(M)
+    assert res.status is True and len(res.group) == len(M)
+    assert res.reason == "regular subgroup of the full group"
+
+
+def test_one_word_code_is_topolinear():
+    M = MdsCode(1, 3, [(0, 0, 0)])
+    res = is_topolinear(M)
+    assert res.status is True and res.group == [Isotopism.identity(1, 3)]
+
+
 def test_is_topolinear_on_a_code_without_the_base_word():
     M = without_base_word(scrambled(twisted_graph_code(3), 8))
     assert (0, 0, 0) not in M
@@ -347,8 +365,74 @@ QUADRATIC_5 = {"construction": "quadratic", "p": 2, "k": 1, "n": 5,
                "alpha": [[0, 1, 1, 0, 1], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1],
                          [0, 0, 0, 0, 1], [0, 0, 0, 0, 0]]}
 COMPOSITION = {"construction": "composition", "outer": "zpz2", "p": 3, "inner": [2, 1]}
+QUADRATIC_GF4_3 = {"construction": "quadratic", "p": 2, "k": 2, "n": 3,
+                   "alpha": [[0, 3, 2], [0, 0, 1], [0, 0, 0]]}
 ITERATED_D3 = {"construction": "iterated", "loop": {"name": "dihedral", "p": 3}, "n": 4}
+TWISTED_5 = {"construction": "graph", "loop": {"name": "cp", "p": 5}}
 TWISTED_9 = {"construction": "graph", "loop": {"name": "cp", "p": 9}}
+
+
+Z3_IDENTITY_1 = Loop([[(x + y - 1) % 3 for y in range(3)] for x in range(3)], identity=1)
+
+
+def star_witnesses(spec, relabel=None):
+    """Word -> the member of the star group carrying 0..0 to it, the group
+    conjugated through `relabel` when one is given."""
+    group = regular_group_iterated(spec)
+    if relabel is not None:
+        group = [relabel.compose(g).compose(relabel) for g in group]
+    return {g.apply_word((0,) * spec.n): g for g in group}.__getitem__
+
+
+def graph_relabel(loop):
+    """Inversion on the last coordinate: the graph of a group onto its
+    length-3 iterated code."""
+    ident = tuple(range(loop.q))
+    return Isotopism((ident, ident, tuple(element_inverse(loop, v) for v in range(loop.q))))
+
+
+def formula_cases():
+    """(code, per-word formula witness) for each kind of construction."""
+    yield pytest.param(build_from_spec(TWISTED_5), lambda w: cp_regular_witness(5, w),
+                       id="graph-cp-5")
+    D3 = make_dihedral(3)
+    yield pytest.param(graph_code(D3), star_witnesses(IteratedGroupSpec(D3, 3),
+                                                      graph_relabel(D3)), id="graph-D3")
+    yield pytest.param(build_from_spec(ITERATED_D3),
+                       star_witnesses(IteratedGroupSpec(D3, 4)), id="iterated-D3-4")
+    spec = IteratedGroupSpec(Z3_IDENTITY_1, 3)
+    yield pytest.param(iterated_code(spec), star_witnesses(spec), id="iterated-Z3-identity-1")
+    for name, obj in (("composition", COMPOSITION), ("quadratic-4", QUADRATIC_4),
+                      ("quadratic-GF4-3", QUADRATIC_GF4_3)):
+        kind = obj["construction"]
+        spec = CONSTRUCTIONS[kind].parse(obj)
+        witness = composition_witness if kind == "composition" else quadratic_witness
+        yield pytest.param(build_from_spec(obj),
+                           lambda w, spec=spec, witness=witness: witness(spec, w).inverse(),
+                           id=name)
+
+
+@pytest.mark.parametrize("M,formula", formula_cases())
+def test_explicit_witnesses_are_the_formula_witnesses(M, formula):
+    # the orbit closure asks the formula for a few words and composes the
+    # rest; on a sharply transitive family that rebuilds the formula exactly
+    res = is_isotopically_transitive(M, method="explicit")
+    assert res.method == "explicit" and res.reason == ""
+    wits = res.certificate.witnesses
+    assert set(wits) == set(M.words)
+    assert all(wits[w] == formula(w) for w in M.words)
+
+
+def test_a_witness_that_misses_its_word_drops_the_hint(monkeypatch):
+    # the identity is a symmetry of every code, but carries 0..0 to no other word
+    M = build_from_spec(ITERATED_D3)
+    monkeypatch.setitem(CONSTRUCTIONS, "iterated", dataclasses.replace(
+        CONSTRUCTIONS["iterated"], witness=lambda spec: lambda w: Isotopism.identity(6, 4)))
+    res = is_isotopically_transitive(M)
+    assert res.transitive and res.method == "pinned"
+    assert res.reason == (f"provenance hint dropped (iterated): witness for {M.words[1]} "
+                          "misses its word")
+    assert res.certificate.verify(M) == (True, None)
 
 
 def explicit_witnesses(M):
@@ -446,17 +530,40 @@ def compositions(monkeypatch):
     return count
 
 
+def count_formula_calls(monkeypatch, kind):
+    """Counter of calls to the witness formula of construction `kind`."""
+    count = [0]
+    entry = CONSTRUCTIONS[kind]
+
+    def witness(spec):
+        formula = entry.witness(spec)
+
+        def counted(w):
+            count[0] += 1
+            return formula(w)
+        return counted
+
+    monkeypatch.setitem(CONSTRUCTIONS, kind, dataclasses.replace(entry, witness=witness))
+    return count
+
+
 @pytest.mark.parametrize("spec", [TWISTED_9, QUADRATIC_5, ITERATED_D3],
                          ids=["twisted-9", "quadratic-5", "iterated-D3-4"])
-def test_group_checks_cost_m_log_m_compositions(spec, compositions):
-    # an all-pairs check costs |M|^2: 46k to 105k compositions on these codes
+def test_group_checks_cost_m_log_m_compositions(spec, compositions, monkeypatch):
+    # an all-pairs check costs |M|^2: 46k to 105k compositions on these codes;
+    # one formula witness per codeword would cost |M| formula calls
     M = build_from_spec(spec)
-    bound = len(M) * (math.ceil(math.log2(len(M))) + 1)
+    log = math.ceil(math.log2(len(M)))
+    bound = len(M) * (log + 1)
+    calls = count_formula_calls(monkeypatch, spec["construction"])
+    compositions[0] = 0
     wits = is_isotopically_transitive(M, method="explicit").certificate.witnesses
+    assert compositions[0] <= bound
+    assert calls[0] <= log + 1
     compositions[0] = 0
     assert topolinear_replay(M, wits) == (True, None)
     assert compositions[0] <= bound
     compositions[0] = 0
     res = is_topolinear(M)
-    assert res.status is True and res.reason.startswith("construction group")
+    assert res.status is True and res.reason == "construction group"
     assert compositions[0] <= bound

@@ -12,7 +12,7 @@ from topolinear.cli import main
 from topolinear.codes import MdsCode, parity_code
 from topolinear.isometry import is_isotopically_transitive
 from topolinear.loops import make_dihedral, twisted_graph_code
-from topolinear.constructions import (MalformedInput, builtin_loop,
+from topolinear.constructions import (BUILTIN_LOOPS, MalformedInput, builtin_loop,
                                       loop_from_json, parse_r_expression)
 from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
@@ -195,6 +195,12 @@ def test_cli_exit_codes_for_bad_inputs(tmp_path):
     notjson.write_text("{oops")
     assert main(["verify", str(notjson)]) == 2
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
+    length_one = write_json(tmp_path / "n1.json", {"q": 2, "n": 1, "words": [[0]]})
+    for mode in ("mds", "transitive"):
+        assert main(["verify", length_one, "--mode", mode]) == 2
+    assert main(["count", "--partitions", "0"]) == 2
+    for forms in ("4,1,2", "2,1,1"):  # no field of order 4^1; length below 2
+        assert main(["count", "--forms", forms]) == 2
     # certificates that do not fit the code are malformed input, not a false verdict
     spec = write_json(tmp_path / "spec.json", {"p": 3, "outer": "cp", "inner": [2]})
     cert = str(tmp_path / "cert.json")
@@ -246,9 +252,9 @@ FORGED_PROVENANCE = [
                  ("transitive", "topolinear"), id="quadratic-huge-k"),
     # not a construction kind: nothing to read, nothing to drop
     pytest.param({"construction": "product", "a": {"q": 1}}, (), id="product"),
-    # a valid loop, but not the code's; graph tables carry generators only
+    # a valid loop, but not the code's: its witnesses fail their checks
     pytest.param(dict(construction="graph", **loop_to_json(make_dihedral(3))),
-                 ("topolinear",), id="graph-other-loop"),
+                 ("transitive", "topolinear"), id="graph-other-loop"),
     pytest.param({"construction": "iterated", "table": loop_to_json(make_dihedral(3))["table"],
                   "identity": 7, "n": 3}, ("transitive", "topolinear"), id="identity-range"),
     # sized by forged fields: refused on the code's shape before anything is built
@@ -338,9 +344,18 @@ def test_cli_gloop(tmp_path):
     assert main(["gloop", "dihedral", "--p", "3"]) == 0
     assert main(["gloop", "non-g-6"]) == 1
     assert main(["gloop", "zpz2", "--p", "7"]) == 3
+    assert main(["gloop", "cp", "--p", "1"]) == 2
     loopfile = str(tmp_path / "loop.json")
     save_loop(make_dihedral(5), loopfile)
     assert main(["gloop", loopfile]) == 0
+
+
+def test_cli_gloop_checks_the_bound_before_building(monkeypatch):
+    def unbuilt(p):
+        raise AssertionError("loop built before the bound check")
+
+    monkeypatch.setitem(BUILTIN_LOOPS, "cp", unbuilt)
+    assert main(["gloop", "cp", "--p", "2000"]) == 3
 
 
 def test_cli_construct_is_deterministic(tmp_path):
