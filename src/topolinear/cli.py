@@ -2,21 +2,22 @@
 equivalent, count, gloop.
 
 Exit codes: 0 verdict true / command succeeded, 1 verdict false, 2 malformed
-input (including a certificate that does not fit the code), 3 budget
-exhausted or inconclusive, 4 internal error: any other exception, reported on
-one line. A crash never exits 1. Every command is deterministic given its
-inputs; verdict paths never consult randomness.
+input (a certificate that does not fit the code, a non-MDS code to search),
+3 budget exhausted or inconclusive, 4 internal error: any other exception,
+reported on one line. A crash never exits 1. Every command is deterministic
+given its inputs; verdict paths never consult randomness.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .classify_q4 import classify
 from .codes import is_mds
-from .counting import lower_bound_report, ratio_report
+from .counting import lower_bound_report, quadratic_form_count, ratio_report
 from .fields import field_make
 from .isometry import (TransitivityCertificate, equivalent_codes,
                        is_isotopically_transitive, is_topolinear)
@@ -34,10 +35,7 @@ EXIT_INTERNAL = 4
 
 def _budget(args) -> SearchBudget:
     nodes = getattr(args, "budget_states", None)
-    if nodes is None:
-        return DEFAULT_BUDGET
-    return SearchBudget(max_points=DEFAULT_BUDGET.max_points, max_nodes=nodes,
-                        max_group=DEFAULT_BUDGET.max_group)
+    return DEFAULT_BUDGET if nodes is None else replace(DEFAULT_BUDGET, max_nodes=nodes)
 
 
 def _emit(args, human: str, payload: dict):
@@ -79,6 +77,14 @@ def _require_fit(cert: TransitivityCertificate, M) -> None:
                              f"{M.q} symbols")
 
 
+def _require_mds(M):
+    """The searches rest on line completion, which is sound only on MDS codes."""
+    verdict = is_mds(M)
+    if not verdict:
+        raise MalformedInput(f"not an MDS code: {verdict.reason}")
+    return M
+
+
 def _cmd_verify(args) -> int:
     M = load_code(args.code)
     if args.mode == "mds":
@@ -98,6 +104,7 @@ def _cmd_verify(args) -> int:
               {"mode": args.mode, "ok": ok, "reason": why, "replay": True})
         return EXIT_TRUE if ok else EXIT_FALSE
 
+    _require_mds(M)
     budget = _budget(args)
     budget.check_points(M.q, M.n)
     if args.mode == "transitive":
@@ -119,7 +126,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    M = load_code(args.code)
+    M = _require_mds(load_code(args.code))
     if M.q != 4:
         raise MalformedInput("classification is implemented for q = 4 only")
     verdict = classify(M)
@@ -135,8 +142,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_equivalent(args) -> int:
-    M1 = load_code(args.code1)
-    M2 = load_code(args.code2)
+    M1 = _require_mds(load_code(args.code1))
+    M2 = _require_mds(load_code(args.code2))
     w = equivalent_codes(M1, M2, budget=_budget(args))
     if w is None:
         _emit(args, "equivalent: False", {"equivalent": False})
@@ -159,7 +166,6 @@ def _cmd_count(args) -> int:
     Ns = _parse_int_list(args.partitions)
     if any(N < 1 for N in Ns):
         raise MalformedInput("partition sizes must be positive")
-    rows = ratio_report(Ns)
     params = _parse_int_list(args.forms)
     if len(params) != 3 or params[2] < 2:
         raise MalformedInput("--forms needs q,s,n with n >= 2")
@@ -168,6 +174,8 @@ def _cmd_count(args) -> int:
         field_make(q, s)  # bounds q^s before anything is sized by it
     except ValueError as exc:
         raise MalformedInput(f"--forms: {exc}") from exc
+    quadratic_form_count(q ** s, n)  # refuses an oversized count before either report
+    rows = ratio_report(Ns)
     rep = lower_bound_report(q, s, n)
     payload = {
         "partitions": [{"N": r.N, "exact": r.exact, "estimate": r.estimate,

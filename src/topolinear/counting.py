@@ -57,6 +57,11 @@ def partition_asymptotic(N: int) -> float:
     return math.exp(math.pi * math.sqrt(2 * N / 3)) / (4 * N * math.sqrt(3))
 
 
+# p(N) takes about 0.4 s at N = 10^4 and its float estimate overflows near
+# N = 76 000; Python converts at most 4300 digits of an integer to a string
+MAX_PARTITION, MAX_COUNT_DIGITS = 10_000, 4300
+
+
 @dataclass(frozen=True)
 class PartitionCount:
     N: int
@@ -70,6 +75,8 @@ class PartitionCount:
 
 def ratio_report(Ns) -> list[PartitionCount]:
     """Exact versus estimate for each N, for eyeballing the trend toward 1."""
+    if max(Ns, default=0) > MAX_PARTITION:
+        raise BudgetExceeded("partition size", MAX_PARTITION, max(Ns))
     return [PartitionCount(N, partition_exact(N), partition_asymptotic(N))
             for N in Ns]
 
@@ -79,8 +86,14 @@ def ratio_report(Ns) -> list[PartitionCount]:
 
 def quadratic_form_count(q: int, n: int) -> int:
     """Upper-triangular quadratic parts on n variables over a q-element
-    field: one free entry per unordered pair."""
-    return q ** math.comb(n, 2)
+    field: one free entry per unordered pair. A count of more than
+    MAX_COUNT_DIGITS digits is refused before it is computed."""
+    pairs = math.comb(n, 2)
+    # an int-float comparison is exact: pairs may be too large for a float
+    if pairs >= MAX_COUNT_DIGITS / math.log10(q):
+        digits = int(pairs * math.log10(q)) + 1 if pairs < 2**1000 else None
+        raise BudgetExceeded("form count digits", MAX_COUNT_DIGITS, digits)
+    return q ** pairs
 
 
 def upper_triangular_forms(q: int, n: int):

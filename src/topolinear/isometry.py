@@ -19,7 +19,8 @@ route runs a backtracking search that knows nothing about how the code was
 built. Provenance is a hint, not a fact: when it does not parse, or a
 witness fails its checks, the verdict drops it, says so in its reason, and
 falls back to search. The topolinear verdict closes the group of the few
-generators, capped at |M| elements.
+generators, capped at |M| elements, or else searches the cosets witness[w]·H
+of the base-word stabilizer H, which one pinned search lists.
 """
 
 from __future__ import annotations
@@ -95,33 +96,44 @@ def mulclose(gens, cap: int = DEFAULT_BUDGET.max_group) -> list[Isotopism]:
     sorted by `taus`; BudgetExceeded("group closure", cap) when the group has
     more than `cap` elements.
 
-    Incremental: a generator already in the group closed so far is skipped.
-    A kept generator g multiplies the elements already there once, and each
-    new element is multiplied by every kept generator, so every element meets
-    every kept generator once: closing G costs |G|*k compositions for k kept
-    generators. The group closed so far is a proper subgroup of the one a
-    kept generator closes to, so each kept generator at least doubles it and
-    k <= log2|G|, however many generators are listed."""
+    A generator already in the group closed so far is skipped, and each kept
+    one at least doubles it, so closing G costs |G|*k compositions for
+    k <= log2|G| kept generators, however many generators are listed."""
     gens = list(gens)
     if not gens:
         return []
-    seen = {Isotopism.identity(gens[0].q, gens[0].n)}
-    kept: list[Isotopism] = []
+    ident = Isotopism.identity(gens[0].q, gens[0].n)
+    group, kept = {ident.taus: ident}, []
     for g in gens:
-        if g in seen:
-            continue
-        kept.append(g)
-        todo = [(a, (g,)) for a in seen]  # (element, generators still to apply)
-        while todo:
-            a, hs = todo.pop()
-            for h in hs:
-                b = h.compose(a)
-                if b not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetExceeded("group closure", cap)
-                    seen.add(b)
-                    todo.append((b, kept))
-    return sorted(seen, key=lambda x: x.taus)
+        if g.taus not in group:
+            group = _extend(group, kept, g, lambda x: x.taus, cap)
+            kept.append(g)
+    return [group[taus] for taus in sorted(group)]
+
+
+def _extend(group: dict, kept: list, g: Isotopism, key, cap: int) -> dict | None:
+    """The group generated by `group` (key(x) -> x, generated by `kept`) and
+    g, as a new dict; None when two distinct elements share a key;
+    BudgetExceeded("group closure", cap) past `cap` elements. g multiplies
+    each old element once and every generator each new element once, so the
+    result is closed under every generator."""
+    gens = (*kept, g)
+    grown = dict(group)
+    todo = [(a, (g,)) for a in group.values()]  # (element, generators still to apply)
+    while todo:
+        a, hs = todo.pop()
+        for h in hs:
+            b = h.compose(a)
+            k = key(b)
+            prev = grown.get(k)
+            if prev is None:
+                if len(grown) >= cap:
+                    raise BudgetExceeded("group closure", cap)
+                grown[k] = b
+                todo.append((b, gens))
+            elif prev.taus != b.taus:
+                return None
+    return grown
 
 
 @dataclass
@@ -272,15 +284,8 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
                 yield from dfs()
             undo_to(mark)
 
-    mark0 = len(trail)
-    ok = True
-    for (i, a), b in (pins or {}).items():
-        if not assign(i, a, b):
-            ok = False
-            break
-    if ok:
+    if all(assign(i, a, b) for (i, a), b in (pins or {}).items()):
         yield from dfs()
-    undo_to(mark0)
 
 
 def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDGET):
@@ -488,59 +493,29 @@ class TopolinearResult:
         return bool(self.status)
 
 
-def _regular_subgroup_search(M: MdsCode, elements):
-    """DFS for a sharply transitive subgroup inside a listed symmetry group.
-    Prunes as soon as a closure holds two elements over one base-word image."""
+def _regular_subgroup_search(M: MdsCode, witnesses, stabilizer):
+    """A sharply transitive group of symmetries, or None. Every symmetry
+    carrying the base word to w is witnesses[w]·h, h in the base-word
+    stabilizer. The DFS tries these for the first word its group has not
+    reached, pruning a closure with two elements over one base-word image;
+    each step at least doubles the group, so it is at most log2|M| deep."""
     base = (0,) * M.n
-    fibers: dict[tuple, list[Isotopism]] = {w: [] for w in M.words}
-    for g in elements:
-        fibers[g.apply_word(base)].append(g)
-    if any(not fs for fs in fibers.values()):
-        return None
-    order = sorted(fibers, key=lambda w: len(fibers[w]))
-
     target = len(M)
 
-    def close_with(current: dict, g: Isotopism):
-        new = dict(current)
-        queue = [g]
-        while queue:
-            a = queue.pop()
-            img = a.apply_word(base)
-            prev = new.get(img)
-            if prev is not None:
-                if prev != a:
-                    return None
-                continue
-            new[img] = a
-            if len(new) > target:
-                return None
-            for b in list(new.values()):
-                for c in (a.compose(b), b.compose(a)):
-                    i2 = c.apply_word(base)
-                    prev2 = new.get(i2)
-                    if prev2 is None:
-                        queue.append(c)
-                    elif prev2 != c:
-                        return None
-        return new
-
-    ident = Isotopism.identity(M.q, M.n)
-    start = {base: ident}
-
-    def dfs(current: dict):
-        if len(current) == target:
-            return list(current.values())
-        w = next(w for w in order if w not in current)
-        for g in fibers[w]:
-            ext = close_with(current, g)
-            if ext is not None:
-                out = dfs(ext)
-                if out is not None:
-                    return out
+    def dfs(group: dict, kept: list):
+        if len(group) == target:
+            return list(group.values())
+        w = next(w for w in M.words if w not in group)
+        for h in stabilizer:
+            g = witnesses[w].compose(h)
+            grown = _extend(group, kept, g, lambda x: x.apply_word(base), target)
+            if grown is not None:
+                found = dfs(grown, [*kept, g])
+                if found is not None:
+                    return found
         return None
 
-    return dfs(start)
+    return dfs({base: Isotopism.identity(M.q, M.n)}, [])
 
 
 def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> TopolinearResult:
@@ -549,7 +524,8 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
 
     The transitivity generators are checked symmetries whose group is
     transitive, so it is sharply transitive exactly when it closes within
-    |M| elements; otherwise the full symmetry group is searched."""
+    |M| elements. Otherwise one pinned search lists the base-word stabilizer
+    and `_regular_subgroup_search` searches its cosets."""
     moved = _shift_to_base(M)
     if moved is not None:
         shifted, shift = moved
@@ -580,9 +556,11 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
         return TopolinearResult(True, group, route + note)
 
     try:
-        found = _regular_subgroup_search(M, list(autotopism_search(M, budget=budget)))
+        stabilizer = list(autotopism_search(M, pins={(i, 0): 0 for i in range(M.n)},
+                                            budget=budget))
     except BudgetExceeded as exc:
         return TopolinearResult(None, None, f"inconclusive: {exc}{stopped}{note}")
+    found = _regular_subgroup_search(M, trans.certificate.witnesses, stabilizer)
     if found is not None:
         return TopolinearResult(True, found, f"regular subgroup of the full group{stopped}{note}")
     return TopolinearResult(False, None, "full symmetry group holds no sharply "

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from topolinear import isometry
 from topolinear.budget import BudgetExceeded, SearchBudget
 from topolinear.classify_q4 import (all_latin_squares, code_h,
                                     standard_semilinear_code)
@@ -18,9 +19,10 @@ from topolinear.constructions import (CONSTRUCTIONS, IteratedGroupSpec,
                                       iterated_code, quadratic_code,
                                       quadratic_witness, regular_group_iterated)
 from topolinear.isometry import (Isometry, Isotopism, TransitivityCertificate,
-                                 autotopism_search, check_regular_condition,
-                                 equivalent_codes, is_isotopically_transitive,
-                                 is_topolinear, mulclose, search_isotopisms)
+                                 _regular_subgroup_search, autotopism_search,
+                                 check_regular_condition, equivalent_codes,
+                                 is_isotopically_transitive, is_topolinear,
+                                 mulclose, search_isotopisms)
 from topolinear.loops import Loop, graph_code, make_dihedral, twisted_graph_code
 from topolinear.perms import random_permutation
 from topolinear.serialize import build_from_spec
@@ -252,9 +254,9 @@ def test_generators_of_a_shifted_code_are_its_symmetries():
 
 
 def test_is_topolinear_reports_an_exhausted_node_budget_as_inconclusive():
-    # the pinned searches fit in 50 nodes; enumerating the full group of
-    # order 32 does not
-    res = is_topolinear(parity_code(4, 3), budget=SearchBudget(max_nodes=50))
+    # the pinned transitivity searches fit in 20 nodes; enumerating the
+    # base-word stabilizer (24 nodes) does not
+    res = is_topolinear(parity_code(4, 3), budget=SearchBudget(max_nodes=20))
     assert res.status is None and res.group is None
     assert res.reason.startswith("inconclusive")
 
@@ -331,7 +333,8 @@ def test_check_points_budget_guard():
 
 def test_is_topolinear_reports_a_stopped_pinned_search_as_inconclusive():
     # 10 nodes stop the pinned transitivity search itself, before any group
-    # is closed; the verdict is inconclusive, as when the full group is cut
+    # is closed; the verdict is inconclusive, as when the stabilizer search
+    # is cut
     res = is_topolinear(parity_code(4, 3), budget=SearchBudget(max_nodes=10))
     assert res.status is None and res.group is None
     assert res.reason == "inconclusive: search nodes limit 10"
@@ -567,3 +570,146 @@ def test_group_checks_cost_m_log_m_compositions(spec, compositions, monkeypatch)
     res = is_topolinear(M)
     assert res.status is True and res.reason == "construction group"
     assert compositions[0] <= bound
+
+
+# ---------------------------------------------------------------------------
+# the topolinear fallback: a DFS over the cosets of the base-word stabilizer
+
+COMPOSITION_CP = {"construction": "composition", "outer": "cp", "p": 3, "inner": [1, 2]}
+
+
+def at_base(M):
+    """Translate of M carrying its first word to 0..0."""
+    w0 = M.words[0]
+    return MdsCode(M.q, M.n, [tuple((s - c) % M.q for s, c in zip(w, w0)) for w in M.words])
+
+
+def base_stabilizer(M):
+    return list(autotopism_search(M, pins={(i, 0): 0 for i in range(M.n)}))
+
+
+def replays_as_a_group(M, group):
+    """|M| symmetries with distinct images of a codeword, closed under
+    composition."""
+    base = M.words[0]
+    wits = {g.apply_word(base): g for g in group}
+    return (len(group) == len(M)
+            and TransitivityCertificate("topolinear", base, wits).verify(M) == (True, None))
+
+
+def full_group_regular_subgroup(M):
+    """Reference: the fallback the coset search replaced. It enumerates the
+    whole symmetry group with an unpinned search, buckets it by the image of
+    0..0 (which M must hold) and searches the fibres with an all-pairs
+    closure."""
+    base = (0,) * M.n
+    fibers = {w: [] for w in M.words}
+    for g in autotopism_search(M):
+        fibers[g.apply_word(base)].append(g)
+    if any(not fs for fs in fibers.values()):
+        return None
+    order = sorted(fibers, key=lambda w: len(fibers[w]))
+    target = len(M)
+
+    def close_with(current, g):
+        new = dict(current)
+        queue = [g]
+        while queue:
+            a = queue.pop()
+            img = a.apply_word(base)
+            prev = new.get(img)
+            if prev is not None:
+                if prev != a:
+                    return None
+                continue
+            new[img] = a
+            if len(new) > target:
+                return None
+            for b in list(new.values()):
+                for c in (a.compose(b), b.compose(a)):
+                    prev2 = new.get(c.apply_word(base))
+                    if prev2 is None:
+                        queue.append(c)
+                    elif prev2 != c:
+                        return None
+        return new
+
+    def dfs(current):
+        if len(current) == target:
+            return list(current.values())
+        w = next(w for w in order if w not in current)
+        for g in fibers[w]:
+            ext = close_with(current, g)
+            if ext is not None:
+                out = dfs(ext)
+                if out is not None:
+                    return out
+        return None
+
+    return dfs({base: Isotopism.identity(M.q, M.n)})
+
+
+@pytest.mark.parametrize("make", [lambda: scrambled(twisted_graph_code(5), 36),
+                                  lambda: build_from_spec(COMPOSITION_CP)],
+                         ids=["scrambled-twisted-5", "composition-cp"])
+def test_is_topolinear_runs_only_pinned_searches(make, monkeypatch):
+    # both codes reach the fallback; it lists the stabilizer of the base
+    # word, never the whole symmetry group
+    M = make()
+    pins_seen = []
+    search = isometry.search_isotopisms
+
+    def recording(src, dst, pins=None, **kwargs):
+        pins_seen.append(pins)
+        return search(src, dst, pins=pins, **kwargs)
+
+    monkeypatch.setattr(isometry, "search_isotopisms", recording)
+    res = is_topolinear(M)
+    assert res.status is True and res.reason == "regular subgroup of the full group"
+    assert pins_seen
+    assert all(pins is not None and {i for i, _ in pins} == set(range(M.n))
+               for pins in pins_seen)
+
+
+def test_regular_subgroup_search_with_a_trivial_stabilizer():
+    # with H = {identity} the candidates are the witnesses themselves
+    ident = [Isotopism.identity(10, 3)]
+    T = at_base(scrambled(twisted_graph_code(5), 36))
+    pinned = is_isotopically_transitive(T, method="pinned").certificate.witnesses
+    assert _regular_subgroup_search(T, pinned, ident) is None
+    M = twisted_graph_code(5)
+    regular = {w: cp_regular_witness(5, w) for w in M.words}
+    group = _regular_subgroup_search(M, regular, ident)
+    assert len(group) == len(M) and replays_as_a_group(M, group)
+
+
+def test_coset_search_agrees_with_the_full_group_enumeration():
+    checked = 0
+    for name, M in oracle_cases():
+        T = at_base(M)
+        trans = is_isotopically_transitive(T, method="pinned")
+        if not trans:
+            continue
+        found = _regular_subgroup_search(T, trans.certificate.witnesses, base_stabilizer(T))
+        expected = full_group_regular_subgroup(T)
+        assert (found is None) == (expected is None), name
+        if found is not None:
+            assert replays_as_a_group(T, found), name
+        res = is_topolinear(M)
+        assert res.status is (expected is not None), name
+        if res.group is not None:
+            assert replays_as_a_group(M, res.group), name
+        checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("make", [
+    lambda: scrambled(twisted_graph_code(9), 37),
+    lambda: scrambled(standard_semilinear_code(6, [(0, 1), (2, 3)]), 38)],
+    ids=["twisted-9", "semilinear-6"])
+def test_stripped_codes_get_a_topolinear_verdict_from_the_coset_search(make):
+    # 324 and 1024 words; the full-group enumeration took seconds on both
+    M = make()
+    res = is_topolinear(M)
+    assert res.status is True and res.reason == "regular subgroup of the full group"
+    assert replays_as_a_group(M, res.group)

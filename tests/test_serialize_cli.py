@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,9 +168,9 @@ def test_cli_exhausted_budget_exits_3(tmp_path):
     proc = _verify_process(out, "--mode", "transitive", "--budget-states", "5")
     assert proc.returncode == 3
     assert "budget exhausted" in proc.stderr
-    # topolinear mode: the pinned searches fit in 50 nodes, the full group
-    # does not, so the verdict is inconclusive
-    proc = _verify_process(out, "--mode", "topolinear", "--budget-states", "50")
+    # topolinear mode: the pinned searches fit in 20 nodes, the search of the
+    # base-word stabilizer does not, so the verdict is inconclusive
+    proc = _verify_process(out, "--mode", "topolinear", "--budget-states", "20")
     assert proc.returncode == 3
     assert proc.stdout.startswith("topolinear: None (inconclusive")
     # a budget that stops the pinned searches is inconclusive too
@@ -224,6 +225,31 @@ def test_cli_exit_codes_for_bad_inputs(tmp_path):
         bad_cert = write_json(tmp_path / f"{mutate.__name__}.json", c)
         for mode in ("transitive", "topolinear"):
             assert main(["verify", out, "--mode", mode, "--certificate", bad_cert]) == 2
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["count", "--forms", "2,1,200"], "form count digits limit 4300 (needed 5991)"),
+    (["count", "--partitions", "80000"], "partition size limit 10000 (needed 80000)"),
+], ids=["forms", "partitions"])
+def test_cli_count_refuses_oversized_reports_at_once(argv, refusal, capsys):
+    # both went to exit 4: a count too long to print, p(N) past a float
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.strip() == f"budget exhausted: {refusal}"
+
+
+def test_cli_non_mds_code_is_malformed_input(tmp_path, capsys):
+    # flipping the last coordinate swaps the two words, but line completion
+    # called the code intransitive: the searches are sound only on MDS codes
+    path = write_json(tmp_path / "two.json", {"q": 2, "n": 3, "words": [[0, 0, 0], [0, 0, 1]]})
+    for argv in (["verify", path, "--mode", "transitive"],
+                 ["verify", path, "--mode", "topolinear"],
+                 ["classify", path], ["equivalent", path, path]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.strip() == (
+            "malformed input: not an MDS code: size 2 != q^(n-1) = 4"), argv
+    assert main(["verify", path, "--mode", "mds"]) == 1
 
 
 def test_cli_unexpected_errors_exit_4(monkeypatch, capsys):
