@@ -6,7 +6,7 @@ A loop of order 2p built from signed residue arithmetic, whose graph is a
 distance-2 MDS code with a sharply transitive symmetry group.
 """
 
-from topolinear import (check_regular_condition, chase_to_zero_cp,
+from topolinear import (TransitivityCertificate, chase_to_zero_cp,
                         cp_regular_generators, cp_regular_witness, is_mds,
                         is_topolinear, make_cp, mulclose, twisted_graph_code)
 from topolinear.constructions import ic_p_generators
@@ -37,12 +37,12 @@ print(f"family closure: {len(closure)} elements vs {len(M)} words")
 gens = cp_regular_generators(p)
 group = mulclose(gens)
 print(f"regular subgroup: {len(group)} elements")
-verdict = check_regular_condition(M, gens, 1)
-print(f"regularity criterion at coordinate 1: {verdict.ok}")
 
-# closed-form witness per word, no search
+# closed-form witness per word, no search; together they replay as a
+# topolinear certificate: one symmetry per word, closed under composition
 base = (0, 0, 0)
-print("witnesses hit their words:",
-      all(cp_regular_witness(p, w).apply_word(base) == w for w in M.words))
+cert = TransitivityCertificate("topolinear", base,
+                               {w: cp_regular_witness(p, w) for w in M.words})
+print("topolinear certificate replays:", cert.verify(M))
 
 print("topolinear:", is_topolinear(M).status)

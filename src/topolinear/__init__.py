@@ -15,9 +15,9 @@ from .constructions import (CompositionSpec, IteratedGroupSpec, MalformedInput,
                             iterated_code, quadratic_code, quadratic_witness,
                             solve_condition_c)
 from .isometry import (Isometry, Isotopism, TransitivityCertificate,
-                       autotopism_search, check_regular_condition,
-                       equivalent_codes, is_isotopically_transitive,
-                       is_topolinear, mulclose, search_isotopisms)
+                       autotopism_search, equivalent_codes,
+                       is_isotopically_transitive, is_topolinear, mulclose,
+                       search_isotopisms)
 from .classify_q4 import (classify, code_h, semilinearity_test,
                           standard_semilinear_code)
 from .counting import (lower_bound_report, partition_asymptotic,

@@ -20,15 +20,14 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for the backtracking searches and group closures.
+    """Bounds for the backtracking searches.
 
     max_points caps q**n for a single code; max_nodes caps assignments tried in
-    one backtracking search; max_group caps group closure size.
+    one backtracking search, and so the base-word stabilizer it can list.
     """
 
     max_points: int = 6**5
     max_nodes: int = 2_000_000
-    max_group: int = 1_000_000
 
     def check_points(self, q: int, n: int) -> None:
         if q**n > self.max_points:

@@ -195,7 +195,7 @@ def _cmd_count(args) -> int:
         print(f"pairwise equivalence resolved: {len(rep.classes)} classes "
               f"{[len(c) for c in rep.classes]}")
     else:
-        print(f"count unverified: {rep.note}")
+        print(f"count {rep.note}")
     return EXIT_TRUE
 
 

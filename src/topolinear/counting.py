@@ -15,8 +15,8 @@ from .isometry import equivalent_codes
 # ---------------------------------------------------------------------------
 # integer partitions
 
-def partition_exact(N: int) -> int:
-    """p(N) by the pentagonal-number recurrence, exact integers throughout."""
+def partition_table(N: int) -> list[int]:
+    """[p(0), ..., p(N)] by the pentagonal-number recurrence, in exact integers."""
     if N < 0:
         raise ValueError("N must be nonnegative")
     p = [1] + [0] * N
@@ -34,7 +34,12 @@ def partition_exact(N: int) -> int:
                 total += sign * p[n - g2]
             k += 1
         p[n] = total
-    return p[N]
+    return p
+
+
+def partition_exact(N: int) -> int:
+    """p(N), the last entry of `partition_table(N)`."""
+    return partition_table(N)[N]
 
 
 def partitions_of(N: int):
@@ -58,8 +63,9 @@ def partition_asymptotic(N: int) -> float:
 
 
 # p(N) takes about 0.4 s at N = 10^4 and its float estimate overflows near
-# N = 76 000; Python converts at most 4300 digits of an integer to a string
-MAX_PARTITION, MAX_COUNT_DIGITS = 10_000, 4300
+# N = 76 000; Python converts at most 4300 digits of an integer to a string;
+# the pairwise sweep over the 64 forms of GF(2), n=4 takes minutes
+MAX_PARTITION, MAX_COUNT_DIGITS, MAX_FORM_PAIRS = 10_000, 4300, 64 * 63 // 2
 
 
 @dataclass(frozen=True)
@@ -74,11 +80,15 @@ class PartitionCount:
 
 
 def ratio_report(Ns) -> list[PartitionCount]:
-    """Exact versus estimate for each N, for eyeballing the trend toward 1."""
+    """Exact versus estimate for each N, for eyeballing the trend toward 1;
+    every p(N) is read from one table up to the largest N."""
+    Ns = list(Ns)
+    if min(Ns, default=1) < 1:
+        raise ValueError("N must be positive")
     if max(Ns, default=0) > MAX_PARTITION:
         raise BudgetExceeded("partition size", MAX_PARTITION, max(Ns))
-    return [PartitionCount(N, partition_exact(N), partition_asymptotic(N))
-            for N in Ns]
+    table = partition_table(max(Ns, default=0))
+    return [PartitionCount(N, table[N], partition_asymptotic(N)) for N in Ns]
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +122,7 @@ class FormEquivalenceReport:
     forms at one parameter point. `classes` lists form indices grouped by
     code equivalence; `witnesses` maps an index pair to the isometry found.
     When the budget refuses the sweep, `verified` is False and only the raw
-    count stands; `forms` is empty when the points bound refused it."""
+    count stands; `forms` is empty when it was refused before listing."""
     q: int
     s: int
     n: int
@@ -126,13 +136,16 @@ class FormEquivalenceReport:
 
 def lower_bound_report(q: int, s: int, n: int,
                        budget: SearchBudget = EQUIVALENCE_BUDGET) -> FormEquivalenceReport:
-    """Count the upper-triangular forms over GF(q^s) and, within budget,
-    resolve the pairwise equivalence of their codes by exhaustive search."""
+    """Count the upper-triangular forms over GF(q^s) and, within budget and
+    MAX_FORM_PAIRS, resolve the pairwise equivalence of their codes."""
     size = q ** s
     count = quadratic_form_count(size, n)
     try:
         # the codes are over pairs of field symbols; refused before any is listed
         budget.check_points(size * size, n)
+        pairs = count * (count - 1) // 2
+        if pairs > MAX_FORM_PAIRS:
+            raise BudgetExceeded("form pairs", MAX_FORM_PAIRS, pairs)
     except BudgetExceeded as exc:
         return FormEquivalenceReport(q, s, n, count, [], None, {}, False,
                                      f"unverified: {exc}")

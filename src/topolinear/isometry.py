@@ -3,13 +3,14 @@
 An isotopism of length-n codes over {0..q-1} is an n-tuple of symbol
 permutations applied coordinatewise; an isometry additionally permutes the
 coordinates first. A code M is isotopically transitive when for every codeword
-there is an isotopism of M onto itself carrying a fixed base word (0..0) to it,
+there is an isotopism of M onto itself carrying a fixed base word to it,
 propelinear when some sharply transitive (regular) group of isometries sits
 inside the symmetry group, and topolinear when isotopisms alone suffice.
 
 Both verdicts rest on one orbit algorithm (Seress, Permutation Group
 Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 4.1). A symmetry carrying the base word to a codeword is looked for
+Theory, 4.1). The base word is 0..0 when M holds it, else the first
+codeword. A symmetry carrying the base word to a codeword is looked for
 only when the orbit of the base word has not reached that codeword yet; it
 becomes a generator, and the orbit is closed under the generators, each new
 word keeping a Schreier witness (generator composed with the witness of the
@@ -18,9 +19,9 @@ construction a code's provenance records and checks each answer; the pinned
 route runs a backtracking search that knows nothing about how the code was
 built. Provenance is a hint, not a fact: when it does not parse, or a
 witness fails its checks, the verdict drops it, says so in its reason, and
-falls back to search. The topolinear verdict closes the group of the few
-generators, capped at |M| elements, or else searches the cosets witness[w]·H
-of the base-word stabilizer H, which one pinned search lists.
+falls back to search. The topolinear verdict looks for a sharply transitive
+group among the witnesses, then among the cosets witness[w]·H of the
+base-word stabilizer H, which one pinned search lists.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class Isometry:
         )
         return Isometry(Isotopism(taus), eps)
 
-    def inverse(self) -> "Isometry":
-        taus = tuple(invert(self.iso.taus[self.eps[j]]) for j in range(len(self.eps)))
-        return Isometry(Isotopism(taus), invert(self.eps))
-
     def __eq__(self, other):
         return isinstance(other, Isometry) and self.iso == other.iso and self.eps == other.eps
 
@@ -89,9 +86,12 @@ class Isometry:
 
 
 # ---------------------------------------------------------------------------
-# group closure and the sharply-transitive criterion
+# group closure
 
-def mulclose(gens, cap: int = DEFAULT_BUDGET.max_group) -> list[Isotopism]:
+GROUP_CAP = 1_000_000
+
+
+def mulclose(gens, cap: int = GROUP_CAP) -> list[Isotopism]:
     """Closure under composition (inverses come for free in a finite group),
     sorted by `taus`; BudgetExceeded("group closure", cap) when the group has
     more than `cap` elements.
@@ -134,52 +134,6 @@ def _extend(group: dict, kept: list, g: Isotopism, key, cap: int) -> dict | None
             elif prev.taus != b.taus:
                 return None
     return grown
-
-
-@dataclass
-class RegularVerdict:
-    ok: bool
-    group_size: int
-    reason: str | None = None
-    fiber_witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_regular_condition(M: MdsCode, witnesses, coord: int,
-                            cap: int = DEFAULT_BUDGET.max_group) -> RegularVerdict:
-    """Sharply-transitive test. Closes `witnesses` under composition, then
-    requires: the closure acts transitively on M and equal action on the base
-    word forces equal component at `coord`. When it holds, the closure is
-    regular of order |M| (two elements agreeing on the base word then agree
-    everywhere, one line at a time)."""
-    elements = mulclose(witnesses, cap)
-    base = (0,) * M.n
-    if base not in M:
-        return RegularVerdict(False, len(elements), "base word not in code")
-    fibers: dict[tuple, tuple] = {}
-    for g in elements:
-        if not g.is_automorphism_of(M):
-            return RegularVerdict(False, len(elements),
-                                  "element is not a symmetry of the code")
-        img = g.apply_word(base)
-        comp = g.taus[coord]
-        prev = fibers.get(img)
-        if prev is None:
-            fibers[img] = comp
-        elif prev != comp:
-            return RegularVerdict(False, len(elements),
-                                  "two elements agree on the base word but differ "
-                                  f"at coordinate {coord}", img)
-    if len(fibers) != len(M):
-        return RegularVerdict(False, len(elements),
-                              f"orbit of base word has size {len(fibers)} < {len(M)}")
-    if len(elements) != len(M):
-        return RegularVerdict(False, len(elements),
-                              "criterion held per fiber but the group is not sharply "
-                              "transitive; closure was not a group?")
-    return RegularVerdict(True, len(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +250,15 @@ def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDG
 # ---------------------------------------------------------------------------
 # transitivity
 
+def _witness_fault(M: MdsCode, base, w, g: Isotopism) -> str | None:
+    """Why g is no witness for codeword w of M, or None."""
+    if g.apply_word(base) != w:
+        return f"witness for {w} misses its word"
+    if not g.is_automorphism_of(M):
+        return f"witness for {w} is not a symmetry of the code"
+    return None
+
+
 @dataclass
 class TransitivityCertificate:
     """One symmetry per codeword, each carrying the base word to it. In
@@ -308,29 +271,24 @@ class TransitivityCertificate:
 
     def verify(self, M: MdsCode) -> tuple[bool, str | None]:
         """(True, None), or (False, the first check that failed). In
-        topolinear mode the |M| witnesses must be distinct and close under
-        composition within |M| elements (`mulclose` capped at |M|), which
-        costs O(|M| log|M|) compositions."""
+        topolinear mode the witnesses must close under composition within |M|
+        elements (`mulclose` capped at |M|), which costs O(|M| log|M|)
+        compositions."""
         if tuple(self.base) not in M:
             return False, "base word not in code"
         for w in M.words:
             g = self.witnesses.get(w)
             if g is None:
                 return False, f"no witness for {w}"
-            if g.apply_word(self.base) != w:
-                return False, f"witness for {w} misses its word"
-            if not g.is_automorphism_of(M):
-                return False, f"witness for {w} is not a symmetry of the code"
+            fault = _witness_fault(M, self.base, w, g)
+            if fault:
+                return False, fault
         if len(self.witnesses) != len(M):
             return False, "extra witnesses for words outside the code"
         if self.mode == "topolinear":
-            elems = set(self.witnesses.values())
-            if len(elems) != len(M):
-                return False, "witness set is not sharply transitive"
-            # |M| distinct witnesses close within |M| elements exactly when
-            # they are closed under composition
+            # one witness per base image, so |M| distinct: a group iff closed within |M|
             try:
-                mulclose(elems, cap=len(M))
+                mulclose(set(self.witnesses.values()), cap=len(M))
             except BudgetExceeded:
                 return False, "witness set is not closed under composition"
         return True, None
@@ -356,20 +314,6 @@ class TransitivityResult:
         return len(self.generators) + (self.failing_word is not None)
 
 
-def _shift_to_base(M: MdsCode):
-    """(isotope of M holding the base word 0..0, the shift carrying M onto
-    it), or None when M already holds it. Both verdicts are isotopy
-    invariant: they decide the isotope and conjugate the evidence back."""
-    base = (0,) * M.n
-    if base in M:
-        return None
-    w0 = M.words[0]
-    shift = Isotopism(tuple(
-        tuple((s - w0[i]) % M.q for s in range(M.q)) for i in range(M.n)
-    ))
-    return shift.apply_code(M), shift
-
-
 def is_isotopically_transitive(M: MdsCode, method: str = "auto",
                                budget: SearchBudget = DEFAULT_BUDGET) -> TransitivityResult:
     """Decide whether some symmetry carries the base word to every codeword.
@@ -377,42 +321,24 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
     Both routes close the orbit of the base word (see `_orbit_closure`).
     Method "explicit" finds a symmetry for a word outside the orbit by the
     recorded construction's witness formula, checked as `verify` checks a
-    witness; "pinned" by a pinned search; "auto" tries explicit, then
-    pinned. `generators` holds the symmetries found, which generate the
-    group of the witnesses.
+    witness; the formula starts from 0..0, so it is asked only when that is
+    the base word. "pinned" finds one by a pinned search; "auto" tries
+    explicit, then pinned. `generators` holds the symmetries found, which
+    generate the group of the witnesses.
     """
     if method not in ("auto", "explicit", "pinned"):
         raise ValueError(f"unknown method {method!r}")
-    moved = _shift_to_base(M)
-    if moved is not None:
-        shifted, shift = moved
-        res = is_isotopically_transitive(shifted, method=method, budget=budget)
-        inv = shift.inverse()
-
-        def back(g):
-            return inv.compose(g).compose(shift)
-
-        if res.certificate is not None:
-            wits = {inv.apply_word(w): back(g)
-                    for w, g in res.certificate.witnesses.items()}
-            res.certificate = TransitivityCertificate(
-                res.certificate.mode, inv.apply_word(res.certificate.base), wits)
-        res.generators = [back(g) for g in res.generators]
-        if res.failing_word is not None:
-            res.failing_word = inv.apply_word(res.failing_word)
-        return res
-
-    base = (0,) * M.n
+    zero = (0,) * M.n
+    base = zero if zero in M else M.words[0]
     note = ""
     if method in ("auto", "explicit"):
-        formula, note = construction_hint(M)
+        formula, note = construction_hint(M) if base == zero else (None, "")
 
         def explicit(w):
             g = formula(w)
-            if g.apply_word(base) != w:
-                raise ValueError(f"witness for {w} misses its word")
-            if not g.is_automorphism_of(M):
-                raise ValueError(f"witness for {w} is not a symmetry of the code")
+            fault = _witness_fault(M, base, w, g)
+            if fault:
+                raise ValueError(fault)
             return g
 
         if formula is not None:
@@ -493,21 +419,21 @@ class TopolinearResult:
         return bool(self.status)
 
 
-def _regular_subgroup_search(M: MdsCode, witnesses, stabilizer):
+def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer=None):
     """A sharply transitive group of symmetries, or None. Every symmetry
-    carrying the base word to w is witnesses[w]·h, h in the base-word
-    stabilizer. The DFS tries these for the first word its group has not
-    reached, pruning a closure with two elements over one base-word image;
-    each step at least doubles the group, so it is at most log2|M| deep."""
-    base = (0,) * M.n
+    carrying `base` to w is witnesses[w]·h, h in the stabilizer of `base`
+    (the witnesses alone when no stabilizer is given). The DFS tries these
+    for the first word its group has not reached, pruning a closure with two
+    elements over one image of `base`; each step at least doubles the group,
+    so it is at most log2|M| deep."""
     target = len(M)
 
     def dfs(group: dict, kept: list):
         if len(group) == target:
             return list(group.values())
         w = next(w for w in M.words if w not in group)
-        for h in stabilizer:
-            g = witnesses[w].compose(h)
+        wit = witnesses[w]
+        for g in ((wit,) if stabilizer is None else (wit.compose(h) for h in stabilizer)):
             grown = _extend(group, kept, g, lambda x: x.apply_word(base), target)
             if grown is not None:
                 found = dfs(grown, [*kept, g])
@@ -522,19 +448,9 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
     """Three-way verdict: True with a regular witness group, False after an
     exhaustive refusal, None when a budget stopped the deciding search.
 
-    The transitivity generators are checked symmetries whose group is
-    transitive, so it is sharply transitive exactly when it closes within
-    |M| elements. Otherwise one pinned search lists the base-word stabilizer
-    and `_regular_subgroup_search` searches its cosets."""
-    moved = _shift_to_base(M)
-    if moved is not None:
-        shifted, shift = moved
-        res = is_topolinear(shifted, budget=budget)
-        if res.group is not None:
-            inv = shift.inverse()
-            res.group = [inv.compose(g).compose(shift) for g in res.group]
-        return res
-
+    `_regular_subgroup_search` runs over the transitivity witnesses alone,
+    then over the cosets of the base-word stabilizer, which one pinned
+    search lists."""
     try:
         trans = is_isotopically_transitive(M, budget=budget)
     except BudgetExceeded as exc:
@@ -543,28 +459,21 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
     if not trans:
         return TopolinearResult(False, None,
                                 f"not isotopically transitive at {trans.failing_word}{note}")
-    route = "construction group" if trans.method == "explicit" else "witness closure"
-    cap = min(len(M), budget.max_group)
-    stopped = ""
-    try:
-        # the identity closes the empty generator list of a one-word code
-        group = mulclose([Isotopism.identity(M.q, M.n), *trans.generators], cap=cap)
-    except BudgetExceeded as exc:
-        if cap < len(M):
-            stopped = f"; {route} stopped: {exc}"
-    else:
+    base, witnesses = trans.certificate.base, trans.certificate.witnesses
+    group = _regular_subgroup_search(M, base, witnesses)
+    if group is not None:
+        route = "construction group" if trans.method == "explicit" else "witness closure"
         return TopolinearResult(True, group, route + note)
-
     try:
-        stabilizer = list(autotopism_search(M, pins={(i, 0): 0 for i in range(M.n)},
+        stabilizer = list(autotopism_search(M, pins={(i, b): b for i, b in enumerate(base)},
                                             budget=budget))
     except BudgetExceeded as exc:
-        return TopolinearResult(None, None, f"inconclusive: {exc}{stopped}{note}")
-    found = _regular_subgroup_search(M, trans.certificate.witnesses, stabilizer)
-    if found is not None:
-        return TopolinearResult(True, found, f"regular subgroup of the full group{stopped}{note}")
+        return TopolinearResult(None, None, f"inconclusive: {exc}{note}")
+    group = _regular_subgroup_search(M, base, witnesses, stabilizer)
+    if group is not None:
+        return TopolinearResult(True, group, f"regular subgroup of the full group{note}")
     return TopolinearResult(False, None, "full symmetry group holds no sharply "
-                                         f"transitive subgroup{stopped}{note}")
+                                         f"transitive subgroup{note}")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from topolinear.constructions import (CompositionSpec, IteratedGroupSpec,
                                       sigma_compatibility_failure,
                                       shift_isotopism, solve_condition_c,
                                       star_product)
-from topolinear.isometry import (check_regular_condition, equivalent_codes,
+from topolinear.isometry import (TransitivityCertificate, equivalent_codes,
                                  is_isotopically_transitive, is_topolinear)
 from topolinear.loops import BinaryQuasigroup, graph_code, make_cp, make_dihedral
 from topolinear.perms import random_permutation
@@ -49,8 +49,8 @@ def test_iterated_code_is_topolinear_by_its_regular_group():
     assert is_mds(M) and len(M) == 36
     group = regular_group_iterated(spec, M)
     assert len(set(group)) == len(M)
-    verdict = check_regular_condition(M, group, 0)
-    assert verdict.ok
+    wits = {g.apply_word(M.words[0]): g for g in group}
+    assert TransitivityCertificate("topolinear", M.words[0], wits).verify(M) == (True, None)
     assert is_topolinear(M).status is True
 
 

@@ -23,6 +23,11 @@ def partition_dp(N):
 def test_recurrence_matches_dp_oracle_up_to_30():
     for N in range(31):
         assert partition_exact(N) == partition_dp(N)
+    # one table serves every size, in any order and with repeats, and a
+    # one-shot iterator is read once
+    Ns = [30, *range(1, 30), 17, 17]
+    assert [r.exact for r in ratio_report(Ns)] == [partition_dp(N) for N in Ns]
+    assert [r.N for r in ratio_report(iter(Ns))] == Ns
 
 
 def test_frozen_partition_values():
@@ -135,7 +140,30 @@ def test_lower_bound_report_refuses_before_listing_the_forms(monkeypatch):
     assert rep.note == "unverified: points limit 1296 (needed 16384)"
 
 
+def test_lower_bound_report_refuses_too_many_form_pairs(monkeypatch):
+    # 2^10 forms on 4^5 points pass the points check, but their 523 776
+    # pairs are refused before any form is listed or code built
+    def unlisted(*args, **kwargs):
+        raise AssertionError("forms listed before the pairs check")
+
+    monkeypatch.setattr(counting, "upper_triangular_forms", unlisted)
+    monkeypatch.setattr(counting, "quadratic_code", unlisted)
+    rep = lower_bound_report(2, 1, 5)
+    assert not rep.verified and rep.form_count == 2 ** 10 and rep.forms == []
+    assert rep.note == "unverified: form pairs limit 2016 (needed 523776)"
+
+
+def test_lower_bound_report_still_sweeps_the_64_forms_of_gf2_n4(monkeypatch):
+    # the largest sweep that verifies: all 2016 pairs, with every pair
+    # called inequivalent so none is skipped
+    calls = []
+    monkeypatch.setattr(counting, "equivalent_codes",
+                        lambda a, b, budget: calls.append((a, b)))
+    rep = lower_bound_report(2, 1, 4)
+    assert rep.verified and rep.form_count == 64 and len(calls) == 2016
+
+
 def test_lower_bound_report_custom_budget():
-    tiny = SearchBudget(max_points=10, max_nodes=10, max_group=10)
+    tiny = SearchBudget(max_points=10, max_nodes=10)
     rep = lower_bound_report(2, 1, 3, budget=tiny)
     assert not rep.verified and rep.form_count == 8

@@ -239,6 +239,15 @@ def test_cli_count_refuses_oversized_reports_at_once(argv, refusal, capsys):
     assert capsys.readouterr().err.strip() == f"budget exhausted: {refusal}"
 
 
+def test_cli_count_refuses_a_form_sweep_of_too_many_pairs(capsys):
+    # 1024 forms fit the points bound; their pairwise sweep would not end
+    start = time.perf_counter()
+    assert main(["count", "--partitions", "10", "--forms", "2,1,5"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "count unverified: form pairs limit 2016 (needed 523776)")
+
+
 def test_cli_non_mds_code_is_malformed_input(tmp_path, capsys):
     # flipping the last coordinate swaps the two words, but line completion
     # called the code intransitive: the searches are sound only on MDS codes
