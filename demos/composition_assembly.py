@@ -7,9 +7,9 @@ integer partition of the total block arity, and distinct partitions give
 inequivalent codes.
 """
 
-from topolinear import (BudgetExceeded, CompositionSpec, composition_code,
-                        composition_witness, equivalent_codes, is_mds,
-                        partitions_of)
+from topolinear import (DEFAULT_BUDGET, BudgetExceeded, CompositionSpec,
+                        composition_code, composition_witness,
+                        equivalent_codes, is_mds, partitions_of)
 
 # the smallest interesting instance: outer twisted loop of order 6
 spec = CompositionSpec("cp", 3, (1, 1))
@@ -35,11 +35,14 @@ for i in range(len(parts)):
         verdict = equivalent_codes(codes[parts[i]], codes[parts[j]])
         print(f"{parts[i]} ~ {parts[j]}: {verdict is not None}")
 
-# partitions of 4 give length-5 codes over 6 symbols; the exhaustive
-# equivalence search refuses them rather than run forever
+# partitions of 4 give length-5 codes over 6 symbols: past the library's
+# equivalence budget of 6^4 points, but within the default budget, where
+# their intercalate profiles differ and decide the pair before any search
 a = composition_code(CompositionSpec("zpz2", 3, (4,)))
 b = composition_code(CompositionSpec("zpz2", 3, (2, 2)))
 try:
     equivalent_codes(a, b)
 except BudgetExceeded as exc:
     print(f"length-5 comparison refused: {exc}")
+verdict = equivalent_codes(a, b, budget=DEFAULT_BUDGET)
+print(f"(4,) ~ (2, 2) under the default budget: {verdict is not None}")

@@ -11,6 +11,7 @@ permutes the symbols of each coordinate separately.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +88,17 @@ class MdsCode:
 
     def completion_maps(self):
         """For each direction i: dict from the word with coordinate i dropped
-        to the value at i. Total when the code is MDS."""
+        to the value at i, or to -1 when that line holds two or more words.
+        Total, and never -1, when the code is MDS."""
         if self._complete is None:
             maps = [dict() for _ in range(self.n)]
             for w in self.words:
                 for i in range(self.n):
                     maps[i][w[:i] + w[i + 1:]] = w[i]
+            for i, m in enumerate(maps):
+                if len(m) < len(self.words):  # some line holds two words
+                    lines = Counter(w[:i] + w[i + 1:] for w in self.words)
+                    m.update((line, -1) for line, k in lines.items() if k > 1)
             self._complete = maps
         return self._complete
 

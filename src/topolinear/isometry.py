@@ -22,6 +22,17 @@ witness fails its checks, the verdict drops it, says so in its reason, and
 falls back to search. The topolinear verdict looks for a sharply transitive
 group among the witnesses, then among the cosets witness[w]·H of the
 base-word stabilizer H, which one pinned search lists.
+
+Code equivalence checks an invariant before it searches. Over each 3-set T
+of coordinates, every assignment of the other coordinates leaves a Latin
+square in an MDS code, and its count of intercalates (2x2 subsquares) is
+kept by isotopy and by permuting its three coordinates (McKay, Meynert and
+Myrvold, Small Latin squares, quasigroups and loops, J. Combin. Des. 15,
+2007). An isometry with coordinate permutation eps therefore carries the
+multiset of counts over T onto the multiset over eps(T): profiles that
+differ prove two codes inequivalent, and only the eps that keep them, the
+first step of partition refinement (McKay and Piperno, J. Symb. Comput. 60,
+2014), are searched.
 """
 
 from __future__ import annotations
@@ -29,8 +40,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .budget import BudgetExceeded, DEFAULT_BUDGET, EQUIVALENCE_BUDGET, SearchBudget
-from .codes import Isotopism, MdsCode
+from .codes import Isotopism, MdsCode, is_mds
 from .constructions import construction_hint, dropped_hint
 from .perms import compose, invert
 
@@ -145,7 +158,10 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
 
     Slot assignment tau_i(a) = b propagates through line completion: once a
     word has a single undetermined coordinate image, the target word is forced
-    (or shown absent). Pins are pre-assigned slots {(coord, sym): sym}.
+    (or shown absent); a line of dst holding several words is branched on
+    instead. Pins are pre-assigned slots {(coord, sym): sym}. A symbol no
+    word carries (only in a code that is not MDS) is mapped once, to the
+    least image left, not in every way.
     """
     if (src.q, src.n) != (dst.q, dst.n):
         raise ValueError("codes live on different point sets")
@@ -198,7 +214,8 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
                     val = comp[j].get(tuple(im[:j] + im[j + 1:]))
                     if val is None:
                         return False
-                    queue.append((j, words[widx][j], val))
+                    if val != -1:  # a line of several words forces nothing
+                        queue.append((j, words[widx][j], val))
                 elif tuple(im) not in dst_set:
                     return False
         return True
@@ -225,7 +242,7 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
     def dfs():
         widx = pick_word()
         if widx == -1:
-            yield Isotopism(tuple(tuple(t) for t in tau))
+            yield Isotopism(tuple(_fill(t, ti) for t, ti in zip(tau, tinv)))
             return
         im = img[widx]
         i = im.index(-1)
@@ -240,6 +257,15 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
 
     if all(assign(i, a, b) for (i, a), b in (pins or {}).items()):
         yield from dfs()
+
+
+def _fill(t: list, tinv: list) -> tuple:
+    """The partial map t as a permutation: a symbol no word carries (only
+    in a code that is not MDS) takes the least image still free."""
+    if -1 not in t:
+        return tuple(t)
+    free = iter([b for b, a in enumerate(tinv) if a == -1])
+    return tuple(next(free) if b == -1 else b for b in t)
 
 
 def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDGET):
@@ -479,16 +505,78 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
 # ---------------------------------------------------------------------------
 # code equivalence
 
+def _triple_profiles(M: MdsCode) -> dict:
+    """3-set T of coordinates (sorted) -> the sorted intercalate counts of
+    the Latin squares left over T, one per assignment of the other
+    coordinates. M must be MDS, so each of those squares is full.
+
+    Rows r1 < r2 of a square link its columns by sigma: the symbol at
+    (r1, x) sits at (r2, sigma(x)). An intercalate on those rows is a
+    2-cycle of sigma, so a square costs O(q^3)."""
+    q, n = M.q, M.n
+    arr = M.word_array()
+    rows = np.array(list(itertools.combinations(range(q), 2)), dtype=np.int64).reshape(-1, 2)
+    r1, r2 = rows[:, 0], rows[:, 1:]
+    pair = np.arange(len(rows))[:, None]
+    x = np.arange(q)
+    profiles = {}
+    for T in itertools.combinations(range(n), 3):
+        a, b, c = T
+        rest = [i for i in range(n) if i not in T]
+        key = arr[:, rest] @ q ** np.arange(len(rest), dtype=np.int64)
+        square = np.arange(q ** len(rest))[:, None, None]
+        symbol = np.empty((len(square), q, q), dtype=np.int64)  # [square, row, column]
+        symbol[key, arr[:, a], arr[:, b]] = arr[:, c]
+        column = np.empty_like(symbol)  # [square, row, symbol]
+        column[key, arr[:, a], arr[:, c]] = arr[:, b]
+        sigma = column[square, r2, symbol[:, r1, :]]  # [square, row pair, x]
+        back = sigma[square, pair, sigma]
+        counts = ((back == x) & (sigma != x)).sum(axis=(1, 2)) // 2
+        profiles[T] = tuple(sorted(counts.tolist()))
+    return profiles
+
+
+def _profile_permutations(p1: dict, p2: dict, n: int):
+    """The coordinate permutations eps with p1[T] == p2[eps(T)] for every
+    3-set T, in lexicographic order; a prefix is dropped at the first T
+    inside it that fails."""
+    def extend(eps):
+        j = len(eps)
+        if j == n:
+            yield tuple(eps)
+            return
+        for v in range(n):
+            if v not in eps and all(
+                    p1[(a, b, j)] == p2[tuple(sorted((eps[a], eps[b], v)))]
+                    for a, b in itertools.combinations(range(j), 2)):
+                yield from extend([*eps, v])
+
+    return extend([])
+
+
 def equivalent_codes(M1: MdsCode, M2: MdsCode,
                      budget: SearchBudget = EQUIVALENCE_BUDGET):
-    """Isometry carrying M1 onto M2, or None after exhausting all coordinate
-    permutations and isotopism searches."""
+    """Isometry carrying M1 onto M2, or None after exhausting the coordinate
+    permutations and isotopism searches.
+
+    When both codes are MDS, their intercalate profiles (`_triple_profiles`)
+    come first: None at once when their multisets differ, else only the
+    permutations that carry each profile onto an equal one are searched.
+    Either None is a proof, since an isometry keeps the profiles. A word set
+    that is not MDS leaves no Latin squares to count, so all n! permutations
+    are searched."""
     if (M1.q, M1.n) != (M2.q, M2.n):
         return None
     budget.check_points(M1.q, M1.n)
     if len(M1) != len(M2):
         return None
-    for eps in itertools.permutations(range(M1.n)):
+    perms = itertools.permutations(range(M1.n))
+    if M1.n >= 3 and is_mds(M1) and is_mds(M2):
+        p1, p2 = _triple_profiles(M1), _triple_profiles(M2)
+        if sorted(p1.values()) != sorted(p2.values()):
+            return None
+        perms = _profile_permutations(p1, p2, M1.n)
+    for eps in perms:
         permuted = parastrophe(M1, eps)
         found = next(search_isotopisms(permuted, M2, budget=budget), None)
         if found is not None:

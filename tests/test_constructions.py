@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from topolinear.budget import BudgetExceeded
+from topolinear.budget import BudgetExceeded, SearchBudget
 from topolinear.codes import is_mds
+from topolinear.counting import partitions_of
 from topolinear.constructions import (CompositionSpec, IteratedGroupSpec,
                                       QuadraticSpec, composition_code,
                                       composition_witness,
@@ -137,6 +138,18 @@ def test_distinct_partitions_of_3_give_inequivalent_codes():
              for inner in ((3,), (2, 1), (1, 1, 1))]
     for a, b in itertools.combinations(codes, 2):
         assert equivalent_codes(a, b) is None
+
+
+@pytest.mark.parametrize("N,points", [(4, 6**5), (5, 6**6)])
+def test_distinct_partitions_of_4_and_5_give_inequivalent_codes(N, points):
+    # lengths 5 and 6 over 6 symbols: their intercalate profiles differ,
+    # so each pair is decided before any isotopism search
+    budget = SearchBudget(max_points=points)
+    codes = [composition_code(CompositionSpec("zpz2", 3, inner))
+             for inner in partitions_of(N)]
+    assert len(codes) == {4: 5, 5: 7}[N]
+    for a, b in itertools.combinations(codes, 2):
+        assert equivalent_codes(a, b, budget=budget) is None
 
 
 def test_partitions_of_4_exceed_the_equivalence_budget():

@@ -9,6 +9,7 @@ from topolinear.counting import (lower_bound_report, partition_asymptotic,
                                  partition_exact, partitions_of,
                                  quadratic_form_count, ratio_report,
                                  upper_triangular_forms)
+from topolinear.isometry import equivalent_codes
 
 
 def partition_dp(N):
@@ -111,7 +112,6 @@ def test_lower_bound_cross_class_pairs_truly_fail():
     b = rep.classes[1][0]
     codes = [quadratic_code(QuadraticSpec.make(2, 1, 3, alpha=f))
              for f in rep.forms]
-    from topolinear.isometry import equivalent_codes
     assert equivalent_codes(codes[a], codes[b]) is None
 
 
@@ -161,6 +161,19 @@ def test_lower_bound_report_still_sweeps_the_64_forms_of_gf2_n4(monkeypatch):
                         lambda a, b, budget: calls.append((a, b)))
     rep = lower_bound_report(2, 1, 4)
     assert rep.verified and rep.form_count == 64 and len(calls) == 2016
+
+
+def test_lower_bound_report_resolves_gf2_n4_into_three_classes():
+    rep = lower_bound_report(2, 1, 4)
+    assert rep.verified and [len(c) for c in rep.classes] == [8, 48, 8]
+    codes = [quadratic_code(QuadraticSpec.make(2, 1, 4, alpha=f))
+             for f in rep.forms]
+    # one replayed witness per merge joins each class
+    assert len(rep.witnesses) == 64 - 3
+    for (i, j), w in rep.witnesses.items():
+        assert w.apply_code(codes[i]).words == codes[j].words
+    a, b = rep.classes[0][0], rep.classes[1][0]
+    assert equivalent_codes(codes[a], codes[b]) is None
 
 
 def test_lower_bound_report_custom_budget():

@@ -1,10 +1,9 @@
 """Smoke test: the quick demos run to completion.
 
-Each demo calls the transitivity and topolinear verdicts on real codes, so a
-change that breaks them shows here as a non-zero exit. `cli_walkthrough`
-(about 6 s, a dozen interpreter starts) and `composition_assembly` (about
-12 s of exhaustive equivalence search) stay manual: run them by hand after a
-change to the command line or to the equivalence search.
+Each demo calls the transitivity, topolinear or equivalence verdicts on real
+codes, so a change that breaks them shows here as a non-zero exit.
+`cli_walkthrough` (about 6 s, a dozen interpreter starts) stays manual: run
+it by hand after a change to the command line.
 """
 import os
 import subprocess
@@ -17,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["twisted_loop_tour", "q4_census",
-                                  "quadratic_family", "g_loop_gallery"])
+                                  "quadratic_family", "g_loop_gallery",
+                                  "composition_assembly"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],

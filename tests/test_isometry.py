@@ -12,14 +12,16 @@ from topolinear.budget import BudgetExceeded, SearchBudget
 from topolinear.classify_q4 import (all_latin_squares, code_h,
                                     standard_semilinear_code)
 from topolinear.codes import MdsCode, NAryQuasigroup, graph_of, parity_code
-from topolinear.constructions import (CONSTRUCTIONS, IteratedGroupSpec,
-                                      QuadraticSpec, chase_to_zero_cp,
+from topolinear.constructions import (CONSTRUCTIONS, CompositionSpec,
+                                      IteratedGroupSpec, QuadraticSpec,
+                                      chase_to_zero_cp, composition_code,
                                       composition_witness, cp_autotopism_a1,
                                       cp_autotopism_a2, cp_autotopism_a3,
                                       cp_regular_generators, cp_regular_witness,
                                       element_inverse, ic_p_generators,
                                       iterated_code, quadratic_code,
                                       quadratic_witness, regular_group_iterated)
+from topolinear.counting import upper_triangular_forms
 from topolinear.isometry import (Isometry, Isotopism, TransitivityCertificate,
                                  _regular_subgroup_search, autotopism_search,
                                  equivalent_codes, is_isotopically_transitive,
@@ -807,3 +809,121 @@ def test_provenance_bearing_code_translated_off_zero_is_searched_without_a_note(
     top = is_topolinear(T)
     assert top.status is True and "hint" not in top.reason
     assert replays_as_a_group(T, top.group)
+
+
+# ---------------------------------------------------------------------------
+# code equivalence: intercalate profiles before any search
+
+def random_isometry(M, rng):
+    eps = list(range(M.n))
+    rng.shuffle(eps)
+    return Isometry(random_isotopism(M.q, M.n, rng), eps)
+
+
+def exhaustive_equivalence(M1, M2):
+    """Reference: every coordinate permutation searched in turn, with no
+    invariant to rule one out."""
+    if (M1.q, M1.n) != (M2.q, M2.n) or len(M1) != len(M2):
+        return None
+    for eps in itertools.permutations(range(M1.n)):
+        found = next(search_isotopisms(isometry.parastrophe(M1, eps), M2), None)
+        if found is not None:
+            return Isometry(found, eps)
+    return None
+
+
+def test_equivalent_codes_searches_a_non_mds_word_set():
+    # its restrictions are no Latin squares, so the profiles prove nothing
+    M = MdsCode(2, 3, [(0, 0, 0), (0, 0, 1)])
+    rng = random.Random(8)
+    for _ in range(10):
+        image = random_isometry(M, rng).apply_code(M)
+        w = equivalent_codes(M, image)
+        assert w is not None and w.apply_code(M).words == image.words
+        assert all(sorted(t) == [0, 1] for t in w.iso.taus)
+
+
+def test_search_branches_on_a_line_of_several_words():
+    # (0,0,0) and (0,0,1) share a line: neither is forced by the other
+    M = MdsCode(2, 3, [(0, 0, 0), (0, 0, 1)])
+    found = list(autotopism_search(M))
+    assert Isotopism.identity(2, 3) in found
+    assert all(g.is_automorphism_of(M) for g in found)
+
+
+def test_intercalate_count_matches_the_definition_on_all_order_4_squares():
+    def intercalates(L):
+        pairs = list(itertools.combinations(range(len(L)), 2))
+        return sum(L[r][c] == L[s][d] and L[r][d] == L[s][c]
+                   for r, s in pairs for c, d in pairs)
+
+    squares = all_latin_squares(4)
+    assert len(squares) == 576
+    for L in squares:
+        M = MdsCode(4, 3, [(r, c, L[r][c]) for r in range(4) for c in range(4)])
+        assert isometry._triple_profiles(M) == {(0, 1, 2): (intercalates(L),)}
+
+
+PROFILE_SOURCES = {
+    "twisted-3": lambda: twisted_graph_code(3),
+    "twisted-5": lambda: twisted_graph_code(5),
+    "r1": lambda: standard_semilinear_code(4, []),
+    "r2": lambda: standard_semilinear_code(4, [(0, 1), (2, 3)]),
+    "r3": lambda: standard_semilinear_code(4, [(0, 1)]),
+    "r4": lambda: standard_semilinear_code(4, [(0, 1, 2)]),
+    "H": code_h,
+    "partition-3": lambda: composition_code(CompositionSpec("zpz2", 3, (3,))),
+    "partition-21": lambda: composition_code(CompositionSpec("zpz2", 3, (2, 1))),
+    "partition-111": lambda: composition_code(CompositionSpec("zpz2", 3, (1, 1, 1))),
+    "parity-4-3": lambda: parity_code(4, 3),
+}
+
+
+@functools.cache
+def profile_source(name):
+    return PROFILE_SOURCES[name]()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PROFILE_SOURCES)), st.randoms(use_true_random=False))
+def test_triple_profiles_follow_an_isometry(name, rng):
+    M = profile_source(name)
+    g = random_isometry(M, rng)
+    before = isometry._triple_profiles(M)
+    after = isometry._triple_profiles(g.apply_code(M))
+    for T, profile in before.items():
+        assert after[tuple(sorted(g.eps[i] for i in T))] == profile, name
+
+
+def equivalence_pairs():
+    """(id, M1, M2): every pair of r1..r4 and H, every pair of GF(2) n=3
+    form codes, and seeded isometric images."""
+    rc = {name: profile_source(name) for name in ["r1", "r2", "r3", "r4", "H"]}
+    for a, b in itertools.combinations(rc, 2):
+        yield f"{a}-{b}", rc[a], rc[b]
+    forms = [quadratic_code(QuadraticSpec.make(2, 1, 3, alpha=alpha))
+             for alpha in upper_triangular_forms(2, 3)]
+    for i, j in itertools.combinations(range(len(forms)), 2):
+        yield f"gf2-n3-{i}-{j}", forms[i], forms[j]
+    rng = random.Random(81)
+    for name in ["twisted-3", "twisted-5", "H", "r4", "parity-4-3", "partition-21"]:
+        M = profile_source(name)
+        yield f"image-{name}", M, random_isometry(M, rng).apply_code(M)
+    # the triples holding coordinates 1 and 2 count 27 intercalates per
+    # square, those holding 0 and 3 count 9: this eps trades them, so only
+    # a profile compared at eps(T), not at T, matches
+    M = profile_source("partition-21")
+    swap = Isometry(random_isotopism(M.q, M.n, rng), (1, 0, 3, 2))
+    yield "image-partition-21-swapped", M, swap.apply_code(M)
+
+
+def test_profile_pruned_equivalence_matches_the_exhaustive_oracle():
+    verdicts = set()
+    for name, M1, M2 in equivalence_pairs():
+        found = equivalent_codes(M1, M2)
+        # both try permutations in lexicographic order, so the first hit is the same
+        assert found == exhaustive_equivalence(M1, M2), name
+        if found is not None:
+            assert found.apply_code(M1).words == M2.words, name
+        verdicts.add(found is not None)
+    assert verdicts == {True, False}

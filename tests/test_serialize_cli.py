@@ -13,7 +13,8 @@ from topolinear.cli import main
 from topolinear.codes import MdsCode, parity_code
 from topolinear.isometry import is_isotopically_transitive
 from topolinear.loops import make_dihedral, twisted_graph_code
-from topolinear.constructions import (BUILTIN_LOOPS, MalformedInput, builtin_loop,
+from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedInput,
+                                      builtin_loop, composition_code,
                                       loop_from_json, parse_r_expression)
 from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
@@ -362,6 +363,18 @@ def test_cli_equivalent(tmp_path):
     save_code(standard_semilinear_code(4, [(0, 1), (2, 3)]), b)
     assert main(["equivalent", a, a]) == 0
     assert main(["equivalent", a, b]) == 1
+
+
+def test_cli_partitions_of_4_are_inequivalent(tmp_path):
+    # length 5 over 6 symbols: within the command's default points budget;
+    # the intercalate profiles differ, so no isotopism search runs
+    a = str(tmp_path / "four.json")
+    b = str(tmp_path / "two-two.json")
+    save_code(composition_code(CompositionSpec("zpz2", 3, (4,))), a)
+    save_code(composition_code(CompositionSpec("zpz2", 3, (2, 2))), b)
+    start = time.perf_counter()
+    assert main(["equivalent", a, b]) == 1
+    assert time.perf_counter() - start < 30
 
 
 def test_cli_count_json(capsys):
