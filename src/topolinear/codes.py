@@ -11,7 +11,6 @@ permutes the symbols of each coordinate separately.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +87,13 @@ class MdsCode:
 
     def completion_maps(self):
         """For each direction i: dict from the word with coordinate i dropped
-        to the value at i, or to -1 when that line holds two or more words.
-        Total, and never -1, when the code is MDS."""
+        to the value at i. In an MDS code each has one key per word; on a
+        line holding several words, the last of them wins."""
         if self._complete is None:
             maps = [dict() for _ in range(self.n)]
             for w in self.words:
                 for i in range(self.n):
                     maps[i][w[:i] + w[i + 1:]] = w[i]
-            for i, m in enumerate(maps):
-                if len(m) < len(self.words):  # some line holds two words
-                    lines = Counter(w[:i] + w[i + 1:] for w in self.words)
-                    m.update((line, -1) for line, k in lines.items() if k > 1)
             self._complete = maps
         return self._complete
 
@@ -184,30 +179,26 @@ class MdsVerdict:
 
 
 def is_mds(M: MdsCode) -> MdsVerdict:
-    """Check size q^(n-1) and exactly one codeword per line.
-
-    On failure the witness is either a pair of words at distance < 2 or a
-    direction whose projection misses some line.
-    """
+    """Check size q^(n-1) and exactly one codeword per line, from the cached
+    `word_set` and `completion_maps` (a map with fewer keys than words has a
+    line holding two words). A repeated word or a shared line is witnessed
+    by the first such pair, found by scanning the words again."""
     words, q, n = M.words, M.q, M.n
     if n < 2:
         raise ValueError("codes of length < 2 are out of scope")
+    if len(M.word_set) != len(words):
+        w = next(a for a, b in zip(words, words[1:]) if a == b)  # words are sorted
+        return MdsVerdict(False, "duplicate word", (w, w))
     expected = q ** (n - 1)
-    if len(set(words)) != len(words):
-        seen = {}
-        for w in words:
-            if w in seen:
-                return MdsVerdict(False, "duplicate word", (w, w))
-            seen[w] = True
     if len(words) != expected:
         return MdsVerdict(False, f"size {len(words)} != q^(n-1) = {expected}")
-    for i in range(n):
-        proj = {}
-        for w in words:
-            key = w[:i] + w[i + 1:]
-            if key in proj:
-                return MdsVerdict(False, "two words on one line", (proj[key], w))
-            proj[key] = w
+    for i, m in enumerate(M.completion_maps()):
+        if len(m) < len(words):
+            first = {}
+            for w in words:
+                a = first.setdefault(w[:i] + w[i + 1:], w)
+                if a is not w:
+                    return MdsVerdict(False, "two words on one line", (a, w))
     return MdsVerdict(True)
 
 

@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .alphabet import from_residue_bit, pair_join, pair_split, to_residue_bit
+from .budget import BudgetExceeded
 from .codes import Isotopism, MdsCode
 from .fields import field_make
 from .loops import (BinaryQuasigroup, Loop, find_non_g_loop_order6, graph_code,
@@ -59,10 +60,22 @@ def _as_int(value, what: str) -> int:
 # ---------------------------------------------------------------------------
 # loops named or tabulated in specs and provenance
 
+# a spec file describes a code of at most this many symbols |M|*n =
+# q^(n-1)*n, over an alphabet of at most its square root (a loop of order q
+# is a q x q table)
+MAX_SPEC_SYMBOLS = 2**18
+
+
 def _fits(shape, q: int, n: int):
-    """Provenance must describe codes of its code's shape (q, n); checked on
-    the raw fields, before anything sized by them is built."""
+    """Provenance must describe codes of its code's shape (q, n), and a spec
+    (shape None) a code within MAX_SPEC_SYMBOLS; checked on the raw fields,
+    before anything sized by them is built."""
     _require(shape in (None, (q, n)), f"describes codes of shape {(q, n)}, not {shape}")
+    if shape is None and q >= 1 and n >= 2:
+        # capped power: q >= 2 words longer than the bound's bit length are too many
+        symbols = q ** min(n - 1, MAX_SPEC_SYMBOLS.bit_length()) * n
+        if max(symbols, q * q) > MAX_SPEC_SYMBOLS:
+            raise BudgetExceeded("code symbols", MAX_SPEC_SYMBOLS)
 
 
 def loop_from_json(obj, loop_only: bool = True) -> BinaryQuasigroup:

@@ -1,9 +1,9 @@
 """Finite fields GF(p^k) as dense integer-indexed tables.
 
 Elements are indices 0..q-1; index sum(c_i * p**i) stands for the coefficient
-vector (c_0..c_{k-1}) over GF(p). Multiplication goes through exp/log tables
-for a primitive element; the monic irreducible modulus is chosen as the
-lexicographically least one and recorded so outputs are reproducible.
+vector (c_0..c_{k-1}) over GF(p). Addition and multiplication are full
+tables; the monic irreducible modulus is chosen as the lexicographically
+least one and recorded so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _poly_to_index(poly: list[int], p: int) -> int:
 
 
 class FieldTable:
-    """GF(p^k) with precomputed add/mul/neg/inv and exp/log tables."""
+    """GF(p^k) with precomputed add, mul and neg tables."""
 
     def __init__(self, p: int, k: int):
         if k < 1:
@@ -117,42 +117,9 @@ class FieldTable:
 
             self.add = tuple(tuple(add_row(a, b) for b in range(q)) for a in range(q))
 
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(q):
-                mul[a][b] = mul_row(a, b)
-        self.mul_table = tuple(tuple(row) for row in mul)
+        self.mul_table = tuple(tuple(mul_row(a, b) for b in range(q)) for a in range(q))
 
         self.neg = tuple(next(b for b in range(q) if self.add[a][b] == 0) for a in range(q))
-
-        # primitive element: least g whose powers exhaust the nonzeros
-        gen = None
-        for g in range(1, q):
-            seen, x = set(), 1
-            for _ in range(q - 1):
-                x = mul[x][g]
-                seen.add(x)
-            if len(seen) == q - 1:
-                gen = g
-                break
-        assert gen is not None
-        self.generator = gen
-
-        exp = [1] * (2 * (q - 1))
-        for i in range(1, q - 1):
-            exp[i] = mul[exp[i - 1]][gen]
-        for i in range(q - 1, 2 * (q - 1)):
-            exp[i] = exp[i - (q - 1)]
-        log = [0] * q
-        for i in range(q - 1):
-            log[exp[i]] = i
-        self.exp_table = tuple(exp)
-        self.log_table = tuple(log)
-
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = exp[(q - 1) - log[a]]
-        self.inv_table = tuple(inv)
 
     def a(self, x: int, y: int) -> int:
         return self.add[x][y]
@@ -161,18 +128,7 @@ class FieldTable:
         return self.add[x][self.neg[y]]
 
     def m(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return self.exp_table[self.log_table[x] + self.log_table[y]]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self.inv_table[x]
-
-    def meta(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus),
-                "generator": self.generator}
+        return self.mul_table[x][y]
 
     def __repr__(self):
         return f"FieldTable(p={self.p}, k={self.k})"

@@ -33,6 +33,11 @@ multiset of counts over T onto the multiset over eps(T): profiles that
 differ prove two codes inequivalent, and only the eps that keep them, the
 first step of partition refinement (McKay and Piperno, J. Symb. Comput. 60,
 2014), are searched.
+
+Line completion and the intercalate counts are defined on MDS codes only,
+so the searches, and every verdict that runs one, raise ValueError naming
+the `is_mds` reason on any other word set. The explicit route and
+certificate replay search nothing: they check each witness on any word set.
 """
 
 from __future__ import annotations
@@ -156,17 +161,18 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
                       budget: SearchBudget = DEFAULT_BUDGET):
     """Yield every isotopism tau with tau(src) = dst, in deterministic order.
 
-    Slot assignment tau_i(a) = b propagates through line completion: once a
-    word has a single undetermined coordinate image, the target word is forced
-    (or shown absent); a line of dst holding several words is branched on
-    instead. Pins are pre-assigned slots {(coord, sym): sym}. A symbol no
-    word carries (only in a code that is not MDS) is mapped once, to the
-    least image left, not in every way.
+    dst must be MDS (ValueError "not an MDS code: ..." otherwise); src may be
+    any word set of its shape, and yields nothing unless it is an isotope of
+    dst. Slot assignment tau_i(a) = b propagates through line completion:
+    once a word has a single undetermined coordinate image, the line of dst
+    it lies on forces the target word (or shows it absent). Pins are
+    pre-assigned slots {(coord, sym): sym}.
     """
     if (src.q, src.n) != (dst.q, dst.n):
         raise ValueError("codes live on different point sets")
     budget.check_points(src.q, src.n)
-    if len(src) != len(dst):
+    _require_mds(dst)
+    if len(src) != len(dst) or len(src.word_set) != len(src):
         return
 
     q, n = src.q, src.n
@@ -214,8 +220,7 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
                     val = comp[j].get(tuple(im[:j] + im[j + 1:]))
                     if val is None:
                         return False
-                    if val != -1:  # a line of several words forces nothing
-                        queue.append((j, words[widx][j], val))
+                    queue.append((j, words[widx][j], val))
                 elif tuple(im) not in dst_set:
                     return False
         return True
@@ -242,7 +247,7 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
     def dfs():
         widx = pick_word()
         if widx == -1:
-            yield Isotopism(tuple(_fill(t, ti) for t, ti in zip(tau, tinv)))
+            yield Isotopism(tau)
             return
         im = img[widx]
         i = im.index(-1)
@@ -259,13 +264,10 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
         yield from dfs()
 
 
-def _fill(t: list, tinv: list) -> tuple:
-    """The partial map t as a permutation: a symbol no word carries (only
-    in a code that is not MDS) takes the least image still free."""
-    if -1 not in t:
-        return tuple(t)
-    free = iter([b for b, a in enumerate(tinv) if a == -1])
-    return tuple(next(free) if b == -1 else b for b in t)
+def _require_mds(M: MdsCode) -> None:
+    verdict = is_mds(M)
+    if not verdict:
+        raise ValueError(f"not an MDS code: {verdict.reason}")
 
 
 def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDGET):
@@ -557,26 +559,22 @@ def _profile_permutations(p1: dict, p2: dict, n: int):
 def equivalent_codes(M1: MdsCode, M2: MdsCode,
                      budget: SearchBudget = EQUIVALENCE_BUDGET):
     """Isometry carrying M1 onto M2, or None after exhausting the coordinate
-    permutations and isotopism searches.
+    permutations and isotopism searches (at once for another shape). Both
+    codes must be MDS: ValueError "not an MDS code: ..." otherwise.
 
-    When both codes are MDS, their intercalate profiles (`_triple_profiles`)
-    come first: None at once when their multisets differ, else only the
-    permutations that carry each profile onto an equal one are searched.
-    Either None is a proof, since an isometry keeps the profiles. A word set
-    that is not MDS leaves no Latin squares to count, so all n! permutations
-    are searched."""
+    Their intercalate profiles (`_triple_profiles`) come first: None at once
+    when their multisets differ, else only the permutations that carry each
+    profile onto an equal one are searched. Either None is a proof, since
+    an isometry keeps the profiles."""
     if (M1.q, M1.n) != (M2.q, M2.n):
         return None
     budget.check_points(M1.q, M1.n)
-    if len(M1) != len(M2):
+    _require_mds(M1)
+    _require_mds(M2)
+    p1, p2 = _triple_profiles(M1), _triple_profiles(M2)
+    if sorted(p1.values()) != sorted(p2.values()):
         return None
-    perms = itertools.permutations(range(M1.n))
-    if M1.n >= 3 and is_mds(M1) and is_mds(M2):
-        p1, p2 = _triple_profiles(M1), _triple_profiles(M2)
-        if sorted(p1.values()) != sorted(p2.values()):
-            return None
-        perms = _profile_permutations(p1, p2, M1.n)
-    for eps in perms:
+    for eps in _profile_permutations(p1, p2, M1.n):
         permuted = parastrophe(M1, eps)
         found = next(search_isotopisms(permuted, M2, budget=budget), None)
         if found is not None:

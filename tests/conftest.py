@@ -1,5 +1,11 @@
 import sys
 
+from hypothesis import settings
+
+# fixed examples, no deadline, and no example database written into the checkout
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
+
 
 def pytest_terminal_summary(terminalreporter):
     """Print the acceptance report after the run, outside stdout capture."""

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from topolinear import isometry
 from topolinear.budget import BudgetExceeded, SearchBudget
 from topolinear.classify_q4 import (all_latin_squares, code_h,
                                     standard_semilinear_code)
-from topolinear.codes import MdsCode, NAryQuasigroup, graph_of, parity_code
+from topolinear.codes import MdsCode, NAryQuasigroup, graph_of, is_mds, parity_code
 from topolinear.constructions import (CONSTRUCTIONS, CompositionSpec,
                                       IteratedGroupSpec, QuadraticSpec,
                                       chase_to_zero_cp, composition_code,
@@ -770,7 +771,7 @@ def isotopes(draw):
     return name, translate(image, off)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(isotopes())
 def test_verdicts_and_evidence_survive_isotopy(case):
     name, T = case
@@ -793,7 +794,7 @@ def test_isotope_sources_cover_both_verdicts():
     assert statuses == {(True, True), (False, False)}
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(st.sampled_from(["twisted-3", "composition-cp"]).flatmap(
     lambda name: points_off(isotope_source(name)[0]).map(lambda off: (name, off))))
 def test_provenance_bearing_code_translated_off_zero_is_searched_without_a_note(case):
@@ -832,25 +833,6 @@ def exhaustive_equivalence(M1, M2):
     return None
 
 
-def test_equivalent_codes_searches_a_non_mds_word_set():
-    # its restrictions are no Latin squares, so the profiles prove nothing
-    M = MdsCode(2, 3, [(0, 0, 0), (0, 0, 1)])
-    rng = random.Random(8)
-    for _ in range(10):
-        image = random_isometry(M, rng).apply_code(M)
-        w = equivalent_codes(M, image)
-        assert w is not None and w.apply_code(M).words == image.words
-        assert all(sorted(t) == [0, 1] for t in w.iso.taus)
-
-
-def test_search_branches_on_a_line_of_several_words():
-    # (0,0,0) and (0,0,1) share a line: neither is forced by the other
-    M = MdsCode(2, 3, [(0, 0, 0), (0, 0, 1)])
-    found = list(autotopism_search(M))
-    assert Isotopism.identity(2, 3) in found
-    assert all(g.is_automorphism_of(M) for g in found)
-
-
 def test_intercalate_count_matches_the_definition_on_all_order_4_squares():
     def intercalates(L):
         pairs = list(itertools.combinations(range(len(L)), 2))
@@ -884,7 +866,7 @@ def profile_source(name):
     return PROFILE_SOURCES[name]()
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.sampled_from(sorted(PROFILE_SOURCES)), st.randoms(use_true_random=False))
 def test_triple_profiles_follow_an_isometry(name, rng):
     M = profile_source(name)
@@ -927,3 +909,81 @@ def test_profile_pruned_equivalence_matches_the_exhaustive_oracle():
             assert found.apply_code(M1).words == M2.words, name
         verdicts.add(found is not None)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the searches take MDS codes only
+
+def oracle_mds(M):
+    """(ok, reason, witness) that `is_mds` must give, by comparing every pair
+    of words: the first repeated word, else a wrong size, else, direction by
+    direction, the first word sharing its line with an earlier one."""
+    words = M.words
+    for a, b in zip(words, words[1:]):
+        if a == b:
+            return False, "duplicate word", (a, a)
+    if len(words) != M.q ** (M.n - 1):
+        return False, f"size {len(words)} != q^(n-1) = {M.q ** (M.n - 1)}", None
+    for i in range(M.n):
+        for k, b in enumerate(words):
+            for a in words[:k]:
+                if all(x == y for j, (x, y) in enumerate(zip(a, b)) if j != i):
+                    return False, "two words on one line", (a, b)
+    return True, None, None
+
+
+@st.composite
+def flipped_codes(draw):
+    """(source code, the source with one entry of one word changed)."""
+    M = profile_source(draw(st.sampled_from(["H", "parity-4-3", "r4", "twisted-3"])))
+    k = draw(st.integers(0, len(M) - 1))
+    i = draw(st.integers(0, M.n - 1))
+    w = M.words[k]
+    s = draw(st.sampled_from([s for s in range(M.q) if s != w[i]]))
+    words = list(M.words)
+    words[k] = w[:i] + (s,) + w[i + 1:]
+    return M, MdsCode(M.q, M.n, words)
+
+
+def refusals(M, F):
+    """Each search entry point run with F where an MDS code belongs."""
+    base = F.words[0]
+    return [
+        lambda: next(autotopism_search(F)),
+        lambda: equivalent_codes(F, M),
+        lambda: equivalent_codes(M, F),
+        lambda: is_isotopically_transitive(F, method="pinned"),
+        lambda: is_topolinear(F),
+        # the base-word stabilizer search of is_topolinear
+        lambda: next(autotopism_search(F, pins={(i, b): b for i, b in enumerate(base)})),
+    ]
+
+
+@settings(max_examples=30)
+@given(flipped_codes())
+def test_searches_refuse_a_flipped_code(case):
+    M, F = case
+    assert oracle_mds(M) == (True, None, None) and is_mds(M)
+    verdict = is_mds(F)
+    assert (verdict.ok, verdict.reason, verdict.witness) == oracle_mds(F)
+    assert verdict.reason == "two words on one line"
+    for call in refusals(M, F):
+        with pytest.raises(ValueError, match=re.escape(f"not an MDS code: {verdict.reason}")):
+            call()
+    assert list(search_isotopisms(F, M)) == []
+
+
+def test_a_repeated_word_is_refused_and_never_searched_onto_a_code():
+    M = parity_code(4, 3)
+    words = list(M.words)
+    words[1] = words[0]  # size kept, one word missing
+    D = MdsCode(M.q, M.n, words)
+    verdict = is_mds(D)
+    assert ((verdict.ok, verdict.reason, verdict.witness) == oracle_mds(D)
+            == (False, "duplicate word", (words[0], words[0])))
+    # each word of D lies in M, but D misses one word of M
+    assert list(search_isotopisms(D, M)) == []
+    for call in refusals(M, D):
+        with pytest.raises(ValueError, match="not an MDS code: duplicate word"):
+            call()
+

@@ -341,6 +341,20 @@ def test_cli_oversized_search_exits_3(tmp_path):
     assert main(["verify", out, "--mode", "transitive"]) == 3
 
 
+@pytest.mark.parametrize("spec", [
+    {"construction": "iterated", "loop": {"name": "dihedral", "p": 2}, "n": 14},
+    {"construction": "graph", "loop": {"name": "cp", "p": 3000}},
+    {"construction": "iterated", "loop": {"name": "cp", "p": 1000000000}, "n": 3},
+], ids=["iterated-4^13-words", "graph-cp-3000", "iterated-cp-order-2e9"])
+def test_cli_construct_refuses_an_oversized_spec_before_building(tmp_path, capsys, spec):
+    path, out = write_json(tmp_path / "spec.json", spec), tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(["construct", path, str(out)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("budget exhausted: code symbols limit")
+    assert not out.exists()
+
+
 def test_cli_classify(tmp_path, capsys):
     h = str(tmp_path / "h.json")
     save_code(code_h(), h)
