@@ -11,16 +11,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .codes import Isotopism, MdsCode, NAryQuasigroup, pair_code, subcode
-from .isometry import equivalent_codes, is_isotopically_transitive
+import numpy as np
 
-X_BIT = (0, 1, 0, 1)
-Y_BIT = (0, 0, 1, 1)
+from .codes import Isotopism, MdsCode, NAryQuasigroup, is_mds, pair_code, subcode
+from .isometry import equivalent_codes, is_isotopically_transitive
 
 # the six ways to split the four symbols into a labeled pair of pairs
 _BALANCED_LABELINGS = tuple(
     labels for labels in itertools.product((0, 1), repeat=4) if sum(labels) == 2
 )
+# each labeling's relabeling onto bit pairs: the smaller symbol labeled x goes
+# to x, the larger to x + 2
+_TAUS = {lab: tuple(x + 2 * (x in lab[:u]) for u, x in enumerate(lab))
+         for lab in _BALANCED_LABELINGS}
 
 
 # ---------------------------------------------------------------------------
@@ -138,79 +141,97 @@ class SemilinearForm:
 
 def _x_labelings(M: MdsCode):
     """All joint balanced bit labelings of the coordinates under which every
-    word has x-parity zero. The last coordinate is forced word by word."""
-    words = M.words
-    n = M.n
+    word has x-parity zero, read off the slices of the MDS code M.
+
+    Fixing every coordinate except 0 and j leaves q words, which pair the
+    symbols of coordinate 0 with those of coordinate j by a bijection s_j.
+    The x-parity is constant on those words only if lab_j = lab_0 o s_j^-1
+    up to a complement. So each of the six labelings lab_0 fixes a base
+    labeling at every coordinate; it goes on only if the base x-parity is
+    one constant c on all words, and then the labelings are the base ones
+    with any set of complemented coordinates 1..n-1 of size parity c: at
+    most 6 * 2^(n-2) in all. The list is in lexicographic order of the
+    labeling tuples, which is the order of their indices in
+    _BALANCED_LABELINGS, coordinate 0 first.
+    """
+    n, w0 = M.n, M.words[0]
+    arr = M.word_array()
+    complete = M.completion_maps()
+    to_first = []  # per coordinate j: symbol at j -> symbol at 0 on w0's slice
+    for j in range(n):
+        inv = [0, 1, 2, 3]
+        if j:
+            for a in range(4):
+                inv[complete[j][(a,) + w0[1:j] + w0[j + 1:]]] = a
+        to_first.append(inv)
     found = []
+    for lab0 in _BALANCED_LABELINGS:
+        base = [tuple(lab0[a] for a in inv) for inv in to_first]
+        parity = np.asarray(base)[np.arange(n), arr].sum(axis=1) & 1
+        if parity.min() != parity.max():
+            continue
+        for flips in itertools.product((0, 1), repeat=n - 1):
+            if sum(flips) % 2 == parity[0]:
+                found.append((lab0,) + tuple(
+                    tuple(b ^ f for b in lab) for lab, f in zip(base[1:], flips)))
+    return sorted(found)
 
-    def rec(i, labels, parities):
-        if i == n - 1:
-            forced = [-1, -1, -1, -1]
-            for w, par in zip(words, parities):
-                u = w[-1]
-                if forced[u] == -1:
-                    forced[u] = par
-                elif forced[u] != par:
-                    return
-            if sum(forced) != 2 or -1 in forced:
-                return
-            found.append(labels + (tuple(forced),))
-            return
-        for lab in _BALANCED_LABELINGS:
-            rec(i + 1, labels + (lab,),
-                tuple((p ^ lab[w[i]]) for p, w in zip(parities, words)))
 
-    rec(0, (), (0,) * len(words))
-    return found
+def _y_parity_by_pattern(M: MdsCode, taus):
+    """Array over x-patterns (bit i = x-bit of coordinate i) of the y-parity
+    of the words of M relabeled by taus, or None when two words with one
+    x-pattern differ in y-parity."""
+    n = M.n
+    img = np.asarray(taus)[np.arange(n), M.word_array()]
+    patterns = (img & 1) @ (1 << np.arange(n))
+    parity = (img >> 1).sum(axis=1) & 1
+    table = np.zeros(1 << n, dtype=np.int64)
+    table[patterns] = parity
+    return table if np.array_equal(table[patterns], parity) else None
 
 
 def semilinearity_test(M: MdsCode) -> SemilinearForm | None:
     """Search per-coordinate relabelings carrying M onto a standard form and
-    return a minimum-degree one, or None when no relabeling works.
+    return a minimum-degree one, or None when no relabeling works. M must be
+    an MDS code (ValueError "not an MDS code: ..." otherwise).
 
-    Stage 1 assigns each coordinate one of the six balanced bit labelings so
-    that every word gets x-parity 0. Stage 2 checks that the y-parity is
-    constant on each x-pattern under an arbitrary bit labeling of the pair
-    classes; flipping a class label toggles that constant on a whole pattern
-    at once, so one labeling per partition decides, and the change in r stays
-    affine, which leaves every degree-2-and-up term alone.
+    Stage 1 (_x_labelings) lists the joint balanced bit labelings under
+    which every word has x-parity 0. Each labeling becomes an isotopism
+    that sends the two symbols labeled x to x and x + 2, the smaller one
+    first. Stage 2 checks that the y-parity is constant on each x-pattern.
+    The pair classes, and so the y-bits, are the same for every labeling
+    with the same lab_0, which only complements some coordinates: the check
+    runs once per lab_0, and each labeling reads its reduced function from
+    that table at the slice patterns flipped on its complemented
+    coordinates. Flipping a class label toggles the constant on a whole
+    pattern at once, so one labeling per partition decides, and the change
+    in r stays affine, which leaves every degree-2-and-up term alone. The
+    labelings are tried in stage 1's order and the first of minimum degree
+    is kept; a degree of at most 1 ends the search.
     """
     if M.q != 4:
         raise ValueError("classification is specific to alphabet size 4")
+    verdict = is_mds(M)
+    if not verdict:
+        raise ValueError(f"not an MDS code: {verdict.reason}")
     n = M.n
+    # each mask of the n-1 free x-bits, completed to even weight
+    free = np.arange(1 << (n - 1))
+    slice_patterns = free | (np.array([bin(m).count("1") & 1 for m in free]) << (n - 1))
+    ref = table = None  # the first labeling with the current lab_0, and its table
     best: SemilinearForm | None = None
     for labels in _x_labelings(M):
-        taus = []
-        for lab in labels:
-            pairs = {0: [u for u in range(4) if lab[u] == 0],
-                     1: [u for u in range(4) if lab[u] == 1]}
-            tau = [0] * 4
-            for x, syms in pairs.items():
-                tau[syms[0]] = x
-                tau[syms[1]] = x + 2
-            taus.append(tuple(tau))
-        iso = Isotopism(tuple(taus))
-        per_pattern: dict[tuple, int] = {}
-        ok = True
-        for w in M.words:
-            img = tuple(taus[i][w[i]] for i in range(n))
-            pattern = tuple(X_BIT[u] for u in img)
-            parity = sum(Y_BIT[u] for u in img) % 2
-            prev = per_pattern.setdefault(pattern, parity)
-            if prev != parity:
-                ok = False
-                break
-        if not ok:
+        taus = tuple(_TAUS[lab] for lab in labels)
+        if ref is None or taus[0] != ref[0]:
+            ref, table = taus, _y_parity_by_pattern(M, taus)
+        if table is None:
             continue
-        reduced = tuple(
-            per_pattern[tuple((mask >> i) & 1 for i in range(n - 1))
-                        + (bin(mask).count("1") % 2,)]
-            for mask in range(1 << (n - 1))
-        )
+        flipped = sum(1 << i for i in range(n) if taus[i] != ref[i])
+        reduced = tuple(int(b) for b in table[slice_patterns ^ flipped])
         monos = anf(reduced)
         degree = anf_degree(monos)
         if best is None or degree < best.degree:
-            best = SemilinearForm(iso, monos, degree)
+            best = SemilinearForm(Isotopism(taus), monos, degree)
             if degree <= 1:
                 break
     return best
@@ -257,7 +278,8 @@ def classify(M: MdsCode, locate_pair_subcode: bool = False) -> Q4Verdict:
     degree shortcut exists for codes without a standard form; code_h() is a
     transitive one, so those fall back to the pinned witness search.
     Optionally attaches a length-4 subcode isotopic to the pair code as
-    evidence for a non-semilinear verdict."""
+    evidence for a non-semilinear verdict. M must be an MDS code (ValueError
+    "not an MDS code: ..." otherwise)."""
     form = semilinearity_test(M)
     if form is not None:
         return Q4Verdict(True, form.degree, form.degree <= 2, form)

@@ -189,7 +189,13 @@ def is_mds(M: MdsCode) -> MdsVerdict:
     if len(M.word_set) != len(words):
         w = next(a for a, b in zip(words, words[1:]) if a == b)  # words are sorted
         return MdsVerdict(False, "duplicate word", (w, w))
-    expected = q ** (n - 1)
+    # multiply up to q^(n-1) only while the power is at most the size, so a
+    # huge q is refused without building or printing a huge power
+    expected, e = 1, 0
+    while e < n - 1 and expected <= len(words):
+        expected, e = expected * q, e + 1
+    if e < n - 1:
+        return MdsVerdict(False, f"size {len(words)} < q^(n-1)")
     if len(words) != expected:
         return MdsVerdict(False, f"size {len(words)} != q^(n-1) = {expected}")
     for i, m in enumerate(M.completion_maps()):

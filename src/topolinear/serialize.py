@@ -67,7 +67,7 @@ def _load(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
         raise MalformedInput(f"not valid JSON: {exc}") from exc
 
 

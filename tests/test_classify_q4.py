@@ -1,14 +1,19 @@
 import itertools
+import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from topolinear.classify_q4 import (all_latin_squares, anf, anf_degree,
+from topolinear.classify_q4 import (_BALANCED_LABELINGS, _x_labelings,
+                                    all_latin_squares, anf, anf_degree,
                                     classify, code_h, form_function,
                                     h_subcode_witness, reduced_truth,
                                     semilinearity_test,
                                     standard_semilinear_code, truth_table)
-from topolinear.codes import is_mds
-from topolinear.isometry import (autotopism_search, equivalent_codes,
+from topolinear.codes import (Isotopism, MdsCode, NAryQuasigroup, graph_of,
+                              is_mds)
+from topolinear.isometry import (Isometry, autotopism_search, equivalent_codes,
                                  is_isotopically_transitive, is_topolinear)
 
 R0 = []
@@ -145,3 +150,149 @@ def test_classify_rejects_non_q4_codes():
     from topolinear.codes import parity_code
     with pytest.raises(ValueError):
         classify(parity_code(3, 3))
+
+
+def test_classify_refuses_a_code_that_is_not_mds():
+    # the 63 words left after dropping one were called semilinear, degree 2
+    M = MdsCode(4, 4, standard_semilinear_code(4, R_PAIR).words[1:])
+    for decide in (semilinearity_test, classify):
+        with pytest.raises(ValueError, match=re.escape(
+                "not an MDS code: size 63 != q^(n-1) = 64")):
+            decide(M)
+
+
+# ---------------------------------------------------------------------------
+# reference: labelings enumerated coordinate by coordinate
+
+def dfs_x_labelings(M):
+    """Every tuple of balanced labelings of coordinates 0..n-2, depth first in
+    the order of _BALANCED_LABELINGS, with the last coordinate's labeling
+    forced word by word; the tuples under which every word has x-parity 0."""
+    words, n = M.words, M.n
+    found = []
+
+    def rec(i, labels, parities):
+        if i == n - 1:
+            forced = [-1, -1, -1, -1]
+            for w, par in zip(words, parities):
+                u = w[-1]
+                if forced[u] == -1:
+                    forced[u] = par
+                elif forced[u] != par:
+                    return
+            if sum(forced) != 2 or -1 in forced:
+                return
+            found.append(labels + (tuple(forced),))
+            return
+        for lab in _BALANCED_LABELINGS:
+            rec(i + 1, labels + (lab,),
+                tuple((p ^ lab[w[i]]) for p, w in zip(parities, words)))
+
+    rec(0, (), (0,) * len(words))
+    return found
+
+
+def reference_form(M, labelings):
+    """(taus, monomials, degree) of the first minimum-degree labeling in
+    `labelings` whose y-parity is constant on every x-pattern, read word by
+    word; None when there is none."""
+    n = M.n
+    best = None
+    for labels in labelings:
+        taus = []
+        for lab in labels:
+            tau = [0] * 4
+            for x in (0, 1):
+                low, high = [u for u in range(4) if lab[u] == x]
+                tau[low], tau[high] = x, x + 2
+            taus.append(tuple(tau))
+        per_pattern = {}
+        ok = True
+        for w in M.words:
+            img = tuple(taus[i][w[i]] for i in range(n))
+            parity = sum(u >> 1 for u in img) % 2  # symbol u = x + 2y
+            if per_pattern.setdefault(tuple(u & 1 for u in img), parity) != parity:
+                ok = False
+                break
+        if not ok:
+            continue
+        reduced = tuple(
+            per_pattern[tuple((mask >> i) & 1 for i in range(n - 1))
+                        + (bin(mask).count("1") % 2,)]
+            for mask in range(1 << (n - 1)))
+        monos = anf(reduced)
+        if best is None or anf_degree(monos) < best[2]:
+            best = (tuple(taus), monos, anf_degree(monos))
+            if best[2] <= 1:
+                break
+    return best
+
+
+def assert_matches_reference(M):
+    labelings = dfs_x_labelings(M)
+    assert _x_labelings(M) == labelings
+    form, expected = semilinearity_test(M), reference_form(M, labelings)
+    if expected is None:
+        assert form is None
+    else:
+        assert (form.witness.taus, form.monomials, form.degree) == expected
+    return form
+
+
+def test_slice_labelings_match_the_enumeration_on_every_order_4_square():
+    semilinear = 0
+    for sq in all_latin_squares(4):
+        semilinear += assert_matches_reference(graph_of(NAryQuasigroup(sq))) is not None
+    assert semilinear == 576  # every Latin square of order 4 is semilinear
+
+
+@pytest.mark.parametrize("M", [
+    standard_semilinear_code(4, R0), standard_semilinear_code(4, R_PAIR),
+    standard_semilinear_code(4, R_ONE), standard_semilinear_code(4, R_CUBIC),
+    code_h()], ids=["r1", "r2", "r3", "r4", "H"])
+def test_slice_labelings_match_the_enumeration_on_r1_to_r4_and_h(M):
+    form = assert_matches_reference(M)
+    assert (form is None) == (M == code_h())
+
+
+def scrambled(M, rng):
+    """Image of M under a random coordinate permutation and symbol relabeling."""
+    eps = rng.sample(range(M.n), M.n)
+    taus = [rng.sample(range(4), 4) for _ in range(M.n)]
+    return Isometry(Isotopism(taus), eps).apply_code(M)
+
+
+def assert_replays_onto_its_standard_form(M, form):
+    image = form.witness.apply_code(M)
+    rebuilt = standard_semilinear_code(M.n, frozenset(
+        tuple(i for i in range(M.n - 1) if mono >> i & 1) for mono in form.monomials))
+    assert image.words == rebuilt.words
+
+
+@st.composite
+def scrambled_standard_forms(draw):
+    """A standard form of length 4..6 with a monomial of degree 1..3 and up to
+    three more of at most that degree, scrambled."""
+    n = draw(st.integers(4, 6))
+    degree = draw(st.integers(1, 3))
+    top = tuple(draw(st.permutations(range(n)))[:degree])
+    rest = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=degree,
+                                  unique=True).map(tuple), max_size=3))
+    return scrambled(standard_semilinear_code(n, [top] + rest), draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=8)
+@given(scrambled_standard_forms())
+def test_slice_labelings_match_the_enumeration_on_scrambled_standard_forms(M):
+    form = assert_matches_reference(M)
+    assert form is not None
+    assert_replays_onto_its_standard_form(M, form)
+
+
+def test_a_scrambled_length_7_cubic_form_classifies_and_replays():
+    # 4096 words: enumerating the 6^6 labelings of coordinates 0..5 took
+    # tens of seconds; the slices leave 6 * 2^5 candidates at most
+    M = scrambled(standard_semilinear_code(7, [(0, 1, 2), (3, 4)]), random.Random(7))
+    v = classify(M)
+    assert (v.semilinear, v.degree, v.transitive) == (True, 3, False)
+    assert_replays_onto_its_standard_form(M, v.evidence)

@@ -262,6 +262,21 @@ def test_cli_non_mds_code_is_malformed_input(tmp_path, capsys):
     assert main(["verify", path, "--mode", "mds"]) == 1
 
 
+def test_cli_code_with_a_huge_alphabet_is_not_mds_or_malformed(tmp_path, capsys):
+    # both exited 4: q^(n-1) was printed into the reason, and an integer of
+    # more than 4300 digits failed to parse outside the JSON error handler
+    path = write_json(tmp_path / "huge.json", {"q": 10**4000, "n": 3, "words": [[0, 0, 0]]})
+    assert main(["verify", path, "--mode", "mds"]) == 1
+    assert capsys.readouterr().out.strip() == "mds: False (size 1 < q^(n-1))"
+    assert main(["verify", path, "--mode", "transitive"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "malformed input: not an MDS code: size 1 < q^(n-1)")
+    longer = tmp_path / "longer.json"
+    longer.write_text('{"q": 1' + "0" * 5000 + ', "n": 3, "words": [[0, 0, 0]]}')
+    assert main(["verify", str(longer), "--mode", "mds"]) == 2
+    assert capsys.readouterr().err.startswith("malformed input: not valid JSON: ")
+
+
 def test_cli_unexpected_errors_exit_4(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("boom")
