@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Isotopism, MdsCode, NAryQuasigroup, is_mds, pair_code, subcode
+from .codes import Isotopism, MdsCode, NAryQuasigroup, pair_code, require_mds, subcode
 from .isometry import equivalent_codes, is_isotopically_transitive
 
 # the six ways to split the four symbols into a labeled pair of pairs
@@ -71,17 +71,6 @@ def anf(truth) -> frozenset[int]:
 
 def anf_degree(monomials) -> int:
     return max((bin(m).count("1") for m in monomials), default=0)
-
-
-def reduced_truth(r, n: int) -> tuple[int, ...]:
-    """Restrict r to the even-weight slice: substitute x_n = x_1 + .. +
-    x_{n-1} and tabulate over the n-1 free variables."""
-    out = []
-    for mask in range(1 << (n - 1)):
-        xs = [(mask >> i) & 1 for i in range(n - 1)]
-        xs.append(sum(xs) % 2)
-        out.append(r(tuple(xs)) & 1)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +145,12 @@ def _x_labelings(M: MdsCode):
     """
     n, w0 = M.n, M.words[0]
     arr = M.word_array()
-    complete = M.completion_maps()
-    to_first = []  # per coordinate j: symbol at j -> symbol at 0 on w0's slice
-    for j in range(n):
-        inv = [0, 1, 2, 3]
-        if j:
-            for a in range(4):
-                inv[complete[j][(a,) + w0[1:j] + w0[j + 1:]]] = a
-        to_first.append(inv)
+    at_first = M.completion_maps()[0]
+    rest = int(M.encoded()[0]) % 4 ** (n - 1)  # w0's line key in direction 0
+    # per coordinate j: symbol b at j -> symbol at 0 on w0's slice through b
+    to_first = [[0, 1, 2, 3]] + [
+        [at_first[rest + (b - w0[j]) * 4 ** (n - 1 - j)] for b in range(4)]
+        for j in range(1, n)]
     found = []
     for lab0 in _BALANCED_LABELINGS:
         base = [tuple(lab0[a] for a in inv) for inv in to_first]
@@ -211,9 +198,7 @@ def semilinearity_test(M: MdsCode) -> SemilinearForm | None:
     """
     if M.q != 4:
         raise ValueError("classification is specific to alphabet size 4")
-    verdict = is_mds(M)
-    if not verdict:
-        raise ValueError(f"not an MDS code: {verdict.reason}")
+    require_mds(M)
     n = M.n
     # each mask of the n-1 free x-bits, completed to even weight
     free = np.arange(1 << (n - 1))
@@ -269,23 +254,21 @@ def h_subcode_witness(M: MdsCode):
     return None
 
 
-def classify(M: MdsCode, locate_pair_subcode: bool = False) -> Q4Verdict:
+def classify(M: MdsCode) -> Q4Verdict:
     """Transitivity verdict for a code over the four-symbol alphabet.
 
     Semilinear codes are decided by the degree of the reduced form: degree at
     most 2 means transitive (the standard form carries explicit witnesses),
     degree 3 or more embeds the cubic code, whose transitivity fails. No
     degree shortcut exists for codes without a standard form; code_h() is a
-    transitive one, so those fall back to the pinned witness search.
-    Optionally attaches a length-4 subcode isotopic to the pair code as
-    evidence for a non-semilinear verdict. M must be an MDS code (ValueError
-    "not an MDS code: ..." otherwise)."""
+    transitive one, so those fall back to the pinned witness search
+    (`h_subcode_witness` finds the pair-code subcode such a code holds). M
+    must be an MDS code (ValueError "not an MDS code: ..." otherwise)."""
     form = semilinearity_test(M)
     if form is not None:
         return Q4Verdict(True, form.degree, form.degree <= 2, form)
     searched = is_isotopically_transitive(M, method="pinned")
-    evidence = h_subcode_witness(M) if locate_pair_subcode else None
-    return Q4Verdict(False, None, searched.transitive, evidence)
+    return Q4Verdict(False, None, searched.transitive)
 
 
 def all_latin_squares(n: int):

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from .budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .classify_q4 import classify
-from .codes import is_mds
+from .codes import is_mds, require_mds
 from .counting import lower_bound_report, quadratic_form_count, ratio_report
 from .fields import field_make
 from .isometry import (TransitivityCertificate, equivalent_codes,
@@ -79,9 +79,10 @@ def _require_fit(cert: TransitivityCertificate, M) -> None:
 
 def _require_mds(M):
     """The searches rest on line completion, which is sound only on MDS codes."""
-    verdict = is_mds(M)
-    if not verdict:
-        raise MalformedInput(f"not an MDS code: {verdict.reason}")
+    try:
+        require_mds(M)
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from None
     return M
 
 

@@ -19,7 +19,7 @@ from .perms import compose, identity_perm, invert
 
 
 class MdsCode:
-    """Immutable word set with cached line-completion and membership indexes.
+    """Immutable word set with cached line, membership and profile indexes.
 
     Words are stored sorted lexicographically; that sorted tuple is the
     canonical form used for equality, hashing and serialization.
@@ -43,6 +43,7 @@ class MdsCode:
         self._slots = None
         self._arr = None
         self._enc = None
+        self._profiles = None
 
     def __len__(self):
         return len(self.words)
@@ -78,34 +79,78 @@ class MdsCode:
         return self._arr
 
     def encoded(self) -> np.ndarray:
-        """Sorted base-q integer encodings of the words."""
+        """The words' big-endian base-q values, in word order, which is
+        sorted order."""
         if self._enc is None:
-            arr = self.word_array()
             weights = self.q ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-            self._enc = np.sort(arr @ weights)
+            self._enc = self.word_array() @ weights
         return self._enc
 
-    def completion_maps(self):
-        """For each direction i: dict from the word with coordinate i dropped
-        to the value at i. In an MDS code each has one key per word; on a
-        line holding several words, the last of them wins."""
+    def completion_maps(self) -> list[list[int]]:
+        """The line index: for each direction i, a list from line key to the
+        symbol at i of the word on that line. A word's line key in direction
+        i is its `encoded()` value with digit i dropped, so the keys of a
+        code of q^(n-1) words run over 0..q^(n-1)-1, the size `is_mds`
+        checks before building this. The build, one scatter per direction,
+        records in `_lost_line` the first direction in which a line holds no
+        word (its entry is -1, and another line holds two), or None: an MDS
+        code has no such line."""
         if self._complete is None:
-            maps = [dict() for _ in range(self.n)]
-            for w in self.words:
-                for i in range(self.n):
-                    maps[i][w[:i] + w[i + 1:]] = w[i]
+            enc, arr = self.encoded(), self.word_array()
+            maps, self._lost_line = [], None
+            for i in range(self.n):
+                low = self.q ** (self.n - 1 - i)
+                line = np.full(len(enc), -1, dtype=np.int64)
+                line[enc // (low * self.q) * low + enc % low] = arr[:, i]
+                if self._lost_line is None and line.min() < 0:
+                    self._lost_line = i
+                maps.append(line.tolist())
             self._complete = maps
         return self._complete
 
-    def slots(self):
-        """(coordinate, symbol) -> indices of words carrying that symbol there."""
+    def slots(self) -> list[list[list[int]]]:
+        """slots()[i][s]: indices of the words carrying symbol s at coordinate i."""
         if self._slots is None:
-            table: dict[tuple[int, int], list[int]] = {}
+            table = [[[] for _ in range(self.q)] for _ in range(self.n)]
             for idx, w in enumerate(self.words):
                 for i, s in enumerate(w):
-                    table.setdefault((i, s), []).append(idx)
+                    table[i][s].append(idx)
             self._slots = table
         return self._slots
+
+    def triple_profiles(self) -> dict:
+        """3-set T of coordinates (sorted) -> the sorted intercalate counts of
+        the Latin squares left over T, one per assignment of the other
+        coordinates; computed once per code. The code must be MDS, so each
+        of those squares is full.
+
+        Rows r1 < r2 of a square link its columns by sigma: the symbol at
+        (r1, x) sits at (r2, sigma(x)). An intercalate on those rows is a
+        2-cycle of sigma, so a square costs O(q^3)."""
+        if self._profiles is None:
+            q, n = self.q, self.n
+            arr = self.word_array()
+            rows = np.array(list(itertools.combinations(range(q), 2)),
+                            dtype=np.int64).reshape(-1, 2)
+            r1, r2 = rows[:, 0], rows[:, 1:]
+            pair = np.arange(len(rows))[:, None]
+            x = np.arange(q)
+            profiles = {}
+            for T in itertools.combinations(range(n), 3):
+                a, b, c = T
+                rest = [i for i in range(n) if i not in T]
+                key = arr[:, rest] @ q ** np.arange(len(rest), dtype=np.int64)
+                square = np.arange(q ** len(rest))[:, None, None]
+                symbol = np.empty((len(square), q, q), dtype=np.int64)  # [square, row, column]
+                symbol[key, arr[:, a], arr[:, b]] = arr[:, c]
+                column = np.empty_like(symbol)  # [square, row, symbol]
+                column[key, arr[:, a], arr[:, c]] = arr[:, b]
+                sigma = column[square, r2, symbol[:, r1, :]]  # [square, row pair, x]
+                back = sigma[square, pair, sigma]
+                counts = ((back == x) & (sigma != x)).sum(axis=(1, 2)) // 2
+                profiles[T] = tuple(sorted(counts.tolist()))
+            self._profiles = profiles
+        return self._profiles
 
 
 class Isotopism:
@@ -180,9 +225,10 @@ class MdsVerdict:
 
 def is_mds(M: MdsCode) -> MdsVerdict:
     """Check size q^(n-1) and exactly one codeword per line, from the cached
-    `word_set` and `completion_maps` (a map with fewer keys than words has a
-    line holding two words). A repeated word or a shared line is witnessed
-    by the first such pair, found by scanning the words again."""
+    `word_set` and the record the `completion_maps` build keeps of a line
+    that lost its word. A repeated word or a shared line is witnessed by the
+    first such pair (for a line, in the first direction that record names),
+    found by scanning the words again."""
     words, q, n = M.words, M.q, M.n
     if n < 2:
         raise ValueError("codes of length < 2 are out of scope")
@@ -198,14 +244,22 @@ def is_mds(M: MdsCode) -> MdsVerdict:
         return MdsVerdict(False, f"size {len(words)} < q^(n-1)")
     if len(words) != expected:
         return MdsVerdict(False, f"size {len(words)} != q^(n-1) = {expected}")
-    for i, m in enumerate(M.completion_maps()):
-        if len(m) < len(words):
-            first = {}
-            for w in words:
-                a = first.setdefault(w[:i] + w[i + 1:], w)
-                if a is not w:
-                    return MdsVerdict(False, "two words on one line", (a, w))
+    M.completion_maps()
+    i = M._lost_line
+    if i is not None:
+        first = {}
+        for w in words:
+            a = first.setdefault(w[:i] + w[i + 1:], w)
+            if a is not w:
+                return MdsVerdict(False, "two words on one line", (a, w))
     return MdsVerdict(True)
+
+
+def require_mds(M: MdsCode) -> None:
+    """ValueError "not an MDS code: <the is_mds reason>" unless M is MDS."""
+    verdict = is_mds(M)
+    if not verdict:
+        raise ValueError(f"not an MDS code: {verdict.reason}")
 
 
 class NAryQuasigroup:
@@ -241,17 +295,11 @@ def graph_of(f: NAryQuasigroup, provenance=None) -> MdsCode:
 
 def quasigroup_of(M: MdsCode, output_coord: int) -> NAryQuasigroup:
     """Invert graph_of: read coordinate output_coord as a function of the rest
-    (kept in coordinate order)."""
+    (kept in coordinate order). Its line key is the table's flat index."""
     if not 0 <= output_coord < M.n:
         raise ValueError("output coordinate out of range")
-    verdict = is_mds(M)
-    if not verdict:
-        raise ValueError(f"not an MDS code: {verdict.reason}")
-    shape = (M.q,) * (M.n - 1)
-    table = np.zeros(shape, dtype=np.int64)
-    for w in M.words:
-        key = w[:output_coord] + w[output_coord + 1:]
-        table[key] = w[output_coord]
+    require_mds(M)
+    table = np.reshape(M.completion_maps()[output_coord], (M.q,) * (M.n - 1))
     return NAryQuasigroup(table)
 
 

@@ -45,10 +45,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .budget import BudgetExceeded, DEFAULT_BUDGET, EQUIVALENCE_BUDGET, SearchBudget
-from .codes import Isotopism, MdsCode, is_mds
+from .codes import Isotopism, MdsCode, require_mds
 from .constructions import construction_hint, dropped_hint
 from .perms import compose, invert
 
@@ -163,15 +161,18 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
 
     dst must be MDS (ValueError "not an MDS code: ..." otherwise); src may be
     any word set of its shape, and yields nothing unless it is an isotope of
-    dst. Slot assignment tau_i(a) = b propagates through line completion:
-    once a word has a single undetermined coordinate image, the line of dst
-    it lies on forces the target word (or shows it absent). Pins are
+    dst. Slot assignment tau_i(a) = b propagates through line completion.
+    Each word of src keeps the base-q value of its images assigned so far
+    and the sum of its unassigned coordinates: once one coordinate j is left,
+    that sum is j, and the line key of the image in direction j reads the
+    forced image off `dst.completion_maps()`. A full image lies in dst when
+    the line through it in the direction assigned last holds it. Pins are
     pre-assigned slots {(coord, sym): sym}.
     """
     if (src.q, src.n) != (dst.q, dst.n):
         raise ValueError("codes live on different point sets")
     budget.check_points(src.q, src.n)
-    _require_mds(dst)
+    require_mds(dst)
     if len(src) != len(dst) or len(src.word_set) != len(src):
         return
 
@@ -179,12 +180,14 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
     words = src.words
     nwords = len(words)
     comp = dst.completion_maps()
-    dst_set = dst.word_set
     slots = src.slots()
+    low = [q ** (n - 1 - i) for i in range(n)]  # weight of coordinate i
+    high = [q * w for w in low]
 
     tau = [[-1] * q for _ in range(n)]
     tinv = [[-1] * q for _ in range(n)]
-    img = [[-1] * n for _ in range(nwords)]
+    acc = [0] * nwords  # base-q value of the images assigned so far
+    miss = [n * (n - 1) // 2] * nwords  # sum of the unassigned coordinates
     unk = [n] * nwords
     trail: list[tuple[int, int, int]] = []
     nodes = 0
@@ -208,20 +211,20 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
             tinv[i][b] = a
             trail.append((i, a, b))
             pending = []
-            for widx in slots.get((i, a), ()):
-                img[widx][i] = b
+            step = b * low[i]
+            for widx in slots[i][a]:
+                acc[widx] += step
+                miss[widx] -= i
                 unk[widx] -= 1
                 if unk[widx] <= 1:
                     pending.append(widx)
             for widx in pending:
-                im = img[widx]
-                if unk[widx] == 1:
-                    j = im.index(-1)
-                    val = comp[j].get(tuple(im[:j] + im[j + 1:]))
-                    if val is None:
-                        return False
+                u, k = unk[widx], acc[widx]
+                j = miss[widx] if u else i
+                val = comp[j][k // high[j] * low[j] + k % low[j]]
+                if u:
                     queue.append((j, words[widx][j], val))
-                elif tuple(im) not in dst_set:
+                elif val != b:
                     return False
         return True
 
@@ -230,8 +233,10 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
             i, a, b = trail.pop()
             tau[i][a] = -1
             tinv[i][b] = -1
-            for widx in slots.get((i, a), ()):
-                img[widx][i] = -1
+            step = b * low[i]
+            for widx in slots[i][a]:
+                acc[widx] -= step
+                miss[widx] += i
                 unk[widx] += 1
 
     def pick_word():
@@ -249,9 +254,9 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
         if widx == -1:
             yield Isotopism(tau)
             return
-        im = img[widx]
-        i = im.index(-1)
-        a = words[widx][i]
+        w = words[widx]
+        i = next(i for i in range(n) if tau[i][w[i]] == -1)
+        a = w[i]
         for b in range(q):
             if tinv[i][b] != -1:
                 continue
@@ -262,12 +267,6 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
 
     if all(assign(i, a, b) for (i, a), b in (pins or {}).items()):
         yield from dfs()
-
-
-def _require_mds(M: MdsCode) -> None:
-    verdict = is_mds(M)
-    if not verdict:
-        raise ValueError(f"not an MDS code: {verdict.reason}")
 
 
 def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDGET):
@@ -507,37 +506,6 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
 # ---------------------------------------------------------------------------
 # code equivalence
 
-def _triple_profiles(M: MdsCode) -> dict:
-    """3-set T of coordinates (sorted) -> the sorted intercalate counts of
-    the Latin squares left over T, one per assignment of the other
-    coordinates. M must be MDS, so each of those squares is full.
-
-    Rows r1 < r2 of a square link its columns by sigma: the symbol at
-    (r1, x) sits at (r2, sigma(x)). An intercalate on those rows is a
-    2-cycle of sigma, so a square costs O(q^3)."""
-    q, n = M.q, M.n
-    arr = M.word_array()
-    rows = np.array(list(itertools.combinations(range(q), 2)), dtype=np.int64).reshape(-1, 2)
-    r1, r2 = rows[:, 0], rows[:, 1:]
-    pair = np.arange(len(rows))[:, None]
-    x = np.arange(q)
-    profiles = {}
-    for T in itertools.combinations(range(n), 3):
-        a, b, c = T
-        rest = [i for i in range(n) if i not in T]
-        key = arr[:, rest] @ q ** np.arange(len(rest), dtype=np.int64)
-        square = np.arange(q ** len(rest))[:, None, None]
-        symbol = np.empty((len(square), q, q), dtype=np.int64)  # [square, row, column]
-        symbol[key, arr[:, a], arr[:, b]] = arr[:, c]
-        column = np.empty_like(symbol)  # [square, row, symbol]
-        column[key, arr[:, a], arr[:, c]] = arr[:, b]
-        sigma = column[square, r2, symbol[:, r1, :]]  # [square, row pair, x]
-        back = sigma[square, pair, sigma]
-        counts = ((back == x) & (sigma != x)).sum(axis=(1, 2)) // 2
-        profiles[T] = tuple(sorted(counts.tolist()))
-    return profiles
-
-
 def _profile_permutations(p1: dict, p2: dict, n: int):
     """The coordinate permutations eps with p1[T] == p2[eps(T)] for every
     3-set T, in lexicographic order; a prefix is dropped at the first T
@@ -562,16 +530,16 @@ def equivalent_codes(M1: MdsCode, M2: MdsCode,
     permutations and isotopism searches (at once for another shape). Both
     codes must be MDS: ValueError "not an MDS code: ..." otherwise.
 
-    Their intercalate profiles (`_triple_profiles`) come first: None at once
-    when their multisets differ, else only the permutations that carry each
-    profile onto an equal one are searched. Either None is a proof, since
-    an isometry keeps the profiles."""
+    Their intercalate profiles (`MdsCode.triple_profiles`) come first: None
+    at once when their multisets differ, else only the permutations that
+    carry each profile onto an equal one are searched. Either None is a
+    proof, since an isometry keeps the profiles."""
     if (M1.q, M1.n) != (M2.q, M2.n):
         return None
     budget.check_points(M1.q, M1.n)
-    _require_mds(M1)
-    _require_mds(M2)
-    p1, p2 = _triple_profiles(M1), _triple_profiles(M2)
+    require_mds(M1)
+    require_mds(M2)
+    p1, p2 = M1.triple_profiles(), M2.triple_profiles()
     if sorted(p1.values()) != sorted(p2.values()):
         return None
     for eps in _profile_permutations(p1, p2, M1.n):

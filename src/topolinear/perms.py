@@ -9,10 +9,6 @@ def identity_perm(q: int) -> tuple[int, ...]:
     return tuple(range(q))
 
 
-def is_permutation(seq, q: int) -> bool:
-    return len(seq) == q and sorted(seq) == list(range(q))
-
-
 def compose(a, b) -> tuple[int, ...]:
     """(a o b)(x) = a(b(x)); b is applied first."""
     return tuple(a[b[x]] for x in range(len(a)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from topolinear.classify_q4 import (_BALANCED_LABELINGS, _x_labelings,
                                     all_latin_squares, anf, anf_degree,
                                     classify, code_h, form_function,
-                                    h_subcode_witness, reduced_truth,
+                                    h_subcode_witness,
                                     semilinearity_test,
                                     standard_semilinear_code, truth_table)
 from topolinear.codes import (Isotopism, MdsCode, NAryQuasigroup, graph_of,
@@ -36,15 +36,6 @@ def test_anf_round_trip_degrees():
             for mono in masks:
                 val ^= int(mono & m == mono)
             assert val == truth[m]
-
-
-def test_reduced_truth_substitutes_the_forced_variable():
-    r = form_function([(0, 3)])  # depends on the eliminated coordinate
-    red = reduced_truth(r, 4)
-    for m in range(8):
-        xs = [(m >> i) & 1 for i in range(3)]
-        xs.append(xs[0] ^ xs[1] ^ xs[2])
-        assert red[m] == r(xs)
 
 
 @pytest.mark.parametrize("monomials,degree,transitive", [

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from topolinear.classify_q4 import semilinearity_test
 from topolinear.codes import (MdsCode, NAryQuasigroup, graph_of, is_mds,
-                              pair_code, parity_code, quasigroup_of, subcode)
+                              pair_code, parity_code, quasigroup_of,
+                              require_mds, subcode)
 from topolinear.loops import random_latin_square
 
 
@@ -70,6 +72,20 @@ def test_quasigroup_of_other_coordinate():
     for x1 in range(3):
         for x2 in range(3):
             assert g.table[x1][x2] == (-(x1 + x2)) % 3
+
+
+def test_require_mds_is_the_one_gate():
+    M = parity_code(4, 3)
+    assert require_mds(M) is None
+    words = list(M.words)
+    words[0] = (0, 1, 0)  # shares its line in direction 0 with (3, 1, 0)
+    F = MdsCode(4, 3, words)
+    assert (is_mds(F).reason, is_mds(F).witness) == ("two words on one line",
+                                                     ((0, 1, 0), (3, 1, 0)))
+    for call in (lambda: require_mds(F), lambda: quasigroup_of(F, 0),
+                 lambda: semilinearity_test(F)):
+        with pytest.raises(ValueError, match="^not an MDS code: two words on one line$"):
+            call()
 
 
 def test_pair_code_size_and_mds():

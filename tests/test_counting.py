@@ -4,6 +4,7 @@ import pytest
 
 from topolinear import counting
 from topolinear.budget import SearchBudget
+from topolinear.codes import MdsCode
 from topolinear.constructions import QuadraticSpec, quadratic_code
 from topolinear.counting import (lower_bound_report, partition_asymptotic,
                                  partition_exact, partitions_of,
@@ -174,6 +175,21 @@ def test_lower_bound_report_resolves_gf2_n4_into_three_classes():
         assert w.apply_code(codes[i]).words == codes[j].words
     a, b = rep.classes[0][0], rep.classes[1][0]
     assert equivalent_codes(codes[a], codes[b]) is None
+
+
+def test_lower_bound_report_profiles_each_code_once(monkeypatch):
+    built = []
+    profiles = MdsCode.triple_profiles
+
+    def counted(self):
+        if self._profiles is None:
+            built.append(self)
+        return profiles(self)
+
+    monkeypatch.setattr(MdsCode, "triple_profiles", counted)
+    rep = lower_bound_report(2, 1, 4)
+    assert rep.verified and [len(c) for c in rep.classes] == [8, 48, 8]
+    assert len(built) == len(set(map(id, built))) == 64
 
 
 def test_lower_bound_report_custom_budget():

@@ -843,7 +843,7 @@ def test_intercalate_count_matches_the_definition_on_all_order_4_squares():
     assert len(squares) == 576
     for L in squares:
         M = MdsCode(4, 3, [(r, c, L[r][c]) for r in range(4) for c in range(4)])
-        assert isometry._triple_profiles(M) == {(0, 1, 2): (intercalates(L),)}
+        assert M.triple_profiles() == {(0, 1, 2): (intercalates(L),)}
 
 
 PROFILE_SOURCES = {
@@ -871,8 +871,8 @@ def profile_source(name):
 def test_triple_profiles_follow_an_isometry(name, rng):
     M = profile_source(name)
     g = random_isometry(M, rng)
-    before = isometry._triple_profiles(M)
-    after = isometry._triple_profiles(g.apply_code(M))
+    before = M.triple_profiles()
+    after = g.apply_code(M).triple_profiles()
     for T, profile in before.items():
         assert after[tuple(sorted(g.eps[i] for i in T))] == profile, name
 
@@ -987,3 +987,160 @@ def test_a_repeated_word_is_refused_and_never_searched_onto_a_code():
         with pytest.raises(ValueError, match="not an MDS code: duplicate word"):
             call()
 
+
+
+# ---------------------------------------------------------------------------
+# the integer line index and the search that reads it
+
+def dict_search(src, dst, pins=None, budget=isometry.DEFAULT_BUDGET):
+    """Reference: the search as it ran on a dict index keyed by the word with
+    one coordinate dropped, a per-word image matrix and a word-set probe of
+    dst. Same DFS order, so the same isotopisms in the same order."""
+    budget.check_points(src.q, src.n)
+    if len(src) != len(dst) or len(set(src.words)) != len(src):
+        return
+    q, n, words = src.q, src.n, src.words
+    comp = [{w[:i] + w[i + 1:]: w[i] for w in dst.words} for i in range(n)]
+    dst_set = set(dst.words)
+    slots = {}
+    for idx, w in enumerate(words):
+        for i, s in enumerate(w):
+            slots.setdefault((i, s), []).append(idx)
+    tau = [[-1] * q for _ in range(n)]
+    tinv = [[-1] * q for _ in range(n)]
+    img = [[-1] * n for _ in words]
+    unk = [n] * len(words)
+    trail = []
+    nodes = 0
+
+    def assign(i0, a0, b0):
+        nonlocal nodes
+        queue = [(i0, a0, b0)]
+        while queue:
+            i, a, b = queue.pop()
+            if tau[i][a] != -1:
+                if tau[i][a] != b:
+                    return False
+                continue
+            if tinv[i][b] != -1:
+                return False
+            nodes += 1
+            if nodes > budget.max_nodes:
+                raise BudgetExceeded("search nodes", budget.max_nodes)
+            tau[i][a], tinv[i][b] = b, a
+            trail.append((i, a, b))
+            pending = []
+            for widx in slots.get((i, a), ()):
+                img[widx][i] = b
+                unk[widx] -= 1
+                if unk[widx] <= 1:
+                    pending.append(widx)
+            for widx in pending:
+                im = img[widx]
+                if unk[widx] == 1:
+                    j = im.index(-1)
+                    val = comp[j].get(tuple(im[:j] + im[j + 1:]))
+                    if val is None:
+                        return False
+                    queue.append((j, words[widx][j], val))
+                elif tuple(im) not in dst_set:
+                    return False
+        return True
+
+    def undo_to(mark):
+        while len(trail) > mark:
+            i, a, b = trail.pop()
+            tau[i][a] = tinv[i][b] = -1
+            for widx in slots.get((i, a), ()):
+                img[widx][i] = -1
+                unk[widx] += 1
+
+    def pick_word():
+        best, best_u = -1, n + 1
+        for widx in range(len(words)):
+            u = unk[widx]
+            if 0 < u < best_u:
+                best, best_u = widx, u
+                if u == 2:
+                    break
+        return best
+
+    def dfs():
+        widx = pick_word()
+        if widx == -1:
+            yield Isotopism(tau)
+            return
+        i = img[widx].index(-1)
+        for b in range(q):
+            if tinv[i][b] == -1:
+                mark = len(trail)
+                if assign(i, words[widx][i], b):
+                    yield from dfs()
+                undo_to(mark)
+
+    if all(assign(i, a, b) for (i, a), b in (pins or {}).items()):
+        yield from dfs()
+
+
+def search_cases():
+    """(name, code) pairs for the reference comparison."""
+    cases = [("twisted-3", scrambled(twisted_graph_code(3), 41)),
+             ("twisted-5", scrambled(twisted_graph_code(5), 42)),
+             ("H", code_h()), ("parity-4-3", parity_code(4, 3))]
+    cases += [(name, profile_source(name)) for name in ["r1", "r2", "r3", "r4"]]
+    return cases
+
+
+def test_search_matches_the_dict_keyed_reference():
+    rng = random.Random(43)
+    pinned_hits = set()
+    for name, M in search_cases():
+        base = M.words[0]
+        image = random_isotopism(M.q, M.n, rng).apply_code(M)
+        for src, dst in [(M, M), (image, M), (M, image)]:
+            found = list(search_isotopisms(src, dst))
+            assert found and found == list(dict_search(src, dst)), name
+        for w in (base, M.words[1], M.words[len(M) // 2], M.words[-1]):
+            pins = {(i, b): w[i] for i, b in enumerate(base)}
+            found = list(search_isotopisms(M, M, pins=pins))
+            assert found == list(dict_search(M, M, pins=pins)), (name, w)
+            pinned_hits.add(bool(found))
+    assert pinned_hits == {True, False}  # r4 is not transitive
+
+
+def test_search_over_parastrophes_matches_the_dict_keyed_reference():
+    M1 = profile_source("H")
+    M2 = random_isometry(M1, random.Random(44)).apply_code(M1)
+    hits = 0
+    for eps in itertools.permutations(range(M1.n)):
+        src = isometry.parastrophe(M1, eps)
+        found = list(search_isotopisms(src, M2))
+        assert found == list(dict_search(src, M2)), eps
+        hits += bool(found)
+    assert 0 < hits < 24
+
+
+def test_search_stops_at_the_same_node_as_the_reference():
+    M = scrambled(twisted_graph_code(5), 42)
+    budget = SearchBudget(max_nodes=400)
+    runs = []
+    for search in (search_isotopisms, dict_search):
+        found = []
+        with pytest.raises(BudgetExceeded, match="search nodes limit 400"):
+            for g in search(M, M, budget=budget):
+                found.append(g)
+        runs.append(found)
+    assert runs[0] == runs[1] and runs[0]
+
+
+def test_line_keys_read_back_each_words_own_symbol():
+    for name, M in oracle_cases():
+        maps = M.completion_maps()
+        assert M._lost_line is None, name
+        for i in range(M.n):
+            assert len(maps[i]) == len(M), name
+            for w in M.words:
+                key = 0
+                for s in w[:i] + w[i + 1:]:
+                    key = key * M.q + s
+                assert maps[i][key] == w[i], (name, i, w)

@@ -4,8 +4,7 @@ import pytest
 
 from topolinear.fields import field_make
 from topolinear.perms import (compose, cycle_type, identity_perm, invert,
-                              is_permutation, random_permutation,
-                              transposition)
+                              random_permutation, transposition)
 
 
 def test_compose_applies_right_factor_first():
@@ -23,12 +22,6 @@ def test_invert_round_trip():
         a = random_permutation(q, rng)
         assert compose(a, invert(a)) == identity_perm(q)
         assert compose(invert(a), a) == identity_perm(q)
-
-
-def test_is_permutation():
-    assert is_permutation((2, 0, 1), 3)
-    assert not is_permutation((0, 0, 1), 3)
-    assert not is_permutation((0, 1), 3)
 
 
 def test_transposition_is_an_involution():
