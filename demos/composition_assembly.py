@@ -7,8 +7,7 @@ integer partition of the total block arity, and distinct partitions give
 inequivalent codes.
 """
 
-from topolinear import (DEFAULT_BUDGET, BudgetExceeded, CompositionSpec,
-                        composition_code, composition_witness,
+from topolinear import (CompositionSpec, composition_code, composition_witness,
                         equivalent_codes, is_mds, partitions_of)
 
 # the smallest interesting instance: outer twisted loop of order 6
@@ -35,14 +34,9 @@ for i in range(len(parts)):
         verdict = equivalent_codes(codes[parts[i]], codes[parts[j]])
         print(f"{parts[i]} ~ {parts[j]}: {verdict is not None}")
 
-# partitions of 4 give length-5 codes over 6 symbols: past the library's
-# equivalence budget of 6^4 points, but within the default budget, where
-# their intercalate profiles differ and decide the pair before any search
+# partitions of 4 give length-5 codes over 6 symbols: their intercalate
+# profiles differ and decide the pair before any search
 a = composition_code(CompositionSpec("zpz2", 3, (4,)))
 b = composition_code(CompositionSpec("zpz2", 3, (2, 2)))
-try:
-    equivalent_codes(a, b)
-except BudgetExceeded as exc:
-    print(f"length-5 comparison refused: {exc}")
-verdict = equivalent_codes(a, b, budget=DEFAULT_BUDGET)
-print(f"(4,) ~ (2, 2) under the default budget: {verdict is not None}")
+verdict = equivalent_codes(a, b)
+print(f"(4,) ~ (2, 2): {verdict is not None}")

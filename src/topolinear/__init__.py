@@ -1,7 +1,6 @@
 """Distance-2 MDS codes: constructions, symmetry certificates, search."""
 
-from .budget import (DEFAULT_BUDGET, EQUIVALENCE_BUDGET, BudgetExceeded,
-                     SearchBudget)
+from .budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .codes import (MdsCode, NAryQuasigroup, graph_of, is_mds, pair_code,
                     parity_code, quasigroup_of, subcode)
 from .loops import (Loop, cyclic_loop, find_non_g_loop_order6, graph_code,

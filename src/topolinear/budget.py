@@ -20,10 +20,12 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for the backtracking searches.
+    """Bounds for one verdict.
 
-    max_points caps q**n for a single code; max_nodes caps assignments tried in
-    one backtracking search, and so the base-word stabilizer it can list.
+    max_points caps q**n for a single code: each verdict checks it once, on
+    entry, since its certificate or group holds q**n * n symbols.
+    max_nodes caps assignments tried in one backtracking search, and so the
+    base-word stabilizer it can list.
     """
 
     max_points: int = 6**5
@@ -35,6 +37,3 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
-
-# Pair-equivalence search stays tiny: alphabet at most 6, length at most 4.
-EQUIVALENCE_BUDGET = SearchBudget(max_points=6**4)

@@ -50,7 +50,6 @@ def _emit(args, human: str, payload: dict):
 
 def _cmd_construct(args) -> int:
     M = load_spec(args.spec)
-    save_code(M, args.out)
     if args.certificate:
         res = is_isotopically_transitive(M, budget=_budget(args))
         if not res.transitive or res.certificate is None:
@@ -61,6 +60,8 @@ def _cmd_construct(args) -> int:
         upgraded = TransitivityCertificate("topolinear", cert.base, cert.witnesses)
         if upgraded.verify(M)[0]:
             cert = upgraded
+    save_code(M, args.out)  # after the verdict: a refusal leaves no file
+    if args.certificate:
         save_certificate(cert, args.certificate)
     _emit(args, f"wrote {len(M)} words (q={M.q}, n={M.n}) to {args.out}",
           {"q": M.q, "n": M.n, "words": len(M), "out": args.out})
@@ -107,7 +108,6 @@ def _cmd_verify(args) -> int:
 
     _require_mds(M)
     budget = _budget(args)
-    budget.check_points(M.q, M.n)
     if args.mode == "transitive":
         res = is_isotopically_transitive(M, budget=budget)
         detail = "" if res.transitive else f" (failing word {res.failing_word})"

@@ -140,7 +140,7 @@ def _parse_loop(obj, n: int, shape=None, loop_only: bool = True) -> BinaryQuasig
 @dataclass(frozen=True)
 class GraphSpec:
     """Graph of the twisted loop C_p when `p` is set, whose explicit families
-    then apply, else of the quasigroup `loop`."""
+    then apply for odd p, else of the quasigroup `loop`."""
 
     p: int | None = None
     loop: BinaryQuasigroup | None = None
@@ -764,8 +764,8 @@ def _star_witness(loop: Loop, src):
 
 
 def _graph_witness(spec: GraphSpec):
-    if spec.loop is None:
-        return lambda w: cp_regular_witness(spec.p, w)
+    if spec.loop is None:  # the cp families halve by 2 mod p
+        return None if spec.p % 2 == 0 else lambda w: cp_regular_witness(spec.p, w)
     loop = spec.loop
     if not isinstance(loop, Loop) or not is_associative(loop):
         return None

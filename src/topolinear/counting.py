@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .budget import EQUIVALENCE_BUDGET, BudgetExceeded, SearchBudget
+from .budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .constructions import QuadraticSpec, quadratic_code
 from .isometry import equivalent_codes
 
@@ -120,7 +120,8 @@ def upper_triangular_forms(q: int, n: int):
 class FormEquivalenceReport:
     """Pairwise equivalence resolution for the codes of all upper-triangular
     forms at one parameter point. `classes` lists form indices grouped by
-    code equivalence; `witnesses` maps an index pair to the isometry found.
+    code equivalence; `witnesses` maps (representative, i) to the isometry
+    carrying the code of its class's first form onto the code of form i.
     When the budget refuses the sweep, `verified` is False and only the raw
     count stands; `forms` is empty when it was refused before listing."""
     q: int
@@ -135,9 +136,10 @@ class FormEquivalenceReport:
 
 
 def lower_bound_report(q: int, s: int, n: int,
-                       budget: SearchBudget = EQUIVALENCE_BUDGET) -> FormEquivalenceReport:
+                       budget: SearchBudget = DEFAULT_BUDGET) -> FormEquivalenceReport:
     """Count the upper-triangular forms over GF(q^s) and, within budget and
-    MAX_FORM_PAIRS, resolve the pairwise equivalence of their codes."""
+    MAX_FORM_PAIRS, resolve the pairwise equivalence of their codes: each
+    code is compared with the first code of every class found so far."""
     size = q ** s
     count = quadratic_form_count(size, n)
     try:
@@ -153,28 +155,18 @@ def lower_bound_report(q: int, s: int, n: int,
     assert len(forms) == count
     codes = [quadratic_code(QuadraticSpec.make(q, s, n, alpha=alpha)) for alpha in forms]
     witnesses: dict = {}
-    parent = list(range(count))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    classes: list[list[int]] = []
     try:
         for i in range(count):
-            for j in range(i + 1, count):
-                if find(i) == find(j):
-                    continue
-                w = equivalent_codes(codes[i], codes[j], budget=budget)
+            for cls in classes:
+                w = equivalent_codes(codes[cls[0]], codes[i], budget=budget)
                 if w is not None:
-                    witnesses[(i, j)] = w
-                    parent[find(j)] = find(i)
+                    witnesses[(cls[0], i)] = w
+                    cls.append(i)
+                    break
+            else:
+                classes.append([i])
     except BudgetExceeded as exc:
         return FormEquivalenceReport(q, s, n, count, forms, None, witnesses,
                                      False, f"unverified: {exc}")
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
-    classes = sorted(groups.values())
     return FormEquivalenceReport(q, s, n, count, forms, classes, witnesses, True)

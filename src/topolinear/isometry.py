@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .budget import BudgetExceeded, DEFAULT_BUDGET, EQUIVALENCE_BUDGET, SearchBudget
+from .budget import BudgetExceeded, DEFAULT_BUDGET, SearchBudget
 from .codes import Isotopism, MdsCode, require_mds
 from .constructions import construction_hint, dropped_hint
 from .perms import compose, invert
@@ -167,11 +167,11 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
     that sum is j, and the line key of the image in direction j reads the
     forced image off `dst.completion_maps()`. A full image lies in dst when
     the line through it in the direction assigned last holds it. Pins are
-    pre-assigned slots {(coord, sym): sym}.
+    pre-assigned slots {(coord, sym): sym}. Only `budget.max_nodes` applies
+    here: the verdicts that run a search check the code's size on entry.
     """
     if (src.q, src.n) != (dst.q, dst.n):
         raise ValueError("codes live on different point sets")
-    budget.check_points(src.q, src.n)
     require_mds(dst)
     if len(src) != len(dst) or len(src.word_set) != len(src):
         return
@@ -351,10 +351,12 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
     witness; the formula starts from 0..0, so it is asked only when that is
     the base word. "pinned" finds one by a pinned search; "auto" tries
     explicit, then pinned. `generators` holds the symmetries found, which
-    generate the group of the witnesses.
+    generate the group of the witnesses. Either route holds |M| witnesses,
+    so a code of more than `budget.max_points` points is refused first.
     """
     if method not in ("auto", "explicit", "pinned"):
         raise ValueError(f"unknown method {method!r}")
+    budget.check_points(M.q, M.n)
     zero = (0,) * M.n
     base = zero if zero in M else M.words[0]
     note = ""
@@ -525,10 +527,11 @@ def _profile_permutations(p1: dict, p2: dict, n: int):
 
 
 def equivalent_codes(M1: MdsCode, M2: MdsCode,
-                     budget: SearchBudget = EQUIVALENCE_BUDGET):
+                     budget: SearchBudget = DEFAULT_BUDGET):
     """Isometry carrying M1 onto M2, or None after exhausting the coordinate
     permutations and isotopism searches (at once for another shape). Both
-    codes must be MDS: ValueError "not an MDS code: ..." otherwise.
+    codes must be MDS: ValueError "not an MDS code: ..." otherwise. Codes of
+    more than `budget.max_points` points are refused before any profile.
 
     Their intercalate profiles (`MdsCode.triple_profiles`) come first: None
     at once when their multisets differ, else only the permutations that

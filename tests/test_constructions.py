@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from topolinear.budget import BudgetExceeded, SearchBudget
+from topolinear.budget import SearchBudget
 from topolinear.codes import is_mds
 from topolinear.counting import partitions_of
 from topolinear.constructions import (CompositionSpec, IteratedGroupSpec,
@@ -18,7 +18,8 @@ from topolinear.constructions import (CompositionSpec, IteratedGroupSpec,
                                       star_product)
 from topolinear.isometry import (TransitivityCertificate, equivalent_codes,
                                  is_isotopically_transitive, is_topolinear)
-from topolinear.loops import BinaryQuasigroup, graph_code, make_cp, make_dihedral
+from topolinear.loops import (BinaryQuasigroup, graph_code, make_cp, make_dihedral,
+                             twisted_graph_code)
 from topolinear.perms import random_permutation
 
 
@@ -152,11 +153,12 @@ def test_distinct_partitions_of_4_and_5_give_inequivalent_codes(N, points):
         assert equivalent_codes(a, b, budget=budget) is None
 
 
-def test_partitions_of_4_exceed_the_equivalence_budget():
+def test_partitions_of_4_are_decided_under_the_default_budget():
+    # 6^5 points: the library's default budget, the command line's, admits
+    # the pair, and the profiles decide it
     a = composition_code(CompositionSpec("zpz2", 3, (4,)))
     b = composition_code(CompositionSpec("zpz2", 3, (2, 2)))
-    with pytest.raises(BudgetExceeded):
-        equivalent_codes(a, b)
+    assert equivalent_codes(a, b) is None
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +222,14 @@ def test_graph_code_of_a_quasigroup_has_no_hint_to_drop():
     assert trans.transitive and trans.reason == ""
     res = is_topolinear(M)
     assert res.status is True and "dropped" not in res.reason
+
+
+def test_twisted_graph_of_even_p_has_no_hint_to_drop():
+    # the cp witness formula halves mod p, so it is set up for odd p only
+    M = twisted_graph_code(4)
+    trans = is_isotopically_transitive(M)
+    assert trans.transitive and trans.method == "pinned" and trans.reason == ""
+    assert trans.certificate.verify(M) == (True, None)
 
 
 def test_element_inverse_is_two_sided_in_groups():

@@ -122,23 +122,24 @@ def test_lower_bound_report_q2_n2_is_a_single_class():
     assert rep.classes == [[0, 1]]
 
 
-def test_lower_bound_report_budget_refusal_tags_unverified():
-    rep = lower_bound_report(2, 2, 3)  # alphabet 16, 4096 points per code
-    assert not rep.verified
-    assert rep.form_count == 64
-    assert rep.classes is None
-    assert "unverified" in rep.note
+def test_lower_bound_report_gf4_n3_verifies_into_two_classes():
+    # alphabet 16, 4096 points per code: within the default budget
+    rep = lower_bound_report(2, 2, 3)
+    assert rep.verified and rep.form_count == 64
+    assert [len(c) for c in rep.classes] == [16, 48]
+    assert len(rep.witnesses) == 64 - 2
 
 
 def test_lower_bound_report_refuses_before_listing_the_forms(monkeypatch):
-    # 2^21 forms on 4^7 points: refused without listing any
+    # 2^21 forms on 4^7 points: refused without listing any, by the default
+    # budget's points bound
     def unlisted(q, n):
         raise AssertionError("forms listed before the points check")
 
     monkeypatch.setattr(counting, "upper_triangular_forms", unlisted)
     rep = lower_bound_report(2, 1, 7)
     assert not rep.verified and rep.form_count == 2 ** 21 and rep.forms == []
-    assert rep.note == "unverified: points limit 1296 (needed 16384)"
+    assert rep.note == "unverified: points limit 7776 (needed 16384)"
 
 
 def test_lower_bound_report_refuses_too_many_form_pairs(monkeypatch):
@@ -164,14 +165,25 @@ def test_lower_bound_report_still_sweeps_the_64_forms_of_gf2_n4(monkeypatch):
     assert rep.verified and rep.form_count == 64 and len(calls) == 2016
 
 
-def test_lower_bound_report_resolves_gf2_n4_into_three_classes():
+def test_lower_bound_report_resolves_gf2_n4_into_three_classes(monkeypatch):
+    calls = []
+
+    def counted(a, b, budget):
+        calls.append((a, b))
+        return equivalent_codes(a, b, budget=budget)
+
+    monkeypatch.setattr(counting, "equivalent_codes", counted)
     rep = lower_bound_report(2, 1, 4)
     assert rep.verified and [len(c) for c in rep.classes] == [8, 48, 8]
+    # each form is compared with the class representatives found so far
+    assert len(calls) == 125
     codes = [quadratic_code(QuadraticSpec.make(2, 1, 4, alpha=f))
              for f in rep.forms]
-    # one replayed witness per merge joins each class
+    # one replayed witness from its class's first form to each other form
     assert len(rep.witnesses) == 64 - 3
+    reps = {c[0] for c in rep.classes}
     for (i, j), w in rep.witnesses.items():
+        assert i in reps and i < j
         assert w.apply_code(codes[i]).words == codes[j].words
     a, b = rep.classes[0][0], rep.classes[1][0]
     assert equivalent_codes(codes[a], codes[b]) is None
@@ -196,3 +208,12 @@ def test_lower_bound_report_custom_budget():
     tiny = SearchBudget(max_points=10, max_nodes=10)
     rep = lower_bound_report(2, 1, 3, budget=tiny)
     assert not rep.verified and rep.form_count == 8
+
+
+def test_lower_bound_report_refused_in_the_middle_of_the_sweep():
+    # the points pass, the first isotopism search runs out of nodes: the
+    # forms stay listed and no classes are claimed
+    rep = lower_bound_report(2, 1, 3, budget=SearchBudget(max_nodes=1))
+    assert not rep.verified and rep.classes is None
+    assert len(rep.forms) == rep.form_count == 8
+    assert rep.note == "unverified: search nodes limit 1"

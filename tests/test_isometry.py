@@ -4,12 +4,13 @@ import itertools
 import math
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from topolinear import isometry
-from topolinear.budget import BudgetExceeded, SearchBudget
+from topolinear.budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from topolinear.classify_q4 import (all_latin_squares, code_h,
                                     standard_semilinear_code)
 from topolinear.codes import MdsCode, NAryQuasigroup, graph_of, is_mds, parity_code
@@ -334,6 +335,24 @@ def test_check_points_budget_guard():
     small = SearchBudget(max_points=10, max_nodes=100)
     with pytest.raises(BudgetExceeded):
         small.check_points(6, 3)
+
+
+def test_every_verdict_checks_the_points_on_entry():
+    # 22^3 points, past 6^5; the explicit route runs no search, but would
+    # still hold |M| witnesses, so it is refused before the hint is read
+    M = twisted_graph_code(11)
+    refusal = "points limit 7776 (needed 10648)"
+    for method in ("auto", "explicit", "pinned"):
+        with pytest.raises(BudgetExceeded, match=re.escape(refusal)):
+            is_isotopically_transitive(M, method=method)
+    res = is_topolinear(M)
+    assert res.status is None and res.reason == f"inconclusive: {refusal}"
+    with pytest.raises(BudgetExceeded, match=re.escape(refusal)):
+        equivalent_codes(M, M)
+    # the search itself is bounded by its nodes only
+    pins = {(i, 0): 0 for i in range(3)}
+    found = next(autotopism_search(M, pins=pins, budget=SearchBudget(max_points=1)))
+    assert found.is_automorphism_of(M)
 
 
 def test_is_topolinear_reports_a_stopped_pinned_search_as_inconclusive():
@@ -724,6 +743,21 @@ def test_stripped_codes_get_a_topolinear_verdict_from_the_coset_search(make):
     assert replays_as_a_group(M, res.group)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: scrambled(twisted_graph_code(13), 39),
+    lambda: scrambled(standard_semilinear_code(7, [(0, 1), (2, 3)]), 40)],
+    ids=["twisted-13", "semilinear-7"])
+def test_twisted_13_and_semilinear_7_are_decided_under_a_2_15_points_cap(make):
+    # 17576 and 16384 points: past the default cap of 6^5; the verdict
+    # needs no other bound raised to decide them
+    M = make()
+    assert DEFAULT_BUDGET.max_points < M.q ** M.n <= 2 ** 15
+    start = time.perf_counter()
+    res = is_topolinear(M, budget=dataclasses.replace(DEFAULT_BUDGET, max_points=2 ** 15))
+    assert time.perf_counter() - start < 2
+    assert res.status is True and replays_as_a_group(M, res.group)
+
+
 # ---------------------------------------------------------------------------
 # the base word: 0..0 when the code holds it, else the first codeword
 
@@ -996,7 +1030,6 @@ def dict_search(src, dst, pins=None, budget=isometry.DEFAULT_BUDGET):
     """Reference: the search as it ran on a dict index keyed by the word with
     one coordinate dropped, a per-word image matrix and a word-set probe of
     dst. Same DFS order, so the same isotopisms in the same order."""
-    budget.check_points(src.q, src.n)
     if len(src) != len(dst) or len(set(src.words)) != len(src):
         return
     q, n, words = src.q, src.n, src.words

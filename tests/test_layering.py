@@ -1,6 +1,8 @@
 """Import layering of the package: `isometry` sits above `constructions`, so
 constructions never imports from isometry, and no module defers an import
-into a function body to get round a cycle."""
+into a function body to get round a cycle. The size policy sits in one
+place: one budget instance, whose points bound each verdict checks once, on
+entry."""
 import ast
 from pathlib import Path
 
@@ -33,3 +35,43 @@ def test_constructions_imports_nothing_from_isometry():
     tree = ast.parse((PACKAGE / "constructions.py").read_text())
     for module, names in relative_imports(tree):
         assert module != "isometry" and not (module is None and "isometry" in names)
+
+
+def own_calls(fn):
+    """Calls in the body of fn, not in the functions nested in it."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Call):
+            yield node
+        todo.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_verdict_entries_check_the_points():
+    callers, calls = [], 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        calls += sum(isinstance(node, ast.Attribute) and node.attr == "check_points"
+                     for node in ast.walk(tree))
+        callers += [(path.stem, fn.name)
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for call in own_calls(fn)
+                    if isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "check_points"]
+    assert sorted(callers) == [("counting", "lower_bound_report"),
+                               ("isometry", "equivalent_codes"),
+                               ("isometry", "is_isotopically_transitive")]
+    assert calls == len(callers)  # none passed around or called at module level
+
+
+def test_budget_module_defines_one_budget_instance():
+    tree = ast.parse((PACKAGE / "budget.py").read_text())
+    instances = [target.id
+                 for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 and isinstance(node.value, ast.Call)
+                 and getattr(node.value.func, "id", None) == "SearchBudget"
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
+    assert instances == ["DEFAULT_BUDGET"]

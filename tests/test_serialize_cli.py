@@ -11,7 +11,8 @@ from topolinear import cli
 from topolinear.classify_q4 import code_h, standard_semilinear_code
 from topolinear.cli import main
 from topolinear.codes import MdsCode, parity_code
-from topolinear.isometry import is_isotopically_transitive
+from topolinear.isometry import (Isotopism, TransitivityCertificate, autotopism_search,
+                                 is_isotopically_transitive)
 from topolinear.loops import make_dihedral, twisted_graph_code
 from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedInput,
                                       builtin_loop, composition_code,
@@ -19,7 +20,7 @@ from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedI
 from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
                                   code_to_json, load_code, loop_to_json,
-                                  save_code, save_loop)
+                                  save_certificate, save_code, save_loop)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -187,6 +188,47 @@ def test_cli_topolinear_certificate_replay(tmp_path):
     assert main(["construct", spec, out, "--certificate", cert]) == 0
     assert json.loads(open(cert).read())["mode"] == "topolinear"
     assert main(["verify", out, "--mode", "topolinear", "--certificate", cert]) == 0
+
+
+def test_cli_topolinear_mode_replays_an_isotopic_certificate_as_a_group(tmp_path, capsys):
+    M = twisted_graph_code(3)
+    code, cert = str(tmp_path / "code.json"), str(tmp_path / "cert.json")
+    save_code(M, code)
+    found = is_isotopically_transitive(M).certificate  # the construction group
+    base, wits = found.base, dict(found.witnesses)
+    save_certificate(TransitivityCertificate("isotopic", base, wits), cert)
+    assert main(["verify", code, "--mode", "topolinear", "--certificate", cert]) == 0
+    # a witness times a base-word stabilizer element still reaches its word,
+    # but the witnesses no longer close within |M| elements
+    stabilizer = autotopism_search(M, pins={(i, b): b for i, b in enumerate(base)})
+    h = next(g for g in stabilizer if g != Isotopism.identity(M.q, M.n))
+    wits[M.words[1]] = wits[M.words[1]].compose(h)
+    save_certificate(TransitivityCertificate("isotopic", base, wits), cert)
+    assert main(["verify", code, "--mode", "transitive", "--certificate", cert]) == 0
+    capsys.readouterr()
+    assert main(["verify", code, "--mode", "topolinear", "--certificate", cert]) == 1
+    assert capsys.readouterr().out.strip() == (
+        "topolinear (certificate replay): False "
+        "(witness set is not closed under composition)")
+
+
+def test_cli_construct_writes_nothing_when_the_certificate_fails(tmp_path, capsys):
+    out, cert = tmp_path / "out.json", tmp_path / "cert.json"
+    # 122^3 points: the explicit route is refused before any witness is built
+    big = write_json(tmp_path / "p61.json", {"construction": "graph",
+                                             "loop": {"name": "cp", "p": 61}})
+    start = time.perf_counter()
+    assert main(["construct", big, str(out), "--certificate", str(cert)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.strip() == (
+        "budget exhausted: points limit 7776 (needed 1815848)")
+    assert not out.exists() and not cert.exists()
+    # the graph of a loop that is no G-loop is not isotopically transitive
+    flat = write_json(tmp_path / "non-g.json", {"construction": "graph",
+                                                "loop": {"name": "non-g-6"}})
+    assert main(["construct", flat, str(out), "--certificate", str(cert)]) == 1
+    assert not out.exists() and not cert.exists()
+    assert main(["construct", flat, str(out)]) == 0 and out.exists()
 
 
 def test_cli_exit_codes_for_bad_inputs(tmp_path):
