@@ -78,12 +78,15 @@ class MdsCode:
             self._arr.flags.writeable = False
         return self._arr
 
+    def encode(self, rows) -> np.ndarray:
+        """Big-endian base-q values of the length-n rows of an integer array."""
+        return rows @ (self.q ** np.arange(self.n - 1, -1, -1, dtype=np.int64))
+
     def encoded(self) -> np.ndarray:
         """The words' big-endian base-q values, in word order, which is
         sorted order."""
         if self._enc is None:
-            weights = self.q ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-            self._enc = self.word_array() @ weights
+            self._enc = self.encode(self.word_array())
         return self._enc
 
     def completion_maps(self) -> list[list[int]]:
@@ -200,8 +203,7 @@ class Isotopism:
         out = np.empty_like(arr)
         for i, t in enumerate(self.taus):
             out[:, i] = np.asarray(t, dtype=np.int64)[arr[:, i]]
-        weights = M.q ** np.arange(M.n - 1, -1, -1, dtype=np.int64)
-        return np.array_equal(np.sort(out @ weights), M.encoded())
+        return np.array_equal(np.sort(M.encode(out)), M.encoded())
 
     def __eq__(self, other):
         return isinstance(other, Isotopism) and self.taus == other.taus

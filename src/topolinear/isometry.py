@@ -23,6 +23,12 @@ falls back to search. The topolinear verdict looks for a sharply transitive
 group among the witnesses, then among the cosets witness[w]·H of the
 base-word stabilizer H, which one pinned search lists.
 
+Group closure, the Schreier witnesses and certificate replay share one
+array kernel: a set of isotopisms is an (m, n, q) integer array, and
+composing a layer of elements with the generators is one gather.
+Topolinear replay checks closure under at most log2|M| generators, one
+gather of |M| witnesses each.
+
 Code equivalence checks an invariant before it searches. Over each 3-set T
 of coordinates, every assignment of the other coordinates leaves a Latin
 square in an MDS code, and its count of intercalates (2x2 subsquares) is
@@ -44,6 +50,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .budget import BudgetExceeded, DEFAULT_BUDGET, SearchBudget
 from .codes import Isotopism, MdsCode, require_mds
@@ -102,9 +110,82 @@ class Isometry:
 
 
 # ---------------------------------------------------------------------------
-# group closure
+# group closure: row k of an (m, n, q) array holds the n permutations of one
+# element, in the smallest unsigned dtype holding q - 1 (code files do not
+# bound q); Isotopism objects are made only for what a caller reads
 
 GROUP_CAP = 1_000_000
+
+
+def _rows(isos, n: int, q: int) -> np.ndarray:
+    """The taus of isotopisms of n permutations of q symbols, as rows."""
+    isos = list(isos)
+    flat = itertools.chain.from_iterable
+    return np.fromiter(flat(flat(g.taus for g in isos)), np.min_scalar_type(q - 1),
+                       count=len(isos) * n * q).reshape(-1, n, q)
+
+
+def _isotopisms(rows: np.ndarray) -> list[Isotopism]:
+    return [Isotopism._of(tuple(map(tuple, r))) for r in rows.tolist()]
+
+
+def _compose_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Every a o b (b applied first) for a in `left`, b in `right`, in
+    left-major order: one gather from the flattened rows of `left`."""
+    a, n, q = left.shape
+    at = right + (np.arange(n) * q)[:, None]
+    return np.take(left.reshape(a, n * q), at, axis=1).reshape(-1, n, q)
+
+
+def _compose_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left[k] o right[k] (right[k] applied first) for each k: one gather."""
+    m, n, q = left.shape
+    at = (np.arange(m) * (n * q))[:, None, None] + (np.arange(n) * q)[:, None] + right
+    return np.take(left, at)
+
+
+def _images(M: MdsCode, rows: np.ndarray, words) -> np.ndarray:
+    """Encoded images of `words` (an integer array of (..., n) symbols)
+    under each row: shape (len(rows),) + words.shape[:-1]."""
+    at = np.arange(M.n) * M.q + words
+    return M.encode(np.take(rows.reshape(len(rows), M.n * M.q), at, axis=1))
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    buf, step = rows.tobytes(), rows[0].nbytes if len(rows) else 1
+    return [buf[k:k + step] for k in range(0, len(buf), step)]
+
+
+def _close(group: np.ndarray, index: dict, gens: np.ndarray, key, cap: int):
+    """(rows, index) of the group generated by `group` and the last of
+    `gens`, where `group` is closed under the others and `index` maps the key
+    of each of its rows to the row's bytes; None when two different rows
+    share a key; BudgetExceeded("group closure", cap) past `cap` rows.
+
+    The last generator multiplies every old row, and every generator each
+    new row, so the result is closed under all of them: one layer of new
+    rows per gather. `key(rows)` lists a hashable key per row."""
+    index = dict(index)
+    parts = [group]
+    fresh = _compose_rows(gens[-1:], group)
+    while len(fresh):
+        new = []
+        for j, (k, b) in enumerate(zip(key(fresh), _row_bytes(fresh))):
+            prev = index.get(k)
+            if prev is None:
+                if len(index) >= cap:
+                    raise BudgetExceeded("group closure", cap)
+                index[k] = b
+                new.append(j)
+            elif prev != b:
+                return None
+        parts.append(fresh[new])
+        fresh = _compose_rows(gens, parts[-1])
+    return np.concatenate(parts), index
+
+
+def _identity_rows(q: int, n: int) -> np.ndarray:
+    return np.broadcast_to(np.arange(q, dtype=np.min_scalar_type(q - 1)), (1, n, q))
 
 
 def mulclose(gens, cap: int = GROUP_CAP) -> list[Isotopism]:
@@ -113,43 +194,22 @@ def mulclose(gens, cap: int = GROUP_CAP) -> list[Isotopism]:
     more than `cap` elements.
 
     A generator already in the group closed so far is skipped, and each kept
-    one at least doubles it, so closing G costs |G|*k compositions for
-    k <= log2|G| kept generators, however many generators are listed."""
+    one at least doubles it; closing a group of order |G| under k kept
+    generators (k <= log2|G|) takes one gather per layer of new elements,
+    |G|*k element compositions in all, however many generators are listed."""
     gens = list(gens)
     if not gens:
         return []
-    ident = Isotopism.identity(gens[0].q, gens[0].n)
-    group, kept = {ident.taus: ident}, []
-    for g in gens:
-        if g.taus not in group:
-            group = _extend(group, kept, g, lambda x: x.taus, cap)
-            kept.append(g)
-    return [group[taus] for taus in sorted(group)]
-
-
-def _extend(group: dict, kept: list, g: Isotopism, key, cap: int) -> dict | None:
-    """The group generated by `group` (key(x) -> x, generated by `kept`) and
-    g, as a new dict; None when two distinct elements share a key;
-    BudgetExceeded("group closure", cap) past `cap` elements. g multiplies
-    each old element once and every generator each new element once, so the
-    result is closed under every generator."""
-    gens = (*kept, g)
-    grown = dict(group)
-    todo = [(a, (g,)) for a in group.values()]  # (element, generators still to apply)
-    while todo:
-        a, hs = todo.pop()
-        for h in hs:
-            b = h.compose(a)
-            k = key(b)
-            prev = grown.get(k)
-            if prev is None:
-                if len(grown) >= cap:
-                    raise BudgetExceeded("group closure", cap)
-                grown[k] = b
-                todo.append((b, gens))
-            elif prev.taus != b.taus:
-                return None
-    return grown
+    n, q = gens[0].n, gens[0].q
+    rows = _rows(gens, n, q)
+    group = _identity_rows(q, n)
+    index = {b: b for b in _row_bytes(group)}
+    kept = []
+    for j, b in enumerate(_row_bytes(rows)):
+        if b not in index:
+            kept.append(j)
+            group, index = _close(group, index, rows[kept], _row_bytes, cap)
+    return sorted(_isotopisms(group), key=lambda g: g.taus)
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +337,8 @@ def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDG
 # ---------------------------------------------------------------------------
 # transitivity
 
-def _witness_fault(M: MdsCode, base, w, g: Isotopism) -> str | None:
-    """Why g is no witness for codeword w of M, or None."""
-    if g.apply_word(base) != w:
-        return f"witness for {w} misses its word"
-    if not g.is_automorphism_of(M):
-        return f"witness for {w} is not a symmetry of the code"
-    return None
+# symbols of witness images checked in one block of `verify`
+REPLAY_BLOCK = 2 ** 16
 
 
 @dataclass
@@ -297,28 +352,110 @@ class TransitivityCertificate:
     witnesses: dict = field(default_factory=dict)  # word -> Isotopism
 
     def verify(self, M: MdsCode) -> tuple[bool, str | None]:
-        """(True, None), or (False, the first check that failed). In
-        topolinear mode the witnesses must close under composition within |M|
-        elements (`mulclose` capped at |M|), which costs O(|M| log|M|)
-        compositions."""
-        if tuple(self.base) not in M:
+        """(True, None), or (False, the first check that failed), in word
+        order: each codeword needs a witness of n permutations of 0..q-1 that
+        carries the base word to it and maps the code onto itself.
+
+        The witnesses are checked in batches: their base images at once, and
+        their images of every codeword in blocks of at most `REPLAY_BLOCK`
+        symbols, encoded and compared, sorted, with `M.encoded()`, so |M|
+        witnesses cost |M|^2·n symbol reads. In topolinear mode the group
+        check comes first and uses generators only (`_forms_a_group`): at
+        most log2|M| witnesses, each one gather of |M| witnesses. A group
+        generated by symmetries holds nothing else, so when the check
+        passes no witness is checked one by one; when it fails, the
+        per-witness checks run to name the first fault."""
+        base = tuple(self.base)
+        if base not in M:
             return False, "base word not in code"
-        for w in M.words:
-            g = self.witnesses.get(w)
-            if g is None:
-                return False, f"no witness for {w}"
-            fault = _witness_fault(M, self.base, w, g)
-            if fault:
-                return False, fault
+        words, n, q = M.words, M.n, M.q
+        wits = list(itertools.takewhile(lambda g: g is not None,
+                                        (self.witnesses.get(w) for w in words)))
+        rows, formed = _witness_rows(wits, n, q)
+        hit = _images(M, rows, np.asarray(base)) == M.encoded()[:len(wits)]
+        for k in np.flatnonzero(~formed):  # no symmetry, and it misses if it reads so
+            try:
+                hit[k] = wits[k].apply_word(base) == words[k]
+            except IndexError:  # a tau too short for the base word
+                hit[k] = True
+        misses = np.flatnonzero(~hit)
+        bad = misses[0] if len(misses) else len(wits)
+        complete = bad == len(wits) == len(M) == len(self.witnesses) and formed.all()
+        if self.mode == "topolinear" and complete and _forms_a_group(M, base, rows):
+            return True, None
+        block = max(1, REPLAY_BLOCK // (len(M) * n))
+        for start in range(0, bad, block):
+            stop = min(start + block, bad)
+            ok = formed[start:stop] & _symmetries(M, rows[start:stop])
+            if not ok.all():
+                k = start + int(np.argmin(ok))
+                return False, f"witness for {words[k]} is not a symmetry of the code"
+        if bad < len(wits):
+            return False, f"witness for {words[bad]} misses its word"
+        if len(wits) < len(M):
+            return False, f"no witness for {words[len(wits)]}"
         if len(self.witnesses) != len(M):
             return False, "extra witnesses for words outside the code"
-        if self.mode == "topolinear":
-            # one witness per base image, so |M| distinct: a group iff closed within |M|
-            try:
-                mulclose(set(self.witnesses.values()), cap=len(M))
-            except BudgetExceeded:
-                return False, "witness set is not closed under composition"
+        if self.mode == "topolinear":  # every witness is a symmetry: the group check failed
+            return False, "witness set is not closed under composition"
         return True, None
+
+
+def _witness_rows(wits, n: int, q: int):
+    """(rows, formed): the witnesses as rows, and which of them hold n
+    permutations of 0..q-1; any other witness gets the identity row."""
+    ident = Isotopism.identity(q, n)
+    formed = [len(g.taus) == n and all(len(t) == q for t in g.taus) for g in wits]
+    try:
+        rows = _rows([g if ok else ident for g, ok in zip(wits, formed)], n, q)
+    except OverflowError:  # an entry past the row dtype is no symbol
+        formed = [ok and all(0 <= s < q for t in g.taus for s in t)
+                  for g, ok in zip(wits, formed)]
+        rows = _rows([g if ok else ident for g, ok in zip(wits, formed)], n, q)
+    perms = (np.sort(rows, axis=2) == np.arange(q)).all(axis=(1, 2))
+    return rows, np.array(formed, dtype=bool) & perms
+
+
+def _symmetries(M: MdsCode, rows: np.ndarray) -> np.ndarray:
+    """Which rows map the code onto itself: the sorted encoded images of
+    its words equal `M.encoded()`."""
+    images = np.sort(_images(M, rows, M.word_array()), axis=1)
+    return (images == M.encoded()).all(axis=1)
+
+
+def _word_permutation(M: MdsCode, g: np.ndarray) -> np.ndarray:
+    """Word index of the image of each codeword under g, a symmetry of M."""
+    return np.searchsorted(M.encoded(), _images(M, g[None], M.word_array())[0])
+
+
+def _forms_a_group(M: MdsCode, base, rows: np.ndarray) -> bool:
+    """Whether the |M| witness rows (row k holding n permutations and
+    carrying `base` to word k) are symmetries forming a group. Walking the
+    words in order, the witness g of a word outside the orbit of `base` so
+    far must be a symmetry and map the witness set onto itself,
+    g o rows[u] = rows[g(u)]; the orbit is then closed under every such g.
+    Once all words are reached, the witnesses are closed under the group G
+    the chosen ones generate, G is transitive with trivial stabilizer, so
+    |G| = |M|, and the witnesses, a coset of G holding the chosen ones, are
+    G itself."""
+    reached = np.zeros(len(M), dtype=bool)
+    reached[np.searchsorted(M.encoded(), M.encode(np.asarray(base)))] = True
+    perms = []
+    for k in range(len(M)):
+        if reached[k]:
+            continue
+        if not _symmetries(M, rows[k:k + 1])[0]:
+            return False
+        perm = _word_permutation(M, rows[k])
+        if not np.array_equal(_compose_rows(rows[k:k + 1], rows), rows[perm]):
+            return False
+        perms.append(perm)
+        fresh = np.flatnonzero(reached)
+        while len(fresh):
+            fresh = np.unique(np.concatenate([p[fresh] for p in perms]))
+            fresh = fresh[~reached[fresh]]
+            reached[fresh] = True
+    return True
 
 
 @dataclass
@@ -365,9 +502,11 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
         def explicit(w):
             g = formula(w)
-            fault = _witness_fault(M, base, w, g)
-            if fault:
-                raise ValueError(fault)
+            rows, formed = _witness_rows([g], M.n, M.q)
+            if formed[0] and _images(M, rows, np.asarray(base))[0] != M.encode(np.asarray(w)):
+                raise ValueError(f"witness for {w} misses its word")
+            if not (formed[0] and _symmetries(M, rows)[0]):
+                raise ValueError(f"witness for {w} is not a symmetry of the code")
             return g
 
         if formula is not None:
@@ -405,34 +544,64 @@ def _orbit_closure(M: MdsCode, base, find):
     Words are visited in order; `find` runs only for a word outside the
     orbit so far. Its symmetry joins the generators and the orbit is closed
     again: the new generator moves every word reached before, and every
-    generator moves each newly reached word. The new generator carries the
-    base word, whose witness is the identity, to the word it was found for,
-    so it becomes that word's witness: the witnesses generate the same group
-    as the generators. A failed `find` names the first word outside the full
-    orbit, since every earlier word was reached or found."""
-    witnesses = {base: Isotopism.identity(M.q, M.n)}
+    generator moves each newly reached word. Each word reached records the
+    generator and the word it came from; its witness is that generator
+    composed with the witness of that word, built for all words of one
+    depth of this tree in one gather. The new generator carries the base
+    word, whose witness is the identity, to the word it was found for, so
+    it is that word's witness: the witnesses generate the same group as the
+    generators. A failed `find` names the first word outside the full orbit,
+    since every earlier word was reached or found."""
+    words, n, q = M.words, M.n, M.q
+    first = int(np.searchsorted(M.encoded(), M.encode(np.asarray(base))))
+    came = {first: None}  # word index -> (generator index, parent word index)
     generators: list[Isotopism] = []
-    for w in M.words:
-        if w in witnesses:
+    perms: list[list[int]] = []
+    failing = None
+    for w in range(len(words)):
+        if w in came:
             continue
-        g = find(w)
+        g = find(words[w])
         if g is None:
-            return witnesses, generators, w
+            failing = words[w]
+            break
         generators.append(g)
+        perms.append(_word_permutation(M, _rows([g], n, q)[0]).tolist())
         fresh = []
-        for u, h in list(witnesses.items()):
-            v = g.apply_word(u)
-            if v not in witnesses:
-                witnesses[v] = g.compose(h)
+        for u in list(came):
+            v = perms[-1][u]
+            if v not in came:
+                came[v] = (len(perms) - 1, u)
                 fresh.append(v)
         while fresh:
             u = fresh.pop()
-            for gen in generators:
-                v = gen.apply_word(u)
-                if v not in witnesses:
-                    witnesses[v] = gen.compose(witnesses[u])
+            for k, perm in enumerate(perms):
+                v = perm[u]
+                if v not in came:
+                    came[v] = (k, u)
                     fresh.append(v)
-    return witnesses, generators, None
+    return _schreier_witnesses(M, came, generators), generators, failing
+
+
+def _schreier_witnesses(M: MdsCode, came: dict, generators) -> dict:
+    """Word -> witness for each word index in `came`, which maps it to
+    (generator index, parent word index), or to None for the base word, and
+    lists every word after its parent."""
+    n, q = M.n, M.q
+    rows = np.empty((len(M), n, q), dtype=np.min_scalar_type(q - 1))
+    gens = _rows(generators, n, q)
+    depth, layers = {}, []
+    for v, step in came.items():
+        depth[v] = 0 if step is None else depth[step[1]] + 1
+        if depth[v] == len(layers):
+            layers.append([])
+        layers[depth[v]].append(v)
+    rows[layers[0]] = _identity_rows(q, n)
+    for layer in layers[1:]:
+        k, u = np.array([came[v] for v in layer]).T
+        rows[layer] = _compose_pairs(gens[k], rows[u])
+    reached = list(came)
+    return dict(zip((M.words[v] for v in reached), _isotopisms(rows[reached])))
 
 
 # ---------------------------------------------------------------------------
@@ -448,29 +617,46 @@ class TopolinearResult:
         return bool(self.status)
 
 
-def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer=None):
+def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer=None,
+                             budget: SearchBudget = DEFAULT_BUDGET):
     """A sharply transitive group of symmetries, or None. Every symmetry
     carrying `base` to w is witnesses[w]·h, h in the stabilizer of `base`
     (the witnesses alone when no stabilizer is given). The DFS tries these
-    for the first word its group has not reached, pruning a closure with two
-    elements over one image of `base`; each step at least doubles the group,
-    so it is at most log2|M| deep."""
-    target = len(M)
+    for the first word its group has not reached, all built by one gather,
+    pruning a closure with two elements over one image of `base`; each step
+    at least doubles the group, so it is at most log2|M| deep. Each
+    candidate tried counts against `budget.max_nodes`."""
+    n, q, target = M.n, M.q, len(M)
+    wits = _rows((witnesses[w] for w in M.words), n, q)
+    coset = None if stabilizer is None else _rows(stabilizer, n, q)
+    enc, base = M.encoded(), np.asarray(base)
 
-    def dfs(group: dict, kept: list):
-        if len(group) == target:
-            return list(group.values())
-        w = next(w for w in M.words if w not in group)
-        wit = witnesses[w]
-        for g in ((wit,) if stabilizer is None else (wit.compose(h) for h in stabilizer)):
-            grown = _extend(group, kept, g, lambda x: x.apply_word(base), target)
+    def key(rows):  # word index of the base image: every row is a symmetry
+        return np.searchsorted(enc, _images(M, rows, base)).tolist()
+
+    tried = 0
+
+    def dfs(group, index, kept):
+        nonlocal tried
+        if len(index) == target:
+            return group
+        w = next(w for w in range(target) if w not in index)
+        cands = wits[w:w + 1] if coset is None else _compose_rows(wits[w:w + 1], coset)
+        for g in cands:
+            tried += 1
+            if tried > budget.max_nodes:
+                raise BudgetExceeded("search nodes", budget.max_nodes)
+            gens = np.concatenate([kept, g[None]])
+            grown = _close(group, index, gens, key, target)
             if grown is not None:
-                found = dfs(grown, [*kept, g])
+                found = dfs(*grown, gens)
                 if found is not None:
                     return found
         return None
 
-    return dfs({base: Isotopism.identity(M.q, M.n)}, [])
+    ident = _identity_rows(q, n)
+    found = dfs(ident, dict(zip(key(ident), _row_bytes(ident))), ident[:0])
+    return None if found is None else _isotopisms(found)
 
 
 def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> TopolinearResult:
@@ -479,7 +665,8 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
 
     `_regular_subgroup_search` runs over the transitivity witnesses alone,
     then over the cosets of the base-word stabilizer, which one pinned
-    search lists."""
+    search lists; the searches and both passes of the DFS are bounded by
+    `budget.max_nodes`."""
     try:
         trans = is_isotopically_transitive(M, budget=budget)
     except BudgetExceeded as exc:
@@ -489,16 +676,16 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
         return TopolinearResult(False, None,
                                 f"not isotopically transitive at {trans.failing_word}{note}")
     base, witnesses = trans.certificate.base, trans.certificate.witnesses
-    group = _regular_subgroup_search(M, base, witnesses)
-    if group is not None:
-        route = "construction group" if trans.method == "explicit" else "witness closure"
-        return TopolinearResult(True, group, route + note)
     try:
+        group = _regular_subgroup_search(M, base, witnesses, budget=budget)
+        if group is not None:
+            route = "construction group" if trans.method == "explicit" else "witness closure"
+            return TopolinearResult(True, group, route + note)
         stabilizer = list(autotopism_search(M, pins={(i, b): b for i, b in enumerate(base)},
                                             budget=budget))
+        group = _regular_subgroup_search(M, base, witnesses, stabilizer, budget)
     except BudgetExceeded as exc:
         return TopolinearResult(None, None, f"inconclusive: {exc}{note}")
-    group = _regular_subgroup_search(M, base, witnesses, stabilizer)
     if group is not None:
         return TopolinearResult(True, group, f"regular subgroup of the full group{note}")
     return TopolinearResult(False, None, "full symmetry group holds no sharply "

@@ -17,7 +17,37 @@ from .loops import Loop
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+    That call always runs the pure-Python encoder, so the lists of ints that
+    make up code files and certificates are written here with one join each;
+    any other value goes through `json.dumps`, re-indented to its depth."""
+    out: list[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(obj, newline: str, out: list) -> None:
+    """Append obj as `json.dumps(indent=2, sort_keys=True)` writes it at the
+    depth whose line break (with indent) is `newline`."""
+    inner = newline + "  "
+    if type(obj) is list and obj:
+        if set(map(type, obj)) == {int}:  # no bools, no int subclasses
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+            return
+        out.append("[")
+        for k, item in enumerate(obj):
+            out.append(inner if k == 0 else "," + inner)
+            _encode(item, inner, out)
+        out.append(newline + "]")
+    elif type(obj) is dict and obj and set(map(type, obj)) == {str}:
+        out.append("{")
+        for k, key in enumerate(sorted(obj)):
+            out.append((inner if k == 0 else "," + inner) + json.dumps(key) + ": ")
+            _encode(obj[key], inner, out)
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))
 
 
 # ---------------------------------------------------------------------------

@@ -545,7 +545,8 @@ def test_topolinear_replay_accepts_the_explicit_regular_sets(spec):
 
 @pytest.fixture
 def compositions(monkeypatch):
-    """Counter of Isotopism.compose calls made while the fixture is live."""
+    """Counter of element compositions made while the fixture is live:
+    Isotopism.compose calls and the rows the closure kernel composes."""
     count = [0]
     original = Isotopism.compose
 
@@ -554,6 +555,15 @@ def compositions(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Isotopism, "compose", counted)
+    for name in ("_compose_rows", "_compose_pairs"):
+        kernel = getattr(isometry, name)
+
+        def counted_rows(left, right, kernel=kernel):
+            out = kernel(left, right)
+            count[0] += len(out)
+            return out
+
+        monkeypatch.setattr(isometry, name, counted_rows)
     return count
 
 
@@ -585,15 +595,15 @@ def test_group_checks_cost_m_log_m_compositions(spec, compositions, monkeypatch)
     calls = count_formula_calls(monkeypatch, spec["construction"])
     compositions[0] = 0
     wits = is_isotopically_transitive(M, method="explicit").certificate.witnesses
-    assert compositions[0] <= bound
+    assert 0 < compositions[0] <= bound
     assert calls[0] <= log + 1
     compositions[0] = 0
     assert topolinear_replay(M, wits) == (True, None)
-    assert compositions[0] <= bound
+    assert 0 < compositions[0] <= bound
     compositions[0] = 0
     res = is_topolinear(M)
     assert res.status is True and res.reason == "construction group"
-    assert compositions[0] <= bound
+    assert 0 < compositions[0] <= bound
 
 
 # ---------------------------------------------------------------------------
