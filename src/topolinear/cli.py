@@ -73,7 +73,7 @@ def _require_fit(cert: TransitivityCertificate, M) -> None:
     input for this code, not a false verdict."""
     if len(cert.base) != M.n or any(len(w) != M.n for w in cert.witnesses):
         raise MalformedInput(f"certificate words do not have the code's length {M.n}")
-    if any(len(t) != M.q for g in cert.witnesses.values() for t in g.taus):
+    if any(g.q != M.q for g in cert.witnesses.values()):
         raise MalformedInput(f"certificate permutations do not act on the code's "
                              f"{M.q} symbols")
 

@@ -157,16 +157,21 @@ class MdsCode:
 
 
 class Isotopism:
-    """Tuple of per-coordinate symbol permutations."""
+    """Tuple of per-coordinate symbol permutations, all of one alphabet
+    0..q-1: ValueError for anything else."""
 
     __slots__ = ("taus",)
 
     def __init__(self, taus):
-        self.taus = tuple(tuple(int(v) for v in t) for t in taus)
+        self.taus = tuple(tuple(map(int, t)) for t in taus)
+        symbols = list(range(len(self.taus[0]) if self.taus else 0))
+        if not symbols or any(sorted(t) != symbols for t in self.taus):
+            raise ValueError("each tau must be a permutation of the same 0..q-1")
 
     @classmethod
     def _of(cls, taus: tuple) -> "Isotopism":
-        """Isotopism of `taus`, already tuples of ints: skips normalising."""
+        """Isotopism of `taus`, already tuples of ints permuting one
+        alphabet: skips normalising and checking."""
         g = object.__new__(cls)
         g.taus = taus
         return g

@@ -25,9 +25,11 @@ base-word stabilizer H, which one pinned search lists.
 
 Group closure, the Schreier witnesses and certificate replay share one
 array kernel: a set of isotopisms is an (m, n, q) integer array, and
-composing a layer of elements with the generators is one gather.
-Topolinear replay checks closure under at most log2|M| generators, one
-gather of |M| witnesses each.
+composing a layer of elements with the generators is one gather. Replay
+walks the same orbit, taking a certificate's own witnesses as generators,
+and checks every witness against the Schreier tree in one gather;
+topolinear replay also checks closure under those generators, at most
+log2|M| of them, one gather of |M| witnesses each.
 
 Code equivalence checks an invariant before it searches. Over each 3-set T
 of coordinates, every assignment of the other coordinates leaves a Latin
@@ -43,7 +45,7 @@ first step of partition refinement (McKay and Piperno, J. Symb. Comput. 60,
 Line completion and the intercalate counts are defined on MDS codes only,
 so the searches, and every verdict that runs one, raise ValueError naming
 the `is_mds` reason on any other word set. The explicit route and
-certificate replay search nothing: they check each witness on any word set.
+certificate replay search nothing: they check witnesses on any word set.
 """
 
 from __future__ import annotations
@@ -126,7 +128,13 @@ def _rows(isos, n: int, q: int) -> np.ndarray:
 
 
 def _isotopisms(rows: np.ndarray) -> list[Isotopism]:
-    return [Isotopism._of(tuple(map(tuple, r))) for r in rows.tolist()]
+    """Isotopisms of rows; equal taus, found by sorting their bytes, share
+    one tuple."""
+    m, n, q = rows.shape
+    as_bytes = np.ascontiguousarray(rows).view(np.dtype((np.void, q * rows.itemsize)))
+    distinct, at = np.unique(as_bytes, return_inverse=True)
+    taus = list(map(tuple, distinct.view(rows.dtype).reshape(-1, q).tolist()))
+    return [Isotopism._of(tuple(map(taus.__getitem__, r))) for r in at.reshape(m, n).tolist()]
 
 
 def _compose_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -353,40 +361,47 @@ class TransitivityCertificate:
 
     def verify(self, M: MdsCode) -> tuple[bool, str | None]:
         """(True, None), or (False, the first check that failed), in word
-        order: each codeword needs a witness of n permutations of 0..q-1 that
+        order: each codeword needs a witness of the code's n and q that
         carries the base word to it and maps the code onto itself.
 
-        The witnesses are checked in batches: their base images at once, and
-        their images of every codeword in blocks of at most `REPLAY_BLOCK`
-        symbols, encoded and compared, sorted, with `M.encoded()`, so |M|
-        witnesses cost |M|^2·n symbol reads. In topolinear mode the group
-        check comes first and uses generators only (`_forms_a_group`): at
-        most log2|M| witnesses, each one gather of |M| witnesses. A group
-        generated by symmetries holds nothing else, so when the check
-        passes no witness is checked one by one; when it fails, the
-        per-witness checks run to name the first fault."""
+        Replay walks the orbit of the base word as the verdict does
+        (`_orbit_closure`), each certificate witness it takes as a generator
+        checked alone (`_witness_fault`). The witnesses W pass when they are
+        the Schreier witnesses of that tree (`_on_the_tree`), as every
+        certificate the verdict writes and every sharply transitive group
+        are. In topolinear mode each generator g must also map W onto
+        itself, g o W[u] = W[pi_g(u)] (pi_g: g's permutation of the words):
+        then W[pi_h(base)] = h for every h in the group the generators
+        make, so W is that group. Otherwise each witness is checked, to name
+        the first fault: base images at once, then images of every codeword
+        in blocks of at most `REPLAY_BLOCK` symbols, compared, sorted, with
+        `M.encoded()`."""
         base = tuple(self.base)
         if base not in M:
             return False, "base word not in code"
         words, n, q = M.words, M.n, M.q
         wits = list(itertools.takewhile(lambda g: g is not None,
                                         (self.witnesses.get(w) for w in words)))
-        rows, formed = _witness_rows(wits, n, q)
-        hit = _images(M, rows, np.asarray(base)) == M.encoded()[:len(wits)]
-        for k in np.flatnonzero(~formed):  # no symmetry, and it misses if it reads so
-            try:
-                hit[k] = wits[k].apply_word(base) == words[k]
-            except IndexError:  # a tau too short for the base word
-                hit[k] = True
+        fits = np.array([(g.n, g.q) == (n, q) for g in wits], dtype=bool)
+        ident = Isotopism.identity(q, n)
+        rows = _rows([g if ok else ident for g, ok in zip(wits, fits)], n, q)
+        if len(wits) == len(M) == len(self.witnesses) and fits.all():
+            wit = self.witnesses.get
+            came, gens, perms, failing = _orbit_closure(
+                M, base, lambda w: None if _witness_fault(M, base, w, wit(w)) else wit(w))
+            if failing is None and _on_the_tree(came, gens, rows):
+                if self.mode == "isotopic" or all(
+                        np.array_equal(_compose_rows(g[None], rows), rows[p])
+                        for g, p in zip(gens, perms)):
+                    return True, None
+                return False, "witness set is not closed under composition"
+        hit = (_images(M, rows, np.asarray(base)) == M.encoded()[:len(wits)]) | ~fits
         misses = np.flatnonzero(~hit)
         bad = misses[0] if len(misses) else len(wits)
-        complete = bad == len(wits) == len(M) == len(self.witnesses) and formed.all()
-        if self.mode == "topolinear" and complete and _forms_a_group(M, base, rows):
-            return True, None
         block = max(1, REPLAY_BLOCK // (len(M) * n))
         for start in range(0, bad, block):
             stop = min(start + block, bad)
-            ok = formed[start:stop] & _symmetries(M, rows[start:stop])
+            ok = fits[start:stop] & _symmetries(M, rows[start:stop])
             if not ok.all():
                 k = start + int(np.argmin(ok))
                 return False, f"witness for {words[k]} is not a symmetry of the code"
@@ -401,19 +416,27 @@ class TransitivityCertificate:
         return True, None
 
 
-def _witness_rows(wits, n: int, q: int):
-    """(rows, formed): the witnesses as rows, and which of them hold n
-    permutations of 0..q-1; any other witness gets the identity row."""
-    ident = Isotopism.identity(q, n)
-    formed = [len(g.taus) == n and all(len(t) == q for t in g.taus) for g in wits]
-    try:
-        rows = _rows([g if ok else ident for g, ok in zip(wits, formed)], n, q)
-    except OverflowError:  # an entry past the row dtype is no symbol
-        formed = [ok and all(0 <= s < q for t in g.taus for s in t)
-                  for g, ok in zip(wits, formed)]
-        rows = _rows([g if ok else ident for g, ok in zip(wits, formed)], n, q)
-    perms = (np.sort(rows, axis=2) == np.arange(q)).all(axis=(1, 2))
-    return rows, np.array(formed, dtype=bool) & perms
+def _witness_fault(M: MdsCode, base, w, g: Isotopism) -> str | None:
+    """Why g is no witness for the codeword w, or None when it has the
+    code's n and q, carries `base` to w and maps the code onto itself."""
+    if (g.n, g.q) == (M.n, M.q):
+        row = _rows([g], M.n, M.q)
+        if _images(M, row, np.asarray(base))[0] != M.encode(np.asarray(w)):
+            return f"witness for {w} misses its word"
+        if _symmetries(M, row)[0]:
+            return None
+    return f"witness for {w} is not a symmetry of the code"
+
+
+def _on_the_tree(came: dict, gens: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether `rows`, one per word index, are the Schreier witnesses of
+    the tree `came` (`_schreier_witnesses`): the identity at the base word,
+    and at every other word its generator composed with the row of its
+    parent, checked for all words in one gather."""
+    base, *tree = came
+    k, u = np.array([came[v] for v in tree], dtype=np.intp).reshape(-1, 2).T
+    return ((rows[base] == np.arange(rows.shape[2])).all()
+            and np.array_equal(_compose_pairs(gens[k], rows[u]), rows[tree]))
 
 
 def _symmetries(M: MdsCode, rows: np.ndarray) -> np.ndarray:
@@ -421,41 +444,6 @@ def _symmetries(M: MdsCode, rows: np.ndarray) -> np.ndarray:
     its words equal `M.encoded()`."""
     images = np.sort(_images(M, rows, M.word_array()), axis=1)
     return (images == M.encoded()).all(axis=1)
-
-
-def _word_permutation(M: MdsCode, g: np.ndarray) -> np.ndarray:
-    """Word index of the image of each codeword under g, a symmetry of M."""
-    return np.searchsorted(M.encoded(), _images(M, g[None], M.word_array())[0])
-
-
-def _forms_a_group(M: MdsCode, base, rows: np.ndarray) -> bool:
-    """Whether the |M| witness rows (row k holding n permutations and
-    carrying `base` to word k) are symmetries forming a group. Walking the
-    words in order, the witness g of a word outside the orbit of `base` so
-    far must be a symmetry and map the witness set onto itself,
-    g o rows[u] = rows[g(u)]; the orbit is then closed under every such g.
-    Once all words are reached, the witnesses are closed under the group G
-    the chosen ones generate, G is transitive with trivial stabilizer, so
-    |G| = |M|, and the witnesses, a coset of G holding the chosen ones, are
-    G itself."""
-    reached = np.zeros(len(M), dtype=bool)
-    reached[np.searchsorted(M.encoded(), M.encode(np.asarray(base)))] = True
-    perms = []
-    for k in range(len(M)):
-        if reached[k]:
-            continue
-        if not _symmetries(M, rows[k:k + 1])[0]:
-            return False
-        perm = _word_permutation(M, rows[k])
-        if not np.array_equal(_compose_rows(rows[k:k + 1], rows), rows[perm]):
-            return False
-        perms.append(perm)
-        fresh = np.flatnonzero(reached)
-        while len(fresh):
-            fresh = np.unique(np.concatenate([p[fresh] for p in perms]))
-            fresh = fresh[~reached[fresh]]
-            reached[fresh] = True
-    return True
 
 
 @dataclass
@@ -484,12 +472,13 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
     Both routes close the orbit of the base word (see `_orbit_closure`).
     Method "explicit" finds a symmetry for a word outside the orbit by the
-    recorded construction's witness formula, checked as `verify` checks a
-    witness; the formula starts from 0..0, so it is asked only when that is
-    the base word. "pinned" finds one by a pinned search; "auto" tries
-    explicit, then pinned. `generators` holds the symmetries found, which
-    generate the group of the witnesses. Either route holds |M| witnesses,
-    so a code of more than `budget.max_points` points is refused first.
+    recorded construction's witness formula, checked as replay checks a
+    generator (`_witness_fault`); the formula starts from 0..0, so it is
+    asked only when that is the base word. "pinned" finds one by a pinned
+    search; "auto" tries explicit, then pinned. `generators` holds the
+    symmetries found, which generate the group of the witnesses. Either
+    route holds |M| witnesses, so a code of more than `budget.max_points`
+    points is refused first.
     """
     if method not in ("auto", "explicit", "pinned"):
         raise ValueError(f"unknown method {method!r}")
@@ -502,22 +491,21 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
         def explicit(w):
             g = formula(w)
-            rows, formed = _witness_rows([g], M.n, M.q)
-            if formed[0] and _images(M, rows, np.asarray(base))[0] != M.encode(np.asarray(w)):
-                raise ValueError(f"witness for {w} misses its word")
-            if not (formed[0] and _symmetries(M, rows)[0]):
-                raise ValueError(f"witness for {w} is not a symmetry of the code")
+            fault = _witness_fault(M, base, w, g)
+            if fault:
+                raise ValueError(fault)
             return g
 
         if formula is not None:
             try:
-                witnesses, generators, _ = _orbit_closure(M, base, explicit)
+                came, gens, _, _ = _orbit_closure(M, base, explicit)
             except (ValueError, KeyError, TypeError) as exc:
                 note = dropped_hint(M, exc)
             else:
-                cert = TransitivityCertificate("isotopic", base, witnesses)
+                cert = TransitivityCertificate("isotopic", base,
+                                               _schreier_witnesses(M, came, gens))
                 return TransitivityResult(True, cert, method="explicit",
-                                          generators=generators)
+                                          generators=_isotopisms(gens))
         if method == "explicit":
             raise ValueError(note or "no explicit witness family for this provenance")
 
@@ -526,36 +514,37 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
         return next(autotopism_search(M, pins=pins, budget=budget), None)
 
     try:
-        witnesses, generators, failing = _orbit_closure(M, base, pinned)
+        came, gens, _, failing = _orbit_closure(M, base, pinned)
     except BudgetExceeded as exc:
         if note:  # a refusal still names the hint it dropped
             exc.args = (f"{exc}; {note}",)
         raise
-    cert = None if failing else TransitivityCertificate("isotopic", base, witnesses)
+    cert = None if failing else TransitivityCertificate(
+        "isotopic", base, _schreier_witnesses(M, came, gens))
     return TransitivityResult(failing is None, cert, failing, method="pinned",
-                              reason=note, generators=generators)
+                              reason=note, generators=_isotopisms(gens))
 
 
 def _orbit_closure(M: MdsCode, base, find):
-    """(Schreier witnesses of the orbit of `base`, the generators found, the
-    first word no symmetry reaches or None). `find(w)` gives a symmetry
-    carrying `base` to w, or None when it shows there is none.
+    """(came, gens, perms, failing): the Schreier tree of the orbit of
+    `base`, mapping each word index reached to (generator index, parent
+    word index), or None for the base word, every word after its parent;
+    the generators found, as rows, and their permutations of the word
+    indices; the first word no symmetry reaches, or None. `find(w)` gives a
+    symmetry carrying `base` to w, or None when it shows there is none.
 
     Words are visited in order; `find` runs only for a word outside the
     orbit so far. Its symmetry joins the generators and the orbit is closed
     again: the new generator moves every word reached before, and every
-    generator moves each newly reached word. Each word reached records the
-    generator and the word it came from; its witness is that generator
-    composed with the witness of that word, built for all words of one
-    depth of this tree in one gather. The new generator carries the base
-    word, whose witness is the identity, to the word it was found for, so
-    it is that word's witness: the witnesses generate the same group as the
-    generators. A failed `find` names the first word outside the full orbit,
-    since every earlier word was reached or found."""
+    generator moves each newly reached word. The new generator carries the
+    base word to the word it was found for, so it is that word's Schreier
+    witness, and the witnesses generate the same group as the generators.
+    A failed `find` names the first word outside the full orbit, since
+    every earlier word was reached or found."""
     words, n, q = M.words, M.n, M.q
     first = int(np.searchsorted(M.encoded(), M.encode(np.asarray(base))))
-    came = {first: None}  # word index -> (generator index, parent word index)
-    generators: list[Isotopism] = []
+    came = {first: None}
+    gens = _identity_rows(q, n)[:0]
     perms: list[list[int]] = []
     failing = None
     for w in range(len(words)):
@@ -565,8 +554,9 @@ def _orbit_closure(M: MdsCode, base, find):
         if g is None:
             failing = words[w]
             break
-        generators.append(g)
-        perms.append(_word_permutation(M, _rows([g], n, q)[0]).tolist())
+        gens = np.concatenate([gens, _rows([g], n, q)])
+        images = _images(M, gens[-1:], M.word_array())[0]  # of the codewords, by g
+        perms.append(np.searchsorted(M.encoded(), images).tolist())
         fresh = []
         for u in list(came):
             v = perms[-1][u]
@@ -580,16 +570,15 @@ def _orbit_closure(M: MdsCode, base, find):
                 if v not in came:
                     came[v] = (k, u)
                     fresh.append(v)
-    return _schreier_witnesses(M, came, generators), generators, failing
+    return came, gens, perms, failing
 
 
-def _schreier_witnesses(M: MdsCode, came: dict, generators) -> dict:
-    """Word -> witness for each word index in `came`, which maps it to
-    (generator index, parent word index), or to None for the base word, and
-    lists every word after its parent."""
+def _schreier_witnesses(M: MdsCode, came: dict, gens: np.ndarray) -> dict:
+    """Word -> witness for each word index in the Schreier tree `came`: the
+    identity for the base word, else its generator composed with its
+    parent's witness, built for all words of one depth in one gather."""
     n, q = M.n, M.q
-    rows = np.empty((len(M), n, q), dtype=np.min_scalar_type(q - 1))
-    gens = _rows(generators, n, q)
+    rows = np.empty((len(M), n, q), dtype=gens.dtype)
     depth, layers = {}, []
     for v, step in came.items():
         depth[v] = 0 if step is None else depth[step[1]] + 1

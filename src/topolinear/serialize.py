@@ -140,13 +140,16 @@ def certificate_from_json(obj) -> TransitivityCertificate:
         _require(isinstance(row, dict) and isinstance(row.get("word"), list)
                  and isinstance(row.get("taus"), list), "bad witness row")
         word = tuple(_as_int(s, "symbol") for s in row["word"])
-        taus = []
-        for t in row["taus"]:
-            _require(isinstance(t, list) and sorted(t) == list(range(len(t))),
-                     "each tau must be a permutation of 0..q-1")
-            taus.append(tuple(t))
+        _require(word not in witnesses, f"two witnesses for {word}")
+        taus = row["taus"]
         _require(len(taus) == len(base), "one permutation per coordinate")
-        witnesses[word] = Isotopism(taus)
+        for t in taus:  # a JSON integer is an int, not a bool or a float
+            _require(isinstance(t, list) and all(type(v) is int for v in t),
+                     "each tau must be a list of integers")
+        try:
+            witnesses[word] = Isotopism(taus)
+        except ValueError as exc:
+            raise MalformedInput(str(exc)) from exc
     return TransitivityCertificate(mode, tuple(_as_int(s, "symbol") for s in base), witnesses)
 
 

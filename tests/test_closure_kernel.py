@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -269,11 +270,14 @@ def forged_certificates(M):
     outside = next(w for w in itertools.product(range(q), repeat=n) if w not in M)
     yield "extra", base, {**honest, outside: honest[mid]}
     good = honest[mid].taus
-    yield "n-1-taus", base, {**honest, mid: Isotopism._of(good[:-1])}
-    j = next(s for s in range(q) if s != base[0])
-    longer = list(good[0]) + [good[0][j]]
-    longer[j] = q  # a permutation of 0..q, one entry too many
-    yield "tau-too-long", base, {**honest, mid: Isotopism._of((tuple(longer),) + good[1:])}
+    yield "n-1-taus", base, {**honest, mid: Isotopism(good[:-1])}
+    # the same map on the code's words, over an alphabet of q + 1 symbols
+    yield "q+1-symbols", base, {**honest, mid: Isotopism([t + (q,) for t in good])}
+
+
+# forgeries whose witness for the middle word is an isotopism of another
+# (n, q): the reference reads it as far as it goes, replay calls it no symmetry
+WRONG_SHAPE = ("n-1-taus", "q+1-symbols")
 
 
 def forged_codes():
@@ -291,7 +295,12 @@ def test_replay_matches_the_per_witness_reference_on_forged_certificates():
             for mode in ("isotopic", "topolinear"):
                 cert = TransitivityCertificate(mode, base, wits)
                 got = cert.verify(M)
-                assert got == ref_verify(cert, M), (name, label, mode)
+                if label in WRONG_SHAPE:
+                    mid = M.words[len(M) // 2]
+                    want = (False, f"witness for {mid} is not a symmetry of the code")
+                else:
+                    want = ref_verify(cert, M)
+                assert got == want, (name, label, mode)
                 reasons.add(got[1] and re.sub(r"\(.*?\)", "w", got[1]))
     assert reasons == {None, "no witness for w", "witness for w misses its word",
                        "witness for w is not a symmetry of the code",
@@ -315,47 +324,63 @@ def test_cli_replay_of_a_certificate_without_the_base_words_witness_exits_1(
             f"{mode} (certificate replay): False (no witness for {cert.base})")
 
 
-def test_replay_of_a_short_tau_is_no_symmetry():
-    # the reference indexes past a tau of q - 1 entries and raises
-    M = twisted_graph_code(3)
-    cert = is_isotopically_transitive(M).certificate
-    mid = M.words[len(M) // 2]
-    good = cert.witnesses[mid].taus
-    short = {**cert.witnesses, mid: Isotopism._of((good[0][:-1],) + good[1:])}
-    for mode in ("isotopic", "topolinear"):
-        forged = TransitivityCertificate(mode, cert.base, short)
-        with pytest.raises(IndexError):
-            ref_verify(forged, M)
-        assert forged.verify(M) == (False, f"witness for {mid} is not a symmetry of the code")
+@pytest.mark.parametrize("taus", [
+    [(0, 2), (0, 1, 2)], [(0, 1, 2), (1, 0)], [(0, 1, 1), (0, 1, 2)], [(0, 1, 2), (0, -1, 2)],
+    [(0, 300, 2), (0, 1, 2)], [(0, 1, 2 ** 70), (0, 1, 2)], []],
+    ids=["short-tau", "mixed-lengths", "repeated-entry", "entry-minus-1", "entry-300",
+         "entry-2-to-70", "no-taus"])
+def test_an_isotopism_permutes_one_alphabet(taus):
+    with pytest.raises(ValueError, match="permutation of the same 0..q-1"):
+        Isotopism(taus)
 
 
-@pytest.mark.parametrize("entry", [-1, 300, 2 ** 70])
-def test_replay_of_an_entry_outside_the_alphabet_is_no_symmetry(entry):
-    M = twisted_graph_code(3)
-    cert = is_isotopically_transitive(M).certificate
-    mid = M.words[len(M) // 2]
-    taus = [list(t) for t in cert.witnesses[mid].taus]
-    taus[1][(cert.base[1] + 1) % M.q] = entry
-    forged = TransitivityCertificate("isotopic", cert.base,
-                                     {**cert.witnesses, mid: Isotopism(taus)})
-    assert forged.verify(M) == (False, f"witness for {mid} is not a symmetry of the code")
+def replay_cases():
+    """(code, the verdict that wrote its certificate): the explicit route on
+    twisted p=9, the pinned route on a scrambled twisted p=5, whose
+    witnesses form no group."""
+    for M in (twisted_graph_code(9), scrambled(twisted_graph_code(5), 36)):
+        yield M, is_isotopically_transitive(M)
 
 
 def test_topolinear_replay_checks_few_generators(monkeypatch):
-    # the closure check gathers |M| witnesses once per generator of the
-    # orbit, at most log2|M| of them, never |M|^2 pairs
-    M = twisted_graph_code(9)
-    cert = is_isotopically_transitive(M).certificate
-    calls = []
-    check = isometry._word_permutation
+    # each generator of the verdict's walk is checked once, alone; the other
+    # witnesses are checked against the tree in one gather, with no
+    # per-witness pass, in either mode and on either route
+    checked, symmetry_checks = [], []
+    fault, symmetries = isometry._witness_fault, isometry._symmetries
 
-    def counted(M, g):
-        calls.append(1)
-        return check(M, g)
+    def counted_fault(M, base, w, g):
+        checked.append(w)
+        return fault(M, base, w, g)
 
-    monkeypatch.setattr(isometry, "_word_permutation", counted)
-    assert TransitivityCertificate("topolinear", cert.base, cert.witnesses).verify(M) == (True, None)
-    assert 1 <= len(calls) <= 9  # log2(324) < 9
+    def counted_symmetries(M, rows):
+        symmetry_checks.append(len(rows))
+        return symmetries(M, rows)
+
+    monkeypatch.setattr(isometry, "_witness_fault", counted_fault)
+    monkeypatch.setattr(isometry, "_symmetries", counted_symmetries)
+    routes = set()
+    for M, res in replay_cases():
+        routes.add(res.method)
+        words = [g.apply_word(res.certificate.base) for g in res.generators]
+        for mode in ("isotopic", "topolinear"):
+            cert = TransitivityCertificate(mode, res.certificate.base, res.certificate.witnesses)
+            checked.clear()
+            symmetry_checks.clear()
+            got = cert.verify(M)
+            assert got == ref_verify(cert, M), (M.provenance, mode)
+            assert checked == words and symmetry_checks == [1] * len(words), (M.provenance, mode)
+    assert routes == {"explicit", "pinned"}
+
+
+def test_isotopic_replay_of_a_large_certificate_checks_its_generators_only():
+    # 4096 witnesses; checking each against every codeword took about 1 s
+    M = scrambled(standard_semilinear_code(7, [(0, 1), (2, 3), (4, 5)]), 41)
+    cert = is_isotopically_transitive(
+        M, budget=SearchBudget(max_points=2 ** 15)).certificate
+    start = time.perf_counter()
+    assert cert.verify(M) == (True, None)
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 constructions never imports from isometry, and no module defers an import
 into a function body to get round a cycle. The size policy sits in one
 place: one budget instance, whose points bound each verdict checks once, on
-entry."""
+entry. Only the modules that compose checked isotopisms or read rows of
+them build one past the constructor's check."""
 import ast
 from pathlib import Path
 
@@ -75,3 +76,11 @@ def test_budget_module_defines_one_budget_instance():
                  and getattr(node.value.func, "id", None) == "SearchBudget"
                  for target in (node.targets if isinstance(node, ast.Assign) else [node.target])]
     assert instances == ["DEFAULT_BUDGET"]
+
+
+def test_only_codes_and_isometry_build_isotopisms_unchecked():
+    # `Isotopism._of` skips the check that every tau permutes one alphabet
+    callers = {path.stem for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_of"}
+    assert callers == {"codes", "isometry"}

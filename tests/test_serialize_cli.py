@@ -270,6 +270,33 @@ def test_cli_exit_codes_for_bad_inputs(tmp_path):
             assert main(["verify", out, "--mode", mode, "--certificate", bad_cert]) == 2
 
 
+@pytest.mark.parametrize("forge", ["float-entries", "bool-entries", "word-twice"])
+def test_cli_replay_of_a_certificate_with_non_integer_entries_or_a_word_twice_exits_2(
+        forge, tmp_path, capsys):
+    # each forgery read as an honest certificate before the loader checked
+    # entry types and repeated words
+    M = twisted_graph_code(3)
+    code, path = str(tmp_path / "code.json"), tmp_path / "cert.json"
+    save_code(M, code)
+    obj = certificate_to_json(is_isotopically_transitive(M).certificate)
+    row = obj["witnesses"][len(M) // 2]
+    if forge == "float-entries":
+        row["taus"] = [[float(v) for v in t] for t in row["taus"]]
+    elif forge == "bool-entries":
+        row["taus"] = [[bool(v) if v < 2 else v for v in t] for t in row["taus"]]
+    else:  # a bogus first row for a word the certificate names again later
+        obj["witnesses"].insert(0, {"word": row["word"], "taus": obj["witnesses"][0]["taus"]})
+    path.write_text(json.dumps(obj))
+    for mode in ("transitive", "topolinear"):
+        capsys.readouterr()
+        assert main(["verify", code, "--mode", mode, "--certificate", str(path)]) == 2
+        err = capsys.readouterr().err.strip()
+        if forge == "word-twice":
+            assert err == f"malformed input: two witnesses for {tuple(row['word'])}"
+        else:
+            assert err == "malformed input: each tau must be a list of integers"
+
+
 @pytest.mark.parametrize("argv,refusal", [
     (["count", "--forms", "2,1,200"], "form count digits limit 4300 (needed 5991)"),
     (["count", "--partitions", "80000"], "partition size limit 10000 (needed 80000)"),
