@@ -18,7 +18,7 @@ from .budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
 from .classify_q4 import classify
 from .codes import is_mds, require_mds
 from .counting import lower_bound_report, quadratic_form_count, ratio_report
-from .fields import field_make
+from .fields import field_order
 from .isometry import (TransitivityCertificate, equivalent_codes,
                        is_isotopically_transitive, is_topolinear)
 from .loops import is_g_loop
@@ -172,7 +172,7 @@ def _cmd_count(args) -> int:
         raise MalformedInput("--forms needs q,s,n with n >= 2")
     q, s, n = params
     try:
-        field_make(q, s)  # bounds q^s before anything is sized by it
+        field_order(q, s)  # bounds q^s before anything is sized by it
     except ValueError as exc:
         raise MalformedInput(f"--forms: {exc}") from exc
     quadratic_form_count(q ** s, n)  # refuses an oversized count before either report

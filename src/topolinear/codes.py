@@ -11,6 +11,7 @@ permutes the symbols of each coordinate separately.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +19,30 @@ import numpy as np
 from .perms import compose, identity_perm, invert
 
 
+def _integers(values, message: str) -> tuple[int, ...]:
+    """values as Python ints; ValueError(message) for a bool, a float or
+    any other non-integer (numpy integers pass)."""
+    try:
+        values = tuple(values)
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    raise ValueError(message)
+
+
 class MdsCode:
     """Immutable word set with cached line, membership and profile indexes.
 
     Words are stored sorted lexicographically; that sorted tuple is the
-    canonical form used for equality, hashing and serialization.
+    canonical form used for equality, hashing and serialization. Symbols
+    must be integers, and `check_symbols` checks word lengths and ranges.
     """
 
     def __init__(self, q, n, words, provenance=None, check_symbols=True):
         self.q = int(q)
         self.n = int(n)
-        ws = sorted(tuple(int(s) for s in w) for w in words)
+        ws = sorted(_integers(w, "symbol must be an integer") for w in words)
         if check_symbols:
             for w in ws:
                 if len(w) != self.n:
@@ -81,6 +95,20 @@ class MdsCode:
     def encode(self, rows) -> np.ndarray:
         """Big-endian base-q values of the length-n rows of an integer array."""
         return rows @ (self.q ** np.arange(self.n - 1, -1, -1, dtype=np.int64))
+
+    def images(self, rows, words) -> np.ndarray:
+        """Encoded images of `words` (an integer array of (..., n) symbols)
+        under each of `rows`, an (m, n, q) array of isotopisms of the code's
+        n and q: shape (m,) + words.shape[:-1]."""
+        at = np.arange(self.n) * self.q + words
+        return self.encode(np.take(rows.reshape(len(rows), self.n * self.q), at, axis=1))
+
+    def symmetries(self, rows) -> np.ndarray:
+        """Which of `rows` (as in `images`) map the code onto itself: the
+        sorted encoded images of its words equal `encoded()`. The one
+        symmetry test of the package."""
+        images = np.sort(self.images(rows, self.word_array()), axis=1)
+        return (images == self.encoded()).all(axis=1)
 
     def encoded(self) -> np.ndarray:
         """The words' big-endian base-q values, in word order, which is
@@ -158,12 +186,12 @@ class MdsCode:
 
 class Isotopism:
     """Tuple of per-coordinate symbol permutations, all of one alphabet
-    0..q-1: ValueError for anything else."""
+    0..q-1, given as integers: ValueError for anything else."""
 
     __slots__ = ("taus",)
 
     def __init__(self, taus):
-        self.taus = tuple(tuple(map(int, t)) for t in taus)
+        self.taus = tuple(_integers(t, "each tau must be a list of integers") for t in taus)
         symbols = list(range(len(self.taus[0]) if self.taus else 0))
         if not symbols or any(sorted(t) != symbols for t in self.taus):
             raise ValueError("each tau must be a permutation of the same 0..q-1")
@@ -204,11 +232,8 @@ class Isotopism:
         return Isotopism._of(tuple(invert(t) for t in self.taus))
 
     def is_automorphism_of(self, M: MdsCode) -> bool:
-        arr = M.word_array()
-        out = np.empty_like(arr)
-        for i, t in enumerate(self.taus):
-            out[:, i] = np.asarray(t, dtype=np.int64)[arr[:, i]]
-        return np.array_equal(np.sort(M.encode(out)), M.encoded())
+        """Whether this maps M onto itself; False for another n or q."""
+        return (self.n, self.q) == (M.n, M.q) and bool(M.symmetries(np.array(self.taus)[None])[0])
 
     def __eq__(self, other):
         return isinstance(other, Isotopism) and self.taus == other.taus

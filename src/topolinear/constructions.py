@@ -34,7 +34,7 @@ from typing import Callable
 from .alphabet import from_residue_bit, pair_join, pair_split, to_residue_bit
 from .budget import BudgetExceeded
 from .codes import Isotopism, MdsCode
-from .fields import field_make
+from .fields import field_make, field_order
 from .loops import (BinaryQuasigroup, Loop, find_non_g_loop_order6, graph_code,
                     is_associative, make_cp, make_dihedral, make_zp_z2,
                     twisted_graph_code)
@@ -214,16 +214,15 @@ def chase_to_zero_cp(p: int, word) -> Isotopism:
     return g3.compose(g2.compose(g1))
 
 
-def cp_shear(p: int) -> Isotopism:
-    """Composite of family maps that fixes (0, 0, 0) but is not the identity:
-    on every coordinate it sends a symbol with upper bit s to itself minus 2s.
+def cp_shear(p: int, t: int = 1) -> Isotopism:
+    """The t-th power of the family composite a2(p, p-1, 1, 0)·k·k, k =
+    a3(p, 1)·a1(p, 1), which fixes (0, 0, 0) but is not the identity: on
+    every coordinate it sends a symbol with upper bit s to itself minus 2ts.
     Its powers are the full stabilizer of the base word inside the closure of
     the three families, which is therefore p times larger than sharply
     transitive."""
-    g1 = cp_autotopism_a1(p, 1)
-    g3 = cp_autotopism_a3(p, 1)
-    k = g3.compose(g1)
-    return cp_autotopism_a2(p, p - 1, 1, 0).compose(k.compose(k))
+    tau = tuple(from_residue_bit(u % p - 2 * t * (u // p), u // p, p) for u in range(2 * p))
+    return Isotopism((tau, tau, tau))
 
 
 def cp_regular_generators(p: int) -> list[Isotopism]:
@@ -241,10 +240,7 @@ def cp_regular_generators(p: int) -> list[Isotopism]:
     g3 = cp_autotopism_a3(p, 1)
     k = g3.compose(g1)
     m = k.compose(k)  # first component x - 1, no bit flips
-    s = cp_shear(p)
-    w = g1
-    for _ in range((p - 1) // 2):
-        w = w.compose(s)  # first component becomes plain negation
+    w = g1.compose(cp_shear(p, (p - 1) // 2))  # first component becomes plain negation
     return [cp_autotopism_a2(p, 0, 1, 0), m, g3, w]
 
 
@@ -257,11 +253,7 @@ def cp_regular_witness(p: int, word) -> Isotopism:
     tx = c.taus[0]
     sgn = 1 if (tx[1] - tx[0]) % p == 1 else -1
     delta = (tx[p] - tx[0]) % p
-    t = (delta * pow(2 * sgn, -1, p)) % p
-    s = cp_shear(p)
-    for _ in range(t):
-        c = c.compose(s)
-    return c
+    return c.compose(cp_shear(p, delta * pow(2 * sgn, -1, p)))
 
 
 def element_inverse(loop: Loop, x: int) -> int:
@@ -741,7 +733,7 @@ def _parse_composition(obj, shape=None) -> CompositionSpec:
 
 def _parse_quadratic(obj, shape=None) -> QuadraticSpec:
     p, k, n = (_as_int(obj.get(key), key) for key in ("p", "k", "n"))
-    q = field_make(p, k).q  # rejects a bad field before any table is sized by it
+    q = field_order(p, k)  # rejects a bad field before any table is built or sized by it
     _fits(shape, q * q, n)
     if "alpha" in obj:
         alpha = obj["alpha"]

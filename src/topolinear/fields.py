@@ -80,22 +80,26 @@ def _poly_to_index(poly: list[int], p: int) -> int:
     return idx
 
 
+def field_order(p: int, k: int) -> int:
+    """The order p^k of a supported field GF(p^k), checked without building
+    its tables: ValueError unless k >= 1, p is prime and p^k <= 256."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    # bound first: p and k may come from an untrusted file, and both the
+    # power and the primality test cost time that grows with them
+    if p > 256 or k > 8 or p**k > 256:
+        raise ValueError(f"order {p}^{k} exceeds the supported bound 256")
+    if not _is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    return p**k
+
+
 class FieldTable:
     """GF(p^k) with precomputed add, mul and neg tables."""
 
     def __init__(self, p: int, k: int):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        # bound first: p and k may come from an untrusted file, and both the
-        # power and the primality test cost time that grows with them
-        if p > 256 or k > 8 or p**k > 256:
-            raise ValueError(f"order {p}^{k} exceeds the supported bound 256")
-        if not _is_prime(p):
-            raise ValueError(f"p={p} is not prime")
-        q = p**k
-        self.p = p
-        self.k = k
-        self.q = q
+        q = self.q = field_order(p, k)
+        self.p, self.k = p, k
 
         if k == 1:
             self.modulus: tuple[int, ...] = (0, 1)  # x, unused for k = 1

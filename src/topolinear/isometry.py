@@ -29,7 +29,10 @@ composing a layer of elements with the generators is one gather. Replay
 walks the same orbit, taking a certificate's own witnesses as generators,
 and checks every witness against the Schreier tree in one gather;
 topolinear replay also checks closure under those generators, at most
-log2|M| of them, one gather of |M| witnesses each.
+log2|M| of them, one gather of |M| witnesses each. A certificate that
+fails there is checked witness by witness, as the verdict checks a
+generator, to name its first fault; `MdsCode.symmetries` is the one
+symmetry test.
 
 Code equivalence checks an invariant before it searches. Over each 3-set T
 of coordinates, every assignment of the other coordinates leaves a Latin
@@ -150,13 +153,6 @@ def _compose_pairs(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     m, n, q = left.shape
     at = (np.arange(m) * (n * q))[:, None, None] + (np.arange(n) * q)[:, None] + right
     return np.take(left, at)
-
-
-def _images(M: MdsCode, rows: np.ndarray, words) -> np.ndarray:
-    """Encoded images of `words` (an integer array of (..., n) symbols)
-    under each row: shape (len(rows),) + words.shape[:-1]."""
-    at = np.arange(M.n) * M.q + words
-    return M.encode(np.take(rows.reshape(len(rows), M.n * M.q), at, axis=1))
 
 
 def _row_bytes(rows: np.ndarray) -> list[bytes]:
@@ -345,10 +341,6 @@ def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDG
 # ---------------------------------------------------------------------------
 # transitivity
 
-# symbols of witness images checked in one block of `verify`
-REPLAY_BLOCK = 2 ** 16
-
-
 @dataclass
 class TransitivityCertificate:
     """One symmetry per codeword, each carrying the base word to it. In
@@ -372,21 +364,16 @@ class TransitivityCertificate:
         are. In topolinear mode each generator g must also map W onto
         itself, g o W[u] = W[pi_g(u)] (pi_g: g's permutation of the words):
         then W[pi_h(base)] = h for every h in the group the generators
-        make, so W is that group. Otherwise each witness is checked, to name
-        the first fault: base images at once, then images of every codeword
-        in blocks of at most `REPLAY_BLOCK` symbols, compared, sorted, with
-        `M.encoded()`."""
+        make, so W is that group. Otherwise `_witness_fault` runs word by
+        word to name the first fault."""
         base = tuple(self.base)
         if base not in M:
             return False, "base word not in code"
         words, n, q = M.words, M.n, M.q
-        wits = list(itertools.takewhile(lambda g: g is not None,
-                                        (self.witnesses.get(w) for w in words)))
-        fits = np.array([(g.n, g.q) == (n, q) for g in wits], dtype=bool)
-        ident = Isotopism.identity(q, n)
-        rows = _rows([g if ok else ident for g, ok in zip(wits, fits)], n, q)
-        if len(wits) == len(M) == len(self.witnesses) and fits.all():
-            wit = self.witnesses.get
+        wits = [self.witnesses.get(w) for w in words]
+        if len(self.witnesses) == len(M) and all(
+                g is not None and (g.n, g.q) == (n, q) for g in wits):
+            rows, wit = _rows(wits, n, q), self.witnesses.get
             came, gens, perms, failing = _orbit_closure(
                 M, base, lambda w: None if _witness_fault(M, base, w, wit(w)) else wit(w))
             if failing is None and _on_the_tree(came, gens, rows):
@@ -395,20 +382,10 @@ class TransitivityCertificate:
                         for g, p in zip(gens, perms)):
                     return True, None
                 return False, "witness set is not closed under composition"
-        hit = (_images(M, rows, np.asarray(base)) == M.encoded()[:len(wits)]) | ~fits
-        misses = np.flatnonzero(~hit)
-        bad = misses[0] if len(misses) else len(wits)
-        block = max(1, REPLAY_BLOCK // (len(M) * n))
-        for start in range(0, bad, block):
-            stop = min(start + block, bad)
-            ok = fits[start:stop] & _symmetries(M, rows[start:stop])
-            if not ok.all():
-                k = start + int(np.argmin(ok))
-                return False, f"witness for {words[k]} is not a symmetry of the code"
-        if bad < len(wits):
-            return False, f"witness for {words[bad]} misses its word"
-        if len(wits) < len(M):
-            return False, f"no witness for {words[len(wits)]}"
+        for w, g in zip(words, wits):
+            fault = f"no witness for {w}" if g is None else _witness_fault(M, base, w, g)
+            if fault:
+                return False, fault
         if len(self.witnesses) != len(M):
             return False, "extra witnesses for words outside the code"
         if self.mode == "topolinear":  # every witness is a symmetry: the group check failed
@@ -419,13 +396,9 @@ class TransitivityCertificate:
 def _witness_fault(M: MdsCode, base, w, g: Isotopism) -> str | None:
     """Why g is no witness for the codeword w, or None when it has the
     code's n and q, carries `base` to w and maps the code onto itself."""
-    if (g.n, g.q) == (M.n, M.q):
-        row = _rows([g], M.n, M.q)
-        if _images(M, row, np.asarray(base))[0] != M.encode(np.asarray(w)):
-            return f"witness for {w} misses its word"
-        if _symmetries(M, row)[0]:
-            return None
-    return f"witness for {w} is not a symmetry of the code"
+    if (g.n, g.q) == (M.n, M.q) and g.apply_word(base) != w:
+        return f"witness for {w} misses its word"
+    return None if g.is_automorphism_of(M) else f"witness for {w} is not a symmetry of the code"
 
 
 def _on_the_tree(came: dict, gens: np.ndarray, rows: np.ndarray) -> bool:
@@ -437,13 +410,6 @@ def _on_the_tree(came: dict, gens: np.ndarray, rows: np.ndarray) -> bool:
     k, u = np.array([came[v] for v in tree], dtype=np.intp).reshape(-1, 2).T
     return ((rows[base] == np.arange(rows.shape[2])).all()
             and np.array_equal(_compose_pairs(gens[k], rows[u]), rows[tree]))
-
-
-def _symmetries(M: MdsCode, rows: np.ndarray) -> np.ndarray:
-    """Which rows map the code onto itself: the sorted encoded images of
-    its words equal `M.encoded()`."""
-    images = np.sort(_images(M, rows, M.word_array()), axis=1)
-    return (images == M.encoded()).all(axis=1)
 
 
 @dataclass
@@ -491,8 +457,7 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
         def explicit(w):
             g = formula(w)
-            fault = _witness_fault(M, base, w, g)
-            if fault:
+            if fault := _witness_fault(M, base, w, g):
                 raise ValueError(fault)
             return g
 
@@ -555,7 +520,7 @@ def _orbit_closure(M: MdsCode, base, find):
             failing = words[w]
             break
         gens = np.concatenate([gens, _rows([g], n, q)])
-        images = _images(M, gens[-1:], M.word_array())[0]  # of the codewords, by g
+        images = M.images(gens[-1:], M.word_array())[0]  # of the codewords, by g
         perms.append(np.searchsorted(M.encoded(), images).tolist())
         fresh = []
         for u in list(came):
@@ -621,7 +586,7 @@ def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer=None,
     enc, base = M.encoded(), np.asarray(base)
 
     def key(rows):  # word index of the base image: every row is a symmetry
-        return np.searchsorted(enc, _images(M, rows, base)).tolist()
+        return np.searchsorted(enc, M.images(rows, base)).tolist()
 
     tried = 0
 

@@ -70,16 +70,12 @@ def code_from_json(obj) -> MdsCode:
     _require(q >= 1 and n >= 2, "q must be positive and n at least 2")
     words = obj.get("words")
     _require(isinstance(words, list) and words, "words must be a nonempty list")
-    for w in words:
-        _require(isinstance(w, list) and len(w) == n,
-                 f"every word must be a list of {n} symbols")
-        for s in w:
-            _as_int(s, "symbol")
-            _require(0 <= s < q, f"symbol {s} out of range")
+    _require(all(isinstance(w, list) and len(w) == n for w in words),
+             f"every word must be a list of {n} symbols")
     prov = obj.get("provenance")
     _require(prov is None or isinstance(prov, dict), "provenance must be an object")
     try:
-        return MdsCode(q, n, [tuple(w) for w in words], provenance=prov)
+        return MdsCode(q, n, words, provenance=prov)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
 
@@ -143,9 +139,7 @@ def certificate_from_json(obj) -> TransitivityCertificate:
         _require(word not in witnesses, f"two witnesses for {word}")
         taus = row["taus"]
         _require(len(taus) == len(base), "one permutation per coordinate")
-        for t in taus:  # a JSON integer is an int, not a bool or a float
-            _require(isinstance(t, list) and all(type(v) is int for v in t),
-                     "each tau must be a list of integers")
+        _require(all(isinstance(t, list) for t in taus), "each tau must be a list of integers")
         try:
             witnesses[word] = Isotopism(taus)
         except ValueError as exc:

@@ -245,8 +245,9 @@ def test_orbit_closure_gives_the_references_witnesses(route):
 
 def forged_certificates(M):
     """(label, base, witnesses) for the honest certificate and forgeries of
-    it, each breaking one check, mostly at a middle word; the base word is
-    words[0], so a missing base-word witness leaves no witness checkable."""
+    it, each breaking one check, mostly at a middle word, or two checks at
+    two words; the base word is words[0], so a missing base-word witness
+    leaves no witness checkable."""
     cert = is_isotopically_transitive(M).certificate
     base, honest = cert.base, dict(cert.witnesses)
     mid = M.words[len(M) // 2]
@@ -258,11 +259,21 @@ def forged_certificates(M):
     yield "empty", base, {}
     yield "wrong-base-image", base, {**honest, mid: honest[other]}
     a, b = [s for s in range(q) if s != base[0]][:2]
-    for label, w in (("non-symmetry", mid), ("non-symmetry-generator", M.words[1])):
-        # words[1] is the first generator of the orbit: the base word is words[0]
+
+    def non_symmetry(w):  # honest[w] with two symbols off the base word swapped
         taus = [list(t) for t in honest[w].taus]
         taus[0][a], taus[0][b] = taus[0][b], taus[0][a]
-        yield label, base, {**honest, w: Isotopism(taus)}
+        return Isotopism(taus)
+
+    for label, w in (("non-symmetry", mid), ("non-symmetry-generator", M.words[1])):
+        # words[1] is the first generator of the orbit: the base word is words[0]
+        yield label, base, {**honest, w: non_symmetry(w)}
+    # two faults: replay names the one at the earlier word
+    early, late = M.words[len(M) // 4], M.words[3 * len(M) // 4]
+    yield "non-symmetry-then-miss", base, {**honest, early: non_symmetry(early),
+                                           late: honest[early]}
+    yield "miss-then-non-symmetry", base, {**honest, early: honest[late],
+                                           late: non_symmetry(late)}
     fibre = list(autotopism_search(M, pins={(i, base[i]): mid[i] for i in range(n)}))
     swap = next((g for g in fibre if g != honest[mid]), None)
     if swap is not None:
@@ -308,6 +319,21 @@ def test_replay_matches_the_per_witness_reference_on_forged_certificates():
                        "witness set is not closed under composition"}
 
 
+def test_a_witness_of_another_shape_is_no_automorphism():
+    # the q+1-symbol map agrees with an honest witness on every codeword,
+    # and the (n-1)-tau map reads only n-1 coordinates
+    for name, M in forged_codes():
+        mid = M.words[len(M) // 2]
+        for label, base, wits in forged_certificates(M):
+            if label in WRONG_SHAPE:
+                assert not wits[mid].is_automorphism_of(M), (name, label)
+                cert = TransitivityCertificate("isotopic", base, wits)
+                assert cert.verify(M) == (
+                    False, f"witness for {mid} is not a symmetry of the code"), (name, label)
+            elif label == "honest":
+                assert wits[mid].is_automorphism_of(M), name
+
+
 @pytest.mark.parametrize("drop", ["base-word", "all"])
 def test_cli_replay_of_a_certificate_without_the_base_words_witness_exits_1(
         drop, tmp_path, capsys):
@@ -347,7 +373,7 @@ def test_topolinear_replay_checks_few_generators(monkeypatch):
     # witnesses are checked against the tree in one gather, with no
     # per-witness pass, in either mode and on either route
     checked, symmetry_checks = [], []
-    fault, symmetries = isometry._witness_fault, isometry._symmetries
+    fault, symmetries = isometry._witness_fault, MdsCode.symmetries
 
     def counted_fault(M, base, w, g):
         checked.append(w)
@@ -358,17 +384,18 @@ def test_topolinear_replay_checks_few_generators(monkeypatch):
         return symmetries(M, rows)
 
     monkeypatch.setattr(isometry, "_witness_fault", counted_fault)
-    monkeypatch.setattr(isometry, "_symmetries", counted_symmetries)
+    monkeypatch.setattr(MdsCode, "symmetries", counted_symmetries)
     routes = set()
     for M, res in replay_cases():
         routes.add(res.method)
         words = [g.apply_word(res.certificate.base) for g in res.generators]
         for mode in ("isotopic", "topolinear"):
             cert = TransitivityCertificate(mode, res.certificate.base, res.certificate.witnesses)
+            want = ref_verify(cert, M)  # the reference runs the symmetry test too
             checked.clear()
             symmetry_checks.clear()
             got = cert.verify(M)
-            assert got == ref_verify(cert, M), (M.provenance, mode)
+            assert got == want, (M.provenance, mode)
             assert checked == words and symmetry_checks == [1] * len(words), (M.provenance, mode)
     assert routes == {"explicit", "pinned"}
 

@@ -1,10 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from topolinear.classify_q4 import semilinearity_test
-from topolinear.codes import (MdsCode, NAryQuasigroup, graph_of, is_mds,
+from topolinear.codes import (Isotopism, MdsCode, NAryQuasigroup, graph_of, is_mds,
                               pair_code, parity_code, quasigroup_of,
                               require_mds, subcode)
 from topolinear.loops import random_latin_square
@@ -113,3 +114,29 @@ def test_single_table_flip_breaks_mds():
     new = (table[i][j] + 1) % 5
     words = [w for w in M.words if w[:2] != (i, j)] + [(i, j, new)]
     assert not is_mds(MdsCode(5, 3, words))
+
+
+@pytest.mark.parametrize("taus", [
+    [(0.0, 1.5, 2.0), (True, False, 2)], [(0, 1.0, 2)], [(1, 0, 2), (True, False, 2)],
+    [(0, np.float64(1), 2)], [(0, np.True_, 2)], ["012"], [3]],
+    ids=["truncated", "float", "bool", "numpy-float", "numpy-bool", "string", "no-list"])
+def test_an_isotopism_refuses_non_integer_entries(taus):
+    with pytest.raises(ValueError, match="^each tau must be a list of integers$"):
+        Isotopism(taus)
+
+
+@pytest.mark.parametrize("words", [
+    [(0.5, 1.9), (True, 2)], [(0, 1.0), (1, 2)], [(0, 1), (True, 2)],
+    [(0, np.float32(1))], [("0", "1")]],
+    ids=["truncated", "float", "bool", "numpy-float", "string"])
+def test_a_code_refuses_non_integer_symbols(words):
+    with pytest.raises(ValueError, match="^symbol must be an integer$"):
+        MdsCode(3, 2, words)
+
+
+def test_the_constructors_accept_numpy_integers():
+    g = Isotopism([np.array([1, 0, 2]), np.array([2, 1, 0], dtype=np.uint8)])
+    assert g.taus == ((1, 0, 2), (2, 1, 0))
+    M = MdsCode(3, 2, np.array([[1, 2], [0, 1]], dtype=np.int16))
+    assert M.words == ((0, 1), (1, 2))
+    assert {type(s) for t in g.taus + M.words for s in t} == {int}

@@ -20,7 +20,7 @@ from topolinear.constructions import (CONSTRUCTIONS, CompositionSpec,
                                       composition_witness, cp_autotopism_a1,
                                       cp_autotopism_a2, cp_autotopism_a3,
                                       cp_regular_generators, cp_regular_witness,
-                                      element_inverse, ic_p_generators,
+                                      cp_shear, element_inverse, ic_p_generators,
                                       iterated_code, quadratic_code,
                                       quadratic_witness, regular_group_iterated)
 from topolinear.counting import upper_triangular_forms
@@ -151,6 +151,41 @@ def test_cp_regular_generators_close_to_a_sharply_transitive_group(p):
     group = mulclose(gens)
     assert len(group) == (2 * p) ** 2 == len(M)
     assert topolinear_replay(M, {g.apply_word((0, 0, 0)): g for g in group}) == (True, None)
+
+
+def family_shear(p):
+    """The shear as the family composite a2(p, p-1, 1, 0)·k·k, k = a3·a1."""
+    k = cp_autotopism_a3(p, 1).compose(cp_autotopism_a1(p, 1))
+    return cp_autotopism_a2(p, p - 1, 1, 0).compose(k.compose(k))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 9, 11, 13, 15, 21])
+def test_cp_shear_is_a_power_of_the_family_composite(p):
+    shear, power = family_shear(p), Isotopism.identity(2 * p, 3)
+    assert cp_shear(p) == shear
+    for t in range(p + 1):
+        assert cp_shear(p, t) == power, t
+        power = power.compose(shear)
+
+
+def shear_loop_witness(p, word):
+    """cp_regular_witness composing the family shear one power at a time."""
+    c = chase_to_zero_cp(p, word).inverse()
+    tx = c.taus[0]
+    sgn = 1 if (tx[1] - tx[0]) % p == 1 else -1
+    for _ in range((tx[p] - tx[0]) % p * pow(2 * sgn, -1, p) % p):
+        c = c.compose(family_shear(p))
+    return c
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 9])
+def test_cp_regular_witnesses_match_the_shear_loop(p):
+    assert all(cp_regular_witness(p, w) == shear_loop_witness(p, w)
+               for w in twisted_graph_code(p).words)
+    w = cp_autotopism_a1(p, 1)
+    for _ in range((p - 1) // 2):
+        w = w.compose(family_shear(p))
+    assert cp_regular_generators(p)[3] == w
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -3,7 +3,8 @@ constructions never imports from isometry, and no module defers an import
 into a function body to get round a cycle. The size policy sits in one
 place: one budget instance, whose points bound each verdict checks once, on
 entry. Only the modules that compose checked isotopisms or read rows of
-them build one past the constructor's check."""
+them build one past the constructor's check, and only `codes` sorts arrays:
+it holds the one symmetry test."""
 import ast
 from pathlib import Path
 
@@ -84,3 +85,13 @@ def test_only_codes_and_isometry_build_isotopisms_unchecked():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_of"}
     assert callers == {"codes", "isometry"}
+
+
+def test_only_codes_sorts_arrays():
+    # `MdsCode.symmetries` compares sorted images with the code's words: the
+    # one symmetry test, which a second np.sort elsewhere would duplicate
+    callers = {path.stem for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "sort"
+               and isinstance(node.value, ast.Name) and node.value.id == "np"}
+    assert callers == {"codes"}

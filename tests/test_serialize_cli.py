@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from topolinear import cli
+from topolinear import cli, fields
 from topolinear.classify_q4 import code_h, standard_semilinear_code
 from topolinear.cli import main
 from topolinear.codes import MdsCode, parity_code
@@ -15,7 +15,7 @@ from topolinear.isometry import (Isotopism, TransitivityCertificate, autotopism_
                                  is_isotopically_transitive)
 from topolinear.loops import make_dihedral, twisted_graph_code
 from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedInput,
-                                      builtin_loop, composition_code,
+                                      builtin_loop, composition_code, construction_hint,
                                       loop_from_json, parse_r_expression)
 from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
@@ -295,6 +295,48 @@ def test_cli_replay_of_a_certificate_with_non_integer_entries_or_a_word_twice_ex
             assert err == f"malformed input: two witnesses for {tuple(row['word'])}"
         else:
             assert err == "malformed input: each tau must be a list of integers"
+
+
+@pytest.mark.parametrize("symbol", [1.0, True, "1"], ids=["float", "bool", "string"])
+def test_a_code_file_with_a_non_integer_symbol_is_malformed(symbol):
+    obj = code_to_json(parity_code(2, 3))
+    obj["words"][1][2] = symbol
+    with pytest.raises(MalformedInput, match="^symbol must be an integer$"):
+        code_from_json(obj)
+
+
+@pytest.fixture
+def field_tables(monkeypatch):
+    """The (p, k) of every field table built while the test runs, cached
+    ones included."""
+    calls = []
+
+    class Counted(fields.FieldTable):
+        def __init__(self, p, k):
+            calls.append((p, k))
+            super().__init__(p, k)
+
+    fields.field_make.cache_clear()
+    monkeypatch.setattr(fields, "FieldTable", Counted)
+    yield calls
+    fields.field_make.cache_clear()
+
+
+def test_a_forged_field_size_is_dropped_before_any_field_table(field_tables):
+    prov = {"construction": "quadratic", "p": 2, "k": 8, "n": 10**7, "alpha": [[0]]}
+    M = MdsCode(6, 3, parity_code(6, 3).words, provenance=prov)
+    formula, note = construction_hint(M)
+    assert formula is None and note.startswith(
+        "provenance hint dropped (quadratic): describes codes of shape")
+    assert field_tables == []
+
+
+def test_cli_count_bounds_the_forms_before_any_field_table(field_tables, capsys):
+    assert main(["count", "--partitions", "10", "--forms", "2,8,3", "--json"]) == 0
+    forms = json.loads(capsys.readouterr().out)["forms"]
+    assert not forms["verified"] and forms["note"].startswith(
+        "unverified: points limit 7776")
+    assert field_tables == []
 
 
 @pytest.mark.parametrize("argv,refusal", [
