@@ -58,6 +58,18 @@ class MdsCode:
         self._arr = None
         self._enc = None
         self._profiles = None
+        self._subcubes = None
+
+    @classmethod
+    def _of(cls, q: int, n: int, rows: np.ndarray, provenance=None) -> "MdsCode":
+        """Code of `rows`, an integer array of (|M|, n) symbols taken from a
+        checked code's words, as a permutation of its columns: one lexsort
+        puts them in word order, and no entry is checked again."""
+        rows = rows[np.lexsort(rows.T[::-1])]
+        rows.flags.writeable = False
+        M = cls(q, n, (), provenance)
+        M.words, M._arr = tuple(map(tuple, rows.tolist())), rows
+        return M
 
     def __len__(self):
         return len(self.words)
@@ -183,6 +195,58 @@ class MdsCode:
             self._profiles = profiles
         return self._profiles
 
+    def subcube_profiles(self) -> dict:
+        """4-set U of coordinates (sorted) -> the sorted counts of full boxes
+        of the codes of length 4 left over U, one per assignment of the other
+        coordinates; computed once per code, and {} for n < 4. A box picks
+        two symbols at each coordinate of U and is full when it holds 8
+        words, an order-2 subcode. The code must be MDS.
+
+        Read with U = (a, b, c, d), the slice d = t of such a code is a Latin
+        square, and a full box is an intercalate on rows x0 < x1 and columns
+        y0 < y1 of one slice whose swapped symbols sit on the same cells of
+        another slice t'. Starting from the intercalate in the slice t < t',
+        each box is counted once, and the arrays hold O(|M|·q) entries."""
+        if self._subcubes is None:
+            q, n = self.q, self.n
+            arr = self.word_array()
+            rows = np.array(list(itertools.combinations(range(q), 2)),
+                            dtype=np.int64).reshape(-1, 2)
+            x0, x1 = rows[:, :1] * q, rows[:, 1:] * q  # [row pair, 1], row offsets
+            y0 = np.arange(q)
+            # candidates [slice (code, t), row pair, y0] index flat arrays
+            # [code, t, x, y] and [code, x, y, z] from these offsets
+            square = np.arange(len(arr) // (q * q))[:, None, None]
+            t, code = square % q, square // q * q ** 3
+            row0, row1 = square * q * q + x0, square * q * q + x1
+            line = code + (x0 + y0) * q
+            profiles = {}
+            for U in itertools.combinations(range(n), 4):
+                a, b, c, d = U
+                rest = [i for i in range(n) if i not in U]
+                key = arr[:, rest] @ q ** np.arange(len(rest), dtype=np.int64)
+                # [code, t, x, y] -> z, [code, t, x, z] -> y, [code, x, y, z] -> t
+                at = ((key * q + arr[:, d]) * q + arr[:, a]) * q
+                symbol = np.empty(len(arr), dtype=np.int64)
+                symbol[at + arr[:, b]] = arr[:, c]
+                column = np.empty_like(symbol)
+                column[at + arr[:, c]] = arr[:, b]
+                slice_ = np.empty_like(symbol)
+                slice_[((key * q + arr[:, a]) * q + arr[:, b]) * q + arr[:, c]] = arr[:, d]
+                z0, z1 = symbol[row0 + y0], symbol[row1 + y0]
+                y1 = column[row0 + z1]
+                t2 = slice_[line + z1]  # the slice holding z1 at (x0, y0)
+                other = code + t2 * q * q
+                box = ((y0 < y1) & (t < t2)
+                       & (symbol[row1 + y1] == z0)
+                       & (symbol[other + x0 + y1] == z0)
+                       & (symbol[other + x1 + y0] == z0)
+                       & (symbol[other + x1 + y1] == z1))
+                counts = box.reshape(len(arr) // q ** 3, -1).sum(axis=1)
+                profiles[U] = tuple(sorted(counts.tolist()))
+            self._subcubes = profiles
+        return self._subcubes
+
 
 class Isotopism:
     """Tuple of per-coordinate symbol permutations, all of one alphabet
@@ -296,9 +360,14 @@ def require_mds(M: MdsCode) -> None:
 
 class NAryQuasigroup:
     """Total n-ary operation on {0..q-1} that is a bijection in each argument
-    when the others are fixed. The table has shape (q,)*arity."""
+    when the others are fixed. The table has shape (q,)*arity, and its
+    entries are integers: ValueError for anything else."""
 
     def __init__(self, table):
+        if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
+            entries = np.asarray(table, dtype=object)
+            table = np.reshape(_integers(entries.ravel(), "table entry must be an integer"),
+                               entries.shape)
         arr = np.asarray(table, dtype=np.int64)
         if arr.ndim < 1:
             raise ValueError("table must have at least one axis")

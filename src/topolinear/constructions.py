@@ -87,8 +87,6 @@ def loop_from_json(obj, loop_only: bool = True) -> BinaryQuasigroup:
     q = len(table)
     for row in table:
         _require(isinstance(row, list) and len(row) == q, "table must be square")
-        for v in row:
-            _as_int(v, "table entry")
     identity = obj.get("identity")
     if identity is not None:
         _require(0 <= _as_int(identity, "identity") < q, f"identity {identity} out of range")

@@ -43,12 +43,17 @@ Myrvold, Small Latin squares, quasigroups and loops, J. Combin. Des. 15,
 multiset of counts over T onto the multiset over eps(T): profiles that
 differ prove two codes inequivalent, and only the eps that keep them, the
 first step of partition refinement (McKay and Piperno, J. Symb. Comput. 60,
-2014), are searched.
+2014), are searched. When the first of them fails, a finer invariant refines
+the rest (McKay, Practical graph isomorphism, Congr. Numer. 30, 1981): over
+each 4-set U, the counts of full 2x2x2x2 boxes, order-2 subcodes, of the
+codes left over U. It tells r2 = x0x1 + x2x3 (8 boxes) from the pair code H
+(none), whose intercalate counts agree.
 
-Line completion and the intercalate counts are defined on MDS codes only,
-so the searches, and every verdict that runs one, raise ValueError naming
-the `is_mds` reason on any other word set. The explicit route and
-certificate replay search nothing: they check witnesses on any word set.
+Line completion and the intercalate and box counts are defined on MDS
+codes only, so the searches, and every verdict that runs one, raise
+ValueError naming the `is_mds` reason on any other word set. The explicit
+route and certificate replay search nothing: they check witnesses on any
+word set.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import BudgetExceeded, DEFAULT_BUDGET, SearchBudget
-from .codes import Isotopism, MdsCode, require_mds
+from .codes import Isotopism, MdsCode, _integers, require_mds
 from .constructions import construction_hint, dropped_hint
 from .perms import compose, invert
 
@@ -73,9 +78,13 @@ def permute_word(w, eps) -> tuple[int, ...]:
 
 
 def parastrophe(M: MdsCode, eps) -> MdsCode:
+    """M with coordinate j of every word moved to position eps[j]: one column
+    gather of its word array. ValueError unless eps permutes range(n)."""
+    eps = _integers(eps, "eps must be a permutation of the coordinates")
+    if sorted(eps) != list(range(M.n)):
+        raise ValueError("eps must be a permutation of the coordinates")
     prov = {"construction": "parastrophe", "eps": list(eps), "of": M.provenance}
-    return MdsCode(M.q, M.n, [permute_word(w, eps) for w in M.words],
-                   provenance=prov, check_symbols=False)
+    return MdsCode._of(M.q, M.n, M.word_array()[:, invert(eps)], prov)
 
 
 class Isometry:
@@ -649,22 +658,30 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
 # ---------------------------------------------------------------------------
 # code equivalence
 
-def _profile_permutations(p1: dict, p2: dict, n: int):
-    """The coordinate permutations eps with p1[T] == p2[eps(T)] for every
-    3-set T, in lexicographic order; a prefix is dropped at the first T
-    inside it that fails."""
-    def extend(eps):
+def _profile_permutations(profiles, n: int):
+    """The coordinate permutations eps with p1[S] == p2[eps(S)] for every
+    pair (p1, p2) of `profiles` and every coordinate set S that p1 keys, in
+    lexicographic order; a prefix is dropped at the first S inside it that
+    fails. Sets are looked up in p2 by their bit masks."""
+    masked = [(p1, {sum(1 << i for i in S): v for S, v in p2.items()})
+              for p1, p2 in profiles]
+    ending = [[(value, by_mask, S[:-1])
+               for p1, by_mask in masked for S, value in p1.items() if S[-1] == j]
+              for j in range(n)]
+
+    def extend(eps, bits):
         j = len(eps)
         if j == n:
             yield tuple(eps)
             return
         for v in range(n):
-            if v not in eps and all(
-                    p1[(a, b, j)] == p2[tuple(sorted((eps[a], eps[b], v)))]
-                    for a, b in itertools.combinations(range(j), 2)):
-                yield from extend([*eps, v])
+            if v not in eps:
+                bit = 1 << v
+                if all(value == by_mask[bit + sum(map(bits.__getitem__, head))]
+                       for value, by_mask, head in ending[j]):
+                    yield from extend([*eps, v], [*bits, bit])
 
-    return extend([])
+    return extend([], [])
 
 
 def equivalent_codes(M1: MdsCode, M2: MdsCode,
@@ -676,19 +693,40 @@ def equivalent_codes(M1: MdsCode, M2: MdsCode,
 
     Their intercalate profiles (`MdsCode.triple_profiles`) come first: None
     at once when their multisets differ, else only the permutations that
-    carry each profile onto an equal one are searched. Either None is a
-    proof, since an isometry keeps the profiles."""
+    carry each profile onto an equal one are searched, in lexicographic
+    order. When the search at the first of them fails, the box profiles
+    (`MdsCode.subcube_profiles`) refine the rest the same way, so a pair
+    found at its first candidate never builds them. Every None is a proof,
+    since an isometry keeps both profiles, and the isometry found is the
+    first in that order."""
     if (M1.q, M1.n) != (M2.q, M2.n):
         return None
     budget.check_points(M1.q, M1.n)
     require_mds(M1)
     require_mds(M2)
-    p1, p2 = M1.triple_profiles(), M2.triple_profiles()
-    if sorted(p1.values()) != sorted(p2.values()):
+
+    def search(eps):
+        found = next(search_isotopisms(parastrophe(M1, eps), M2, budget=budget), None)
+        return None if found is None else Isometry(found, eps)
+
+    def kept(p1, p2):
+        return sorted(p1.values()) == sorted(p2.values())
+
+    triples = M1.triple_profiles(), M2.triple_profiles()
+    if not kept(*triples):
         return None
-    for eps in _profile_permutations(p1, p2, M1.n):
-        permuted = parastrophe(M1, eps)
-        found = next(search_isotopisms(permuted, M2, budget=budget), None)
-        if found is not None:
-            return Isometry(found, eps)
+    first = next(_profile_permutations([triples], M1.n), None)
+    if first is None:
+        return None
+    found = search(first)
+    if found is not None:
+        return found
+    boxes = M1.subcube_profiles(), M2.subcube_profiles()
+    if not kept(*boxes):
+        return None
+    for eps in _profile_permutations([triples, boxes], M1.n):
+        if eps > first:
+            found = search(eps)
+            if found is not None:
+                return found
     return None

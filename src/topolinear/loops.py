@@ -23,7 +23,7 @@ import numpy as np
 
 from .alphabet import from_residue_bit, to_residue_bit
 from .budget import BudgetExceeded
-from .codes import MdsCode, NAryQuasigroup, graph_of
+from .codes import MdsCode, NAryQuasigroup, _integers, graph_of
 from .perms import cycle_type, invert, transposition
 
 
@@ -31,7 +31,7 @@ class BinaryQuasigroup:
     """q x q Latin square; value(x, y) = table[x][y]."""
 
     def __init__(self, table, check=True):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows = tuple(_integers(row, "table entry must be an integer") for row in table)
         q = len(rows)
         if check:
             if any(len(r) != q for r in rows):

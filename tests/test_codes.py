@@ -8,7 +8,7 @@ from topolinear.classify_q4 import semilinearity_test
 from topolinear.codes import (Isotopism, MdsCode, NAryQuasigroup, graph_of, is_mds,
                               pair_code, parity_code, quasigroup_of,
                               require_mds, subcode)
-from topolinear.loops import random_latin_square
+from topolinear.loops import BinaryQuasigroup, random_latin_square
 
 
 def lines(q, n):
@@ -140,3 +140,34 @@ def test_the_constructors_accept_numpy_integers():
     M = MdsCode(3, 2, np.array([[1, 2], [0, 1]], dtype=np.int16))
     assert M.words == ((0, 1), (1, 2))
     assert {type(s) for t in g.taus + M.words for s in t} == {int}
+
+
+@pytest.mark.parametrize("make", [BinaryQuasigroup, NAryQuasigroup],
+                         ids=["binary", "n-ary"])
+@pytest.mark.parametrize("table", [
+    [[0.0, 1.9], [True, 0]], [[0, 1], [True, 0]], [[0, 1.0], [1, 0]],
+    np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[True, False], [False, True]])],
+    ids=["truncated", "bool", "float", "float-array", "bool-array"])
+def test_a_quasigroup_refuses_non_integer_entries(make, table):
+    with pytest.raises(ValueError, match="^table entry must be an integer$"):
+        make(table)
+
+
+def test_the_quasigroups_accept_numpy_integers():
+    table = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+    assert BinaryQuasigroup(table).table == ((1, 0), (0, 1))
+    assert {type(s) for row in BinaryQuasigroup(table).table for s in row} == {int}
+    f = NAryQuasigroup(table)
+    assert f.table.dtype == np.int64 and f.table.tolist() == [[1, 0], [0, 1]]
+    assert NAryQuasigroup([[np.int16(1), 0], [0, 1]]) == f
+
+
+def test_a_column_permuted_code_is_sorted_and_equal_to_the_rebuilt_one():
+    M = graph_of(NAryQuasigroup(random_latin_square(5, random.Random(3)).table))
+    for eps in itertools.permutations(range(3)):
+        P = MdsCode._of(5, 3, M.word_array()[:, list(eps)], {"construction": "test"})
+        R = MdsCode(5, 3, [tuple(w[i] for i in eps) for w in M.words])
+        assert P == R and P.words == R.words
+        assert np.array_equal(P.word_array(), R.word_array())
+        assert {type(s) for w in P.words for s in w} == {int}
+        assert P.provenance == {"construction": "test"} and is_mds(P)

@@ -6,6 +6,7 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -954,6 +955,129 @@ def test_triple_profiles_follow_an_isometry(name, rng):
     after = g.apply_code(M).triple_profiles()
     for T, profile in before.items():
         assert after[tuple(sorted(g.eps[i] for i in T))] == profile, name
+
+
+def brute_subcube_profiles(M):
+    """Reference: over each 4-set U and each assignment of the other
+    coordinates, every box of two symbols per coordinate of U, counted when
+    all 8 words it can hold lie in the sub-code the assignment leaves."""
+    pairs = np.array(list(itertools.combinations(range(M.q), 2)))
+    profiles = {}
+    for U in itertools.combinations(range(M.n), 4):
+        rest = [i for i in range(M.n) if i not in U]
+        counts = []
+        for fixed in itertools.product(range(M.q), repeat=len(rest)):
+            inside = np.zeros((M.q,) * 4, dtype=np.int64)
+            for w in M.words:
+                if all(w[i] == v for i, v in zip(rest, fixed)):
+                    inside[tuple(w[i] for i in U)] = 1
+            held = sum(inside[np.ix_(*(pairs[:, e] for e in corner))]
+                       for corner in itertools.product((0, 1), repeat=4))
+            counts.append(int((held == 8).sum()))
+        profiles[U] = tuple(sorted(counts))
+    return profiles
+
+
+def test_subcube_profiles_match_the_box_enumeration():
+    cases = {name: profile_source(name)
+             for name in ["r1", "r2", "r3", "r4", "H", "partition-21"]}
+    cases["q4-std-5"] = scrambled(standard_semilinear_code(5, [(0, 1), (2, 3)]), 7)
+    for name, M in cases.items():
+        assert M.subcube_profiles() == brute_subcube_profiles(M), name
+    # r1..r4 and H apart: the pair whose intercalate profiles tie, r2 and H
+    assert {name: cases[name].subcube_profiles()[(0, 1, 2, 3)]
+            for name in ["r1", "r2", "r3", "r4", "H"]} == {
+        "r1": (24,), "r2": (8,), "r3": (8,), "r4": (8,), "H": (0,)}
+    assert profile_source("r2").triple_profiles() == profile_source("H").triple_profiles()
+    assert profile_source("twisted-3").subcube_profiles() == {}
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(sorted(PROFILE_SOURCES)), st.randoms(use_true_random=False))
+def test_subcube_profiles_follow_an_isometry(name, rng):
+    M = profile_source(name)
+    g = random_isometry(M, rng)
+    before = M.subcube_profiles()
+    after = g.apply_code(M).subcube_profiles()
+    assert len(after) == len(before)
+    for U, profile in before.items():
+        assert after[tuple(sorted(g.eps[i] for i in U))] == profile, name
+
+
+def count_profile_work(monkeypatch):
+    """Lists that record each isotopism search and each box-profile build."""
+    searches, builds = [], []
+    search, build = isometry.search_isotopisms, MdsCode.subcube_profiles
+
+    def counted_search(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    def counted_build(M):
+        builds.append(M)
+        return build(M)
+
+    monkeypatch.setattr(isometry, "search_isotopisms", counted_search)
+    monkeypatch.setattr(MdsCode, "subcube_profiles", counted_build)
+    return searches, builds
+
+
+def test_r2_and_h_are_told_apart_after_one_search(monkeypatch):
+    searches, builds = count_profile_work(monkeypatch)
+    r2, H = standard_semilinear_code(4, [(0, 1), (2, 3)]), code_h()
+    assert equivalent_codes(r2, H) is None
+    assert (len(searches), len(builds)) == (1, 2)
+
+
+def test_box_profiles_are_built_only_after_a_failed_first_candidate(monkeypatch):
+    searches, builds = count_profile_work(monkeypatch)
+    rng = random.Random(82)
+    refined = 0
+    for name, make in sorted(PROFILE_SOURCES.items()):
+        M = make()
+        for isotope in (True, False):
+            g = (Isometry(random_isotopism(M.q, M.n, rng), range(M.n)) if isotope
+                 else random_isometry(M, rng))
+            image = g.apply_code(M)
+            del searches[:], builds[:]
+            found = equivalent_codes(M, image)
+            assert found.apply_code(M).words == image.words, name
+            # the identity is the first candidate, and an isotope is found there
+            assert len(searches) == 1 or not isotope, name
+            assert len(builds) == (0 if len(searches) == 1 else 2), name
+            tried = [tuple(P.provenance["eps"]) for P in searches]
+            assert tried == sorted(set(tried)), name  # in order, none twice
+            refined += len(searches) > 1
+    assert refined > 0
+
+
+def test_equivalence_round_trips_a_random_isometry_of_every_oracle_code():
+    rng = random.Random(83)
+    moved = 0
+    for name, M in oracle_cases():
+        g = random_isometry(M, rng)
+        image = g.apply_code(M)
+        found = equivalent_codes(M, image)
+        assert found is not None and found.apply_code(M).words == image.words, name
+        moved += g.eps != tuple(range(M.n))
+    assert moved > len(oracle_cases()) // 2
+
+
+@pytest.mark.parametrize("eps", [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1.0, 2), (True, 0, 2), "012"],
+                         ids=["repeat", "short", "out-of-range", "float", "bool", "string"])
+def test_parastrophe_refuses_a_non_permutation(eps):
+    with pytest.raises(ValueError, match="^eps must be a permutation of the coordinates$"):
+        isometry.parastrophe(parity_code(3, 3), eps)
+
+
+def test_parastrophe_moves_each_coordinate_to_its_image():
+    for name in ["twisted-3", "H", "partition-21"]:
+        M = profile_source(name)
+        for eps in itertools.permutations(range(M.n)):
+            P = isometry.parastrophe(M, eps)
+            assert P == MdsCode(M.q, M.n, [isometry.permute_word(w, eps) for w in M.words])
+            assert P.provenance == {"construction": "parastrophe", "eps": list(eps),
+                                    "of": M.provenance}
 
 
 def equivalence_pairs():

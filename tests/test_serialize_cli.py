@@ -74,6 +74,9 @@ def test_loop_round_trip_and_rejection(tmp_path):
         loop_from_json({"table": [[0, 0], [1, 1]]})
     with pytest.raises(MalformedInput):
         loop_from_json({"table": [[0, 1], [1, 0], [0, 1]]})
+    for table in ([[0.0, 1.9], [True, 0]], [[0, 1], [1, "0"]]):
+        with pytest.raises(MalformedInput, match="^table entry must be an integer$"):
+            loop_from_json({"table": table})
 
 
 def test_certificate_round_trip_and_validation():
