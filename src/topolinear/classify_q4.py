@@ -96,7 +96,7 @@ def standard_semilinear_code(n: int, r, provenance=None) -> MdsCode:
         "n": n,
         "r_truth": list(truth_table(r, n)),
     }
-    return MdsCode(4, n, words, provenance=prov, check_symbols=False)
+    return MdsCode(4, n, words, provenance=prov)
 
 
 def code_h(provenance=None) -> MdsCode:

@@ -35,41 +35,42 @@ class MdsCode:
     """Immutable word set with cached line, membership and profile indexes.
 
     Words are stored sorted lexicographically; that sorted tuple is the
-    canonical form used for equality, hashing and serialization. Symbols
-    must be integers, and `check_symbols` checks word lengths and ranges.
+    canonical form used for equality, hashing and serialization. Every code
+    is checked on construction: q and n are integers, and every word is n
+    integer symbols in 0..q-1, else ValueError. `words` is an iterable of
+    words, each checked symbol by symbol, or an integer numpy array of
+    shape (|M|, n), checked by its shape and one min/max test with no
+    per-entry type pass and put in word order by one lexsort.
     """
 
-    def __init__(self, q, n, words, provenance=None, check_symbols=True):
-        self.q = int(q)
-        self.n = int(n)
-        ws = sorted(_integers(w, "symbol must be an integer") for w in words)
-        if check_symbols:
-            for w in ws:
+    def __init__(self, q, n, words, provenance=None):
+        self.q, self.n = _integers((q, n), "q and n must be integers")
+        self._arr, fits = None, False
+        if isinstance(words, np.ndarray) and words.dtype.kind in "iu":
+            if words.ndim != 2 or words.shape[1] != self.n:
+                raise ValueError(f"word array has shape {words.shape}, expected (k, {self.n})")
+            rows = words[np.lexsort(words.T[::-1])]
+            self.words: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows.tolist()))
+            fits = not rows.size or 0 <= int(rows.min()) and int(rows.max()) < self.q
+            if np.can_cast(rows.dtype, np.int64):
+                self._arr = rows.astype(np.int64, copy=False)
+                self._arr.flags.writeable = False
+        else:
+            self.words = tuple(sorted(_integers(w, "symbol must be an integer") for w in words))
+        if not fits:  # an array's words are walked only to name the symbol out of range
+            for w in self.words:
                 if len(w) != self.n:
                     raise ValueError(f"word {w} has length {len(w)}, expected {self.n}")
                 for s in w:
                     if not 0 <= s < self.q:
                         raise ValueError(f"symbol {s} out of range in {w}")
-        self.words: tuple[tuple[int, ...], ...] = tuple(ws)
         self.provenance = dict(provenance) if provenance else {"construction": "literal"}
         self._word_set = None
         self._complete = None
         self._slots = None
-        self._arr = None
         self._enc = None
         self._profiles = None
         self._subcubes = None
-
-    @classmethod
-    def _of(cls, q: int, n: int, rows: np.ndarray, provenance=None) -> "MdsCode":
-        """Code of `rows`, an integer array of (|M|, n) symbols taken from a
-        checked code's words, as a permutation of its columns: one lexsort
-        puts them in word order, and no entry is checked again."""
-        rows = rows[np.lexsort(rows.T[::-1])]
-        rows.flags.writeable = False
-        M = cls(q, n, (), provenance)
-        M.words, M._arr = tuple(map(tuple, rows.tolist())), rows
-        return M
 
     def __len__(self):
         return len(self.words)
@@ -284,9 +285,11 @@ class Isotopism:
         return tuple(t[s] for t, s in zip(self.taus, w))
 
     def apply_code(self, M: MdsCode) -> MdsCode:
+        """The image of M: one gather of its word array through the taus."""
+        if (self.n, self.q) != (M.n, M.q):
+            raise ValueError("the isotopism acts on another n or q than the code")
         prov = {"construction": "isotopism-image", "of": M.provenance}
-        return MdsCode(M.q, M.n, [self.apply_word(w) for w in M.words],
-                       provenance=prov, check_symbols=False)
+        return MdsCode(M.q, M.n, np.array(self.taus)[np.arange(M.n), M.word_array()], prov)
 
     def compose(self, other: "Isotopism") -> "Isotopism":
         """(self o other): other is applied first."""
@@ -388,10 +391,8 @@ class NAryQuasigroup:
 def graph_of(f: NAryQuasigroup, provenance=None) -> MdsCode:
     """All (x_1..x_m, f(x)); the output is the last coordinate."""
     q, m = f.q, f.arity
-    words = []
-    for xs in itertools.product(range(q), repeat=m):
-        words.append(xs + (int(f.table[xs]),))
-    return MdsCode(q, m + 1, words, provenance=provenance, check_symbols=False)
+    xs = np.indices(f.table.shape).reshape(m, -1)
+    return MdsCode(q, m + 1, np.vstack([xs, f.table.reshape(1, -1)]).T, provenance)
 
 
 def quasigroup_of(M: MdsCode, output_coord: int) -> NAryQuasigroup:
@@ -416,8 +417,7 @@ def pair_code(f: NAryQuasigroup, g: NAryQuasigroup, provenance=None) -> MdsCode:
     for xs in itertools.product(range(q), repeat=f.arity):
         for ys in fibers[int(f.table[xs])]:
             words.append(xs + ys)
-    return MdsCode(q, f.arity + g.arity, words, provenance=provenance,
-                   check_symbols=False)
+    return MdsCode(q, f.arity + g.arity, words, provenance=provenance)
 
 
 def subcode(M: MdsCode, fixed: dict[int, int]) -> MdsCode:
@@ -432,19 +432,15 @@ def subcode(M: MdsCode, fixed: dict[int, int]) -> MdsCode:
     free = [i for i in range(M.n) if i not in fixed]
     if len(free) < 2:
         raise ValueError("fixing n-1 or more coordinates degenerates the code")
-    words = []
-    for w in M.words:
-        if all(w[c] == v for c, v in fixed.items()):
-            words.append(tuple(w[i] for i in free))
+    arr = M.word_array()
+    kept = (arr[:, list(fixed)] == list(fixed.values())).all(axis=1)
     prov = {"construction": "subcode", "fixed": {str(k): v for k, v in sorted(fixed.items())},
             "of": M.provenance}
-    return MdsCode(M.q, len(free), words, provenance=prov, check_symbols=False)
+    return MdsCode(M.q, len(free), arr[kept][:, free], prov)
 
 
 def parity_code(q: int, n: int, provenance=None) -> MdsCode:
     """Words summing to 0 mod q; the basic linear example."""
-    words = []
-    for xs in itertools.product(range(q), repeat=n - 1):
-        words.append(xs + ((-sum(xs)) % q,))
+    xs = np.indices((q,) * (n - 1)).reshape(n - 1, q ** (n - 1))
     prov = provenance or {"construction": "parity", "q": q, "n": n}
-    return MdsCode(q, n, words, provenance=prov, check_symbols=False)
+    return MdsCode(q, n, np.vstack([xs, -xs.sum(axis=0) % q]).T, prov)

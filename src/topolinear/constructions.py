@@ -33,7 +33,7 @@ from typing import Callable
 
 from .alphabet import from_residue_bit, pair_join, pair_split, to_residue_bit
 from .budget import BudgetExceeded
-from .codes import Isotopism, MdsCode
+from .codes import Isotopism, MdsCode, _integers
 from .fields import field_make, field_order
 from .loops import (BinaryQuasigroup, Loop, find_non_g_loop_order6, graph_code,
                     is_associative, make_cp, make_dihedral, make_zp_z2,
@@ -338,7 +338,7 @@ def iterated_code(spec: IteratedGroupSpec) -> MdsCode:
         words.append(xs + (element_inverse(loop, fold(loop, xs)),))
     prov = {"construction": "iterated", "table": [list(r) for r in loop.table],
             "identity": loop.identity, "n": n}
-    return MdsCode(loop.q, n, words, provenance=prov, check_symbols=False)
+    return MdsCode(loop.q, n, words, provenance=prov)
 
 
 def regular_group_iterated(spec: IteratedGroupSpec, M: MdsCode | None = None):
@@ -442,7 +442,7 @@ class CompositionSpec:
     inner: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "inner", tuple(int(m) for m in self.inner))
+        object.__setattr__(self, "inner", _integers(self.inner, "block arities must be integers"))
         if self.outer not in ("cp", "zpz2"):
             raise ValueError("outer must be 'cp' or 'zpz2'")
         if self.p < 2:
@@ -492,7 +492,7 @@ def composition_code(spec: CompositionSpec) -> MdsCode:
         words.append((fold(outer, vs),) + zs)
     prov = {"construction": "composition", "outer": spec.outer, "p": spec.p,
             "inner": list(spec.inner)}
-    return MdsCode(q, spec.length, words, provenance=prov, check_symbols=False)
+    return MdsCode(q, spec.length, words, provenance=prov)
 
 
 @lru_cache(maxsize=None)
@@ -550,8 +550,8 @@ class QuadraticSpec:
         q = self.p ** self.k
         if self.n < 2:
             raise ValueError("length must be at least 2")
-        alpha = tuple(tuple(int(v) for v in row) for row in self.alpha)
-        beta = tuple(tuple(int(v) for v in row) for row in self.beta)
+        alpha = tuple(_integers(row, "alpha entries must be field elements") for row in self.alpha)
+        beta = tuple(_integers(row, "beta values must be field elements") for row in self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         if len(alpha) != self.n or any(len(r) != self.n for r in alpha):
@@ -612,7 +612,7 @@ def quadratic_code(spec: QuadraticSpec) -> MdsCode:
     prov = {"construction": "quadratic", "p": spec.p, "k": spec.k, "n": n,
             "alpha": [list(r_) for r_ in spec.alpha],
             "beta": [list(b) for b in spec.beta]}
-    return MdsCode(q * q, n, words, provenance=prov, check_symbols=False)
+    return MdsCode(q * q, n, words, provenance=prov)
 
 
 def quadratic_witness(spec: QuadraticSpec, word) -> Isotopism:

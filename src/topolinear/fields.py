@@ -101,26 +101,20 @@ class FieldTable:
         q = self.q = field_order(p, k)
         self.p, self.k = p, k
 
-        if k == 1:
-            self.modulus: tuple[int, ...] = (0, 1)  # x, unused for k = 1
-            mul_row = lambda a, b: (a * b) % p
-            self.add = tuple(tuple((a + b) % p for b in range(q)) for a in range(q))
-        else:
-            modulus = next(m for m in _monic_polys(p, k) if _is_irreducible(m, p))
-            self.modulus = tuple(modulus)
-            polys = [_index_to_poly(i, p, k) for i in range(q)]
+        modulus = next(m for m in _monic_polys(p, k) if _is_irreducible(m, p))
+        self.modulus: tuple[int, ...] = tuple(modulus)
+        polys = [_index_to_poly(i, p, k) for i in range(q)]
 
-            def mul_row(a: int, b: int) -> int:
-                prod = _poly_mul(polys[a], polys[b], p)
-                return _poly_to_index(_poly_mod(prod, modulus, p), p)
+        def mul_row(a: int, b: int) -> int:
+            prod = _poly_mul(polys[a], polys[b], p)
+            return _poly_to_index(_poly_mod(prod, modulus, p), p)
 
-            def add_row(a: int, b: int) -> int:
-                return _poly_to_index(
-                    [(x + y) % p for x, y in zip(polys[a], polys[b])], p
-                )
+        def add_row(a: int, b: int) -> int:
+            return _poly_to_index(
+                [(x + y) % p for x, y in zip(polys[a], polys[b])], p
+            )
 
-            self.add = tuple(tuple(add_row(a, b) for b in range(q)) for a in range(q))
-
+        self.add = tuple(tuple(add_row(a, b) for b in range(q)) for a in range(q))
         self.mul_table = tuple(tuple(mul_row(a, b) for b in range(q)) for a in range(q))
 
         self.neg = tuple(next(b for b in range(q) if self.add[a][b] == 0) for a in range(q))

@@ -77,24 +77,30 @@ def permute_word(w, eps) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _coordinate_permutation(eps, n: int) -> tuple[int, ...]:
+    """eps as a tuple of ints: ValueError unless it permutes range(n)."""
+    eps = _integers(eps, "eps must be a permutation of the coordinates")
+    if sorted(eps) != list(range(n)):
+        raise ValueError("eps must be a permutation of the coordinates")
+    return eps
+
+
 def parastrophe(M: MdsCode, eps) -> MdsCode:
     """M with coordinate j of every word moved to position eps[j]: one column
     gather of its word array. ValueError unless eps permutes range(n)."""
-    eps = _integers(eps, "eps must be a permutation of the coordinates")
-    if sorted(eps) != list(range(M.n)):
-        raise ValueError("eps must be a permutation of the coordinates")
+    eps = _coordinate_permutation(eps, M.n)
     prov = {"construction": "parastrophe", "eps": list(eps), "of": M.provenance}
-    return MdsCode._of(M.q, M.n, M.word_array()[:, invert(eps)], prov)
+    return MdsCode(M.q, M.n, M.word_array()[:, invert(eps)], prov)
 
 
 class Isometry:
-    """Coordinate permutation followed by an isotopism."""
+    """Coordinate permutation eps, checked, followed by an isotopism."""
 
     __slots__ = ("iso", "eps")
 
     def __init__(self, iso: Isotopism, eps):
         self.iso = iso
-        self.eps = tuple(int(v) for v in eps)
+        self.eps = _coordinate_permutation(eps, iso.n)
 
     def apply_word(self, w) -> tuple[int, ...]:
         return self.iso.apply_word(permute_word(w, self.eps))

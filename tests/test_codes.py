@@ -8,7 +8,9 @@ from topolinear.classify_q4 import semilinearity_test
 from topolinear.codes import (Isotopism, MdsCode, NAryQuasigroup, graph_of, is_mds,
                               pair_code, parity_code, quasigroup_of,
                               require_mds, subcode)
+from topolinear.isometry import parastrophe
 from topolinear.loops import BinaryQuasigroup, random_latin_square
+from test_isometry import oracle_cases
 
 
 def lines(q, n):
@@ -134,6 +136,28 @@ def test_a_code_refuses_non_integer_symbols(words):
         MdsCode(3, 2, words)
 
 
+@pytest.mark.parametrize("rows,message", [
+    (np.array([[0, 1, 2]]), r"^word array has shape \(1, 3\), expected \(k, 2\)$"),
+    (np.array([0, 1]), r"^word array has shape \(2,\), expected \(k, 2\)$"),
+    (np.array([[0, 1], [2, 3]]), r"^symbol 3 out of range in \(2, 3\)$"),
+    (np.array([[0, 1], [-1, 2]], dtype=np.int8), r"^symbol -1 out of range in \(-1, 2\)$"),
+    (np.array([[0, 2**64 - 1]], dtype=np.uint64),
+     rf"^symbol {2**64 - 1} out of range in \(0, {2**64 - 1}\)$"),
+    (np.array([[True, False]]), "^symbol must be an integer$"),
+    (np.array([[0.0, 1.0]]), "^symbol must be an integer$")],
+    ids=["wide", "one-axis", "out-of-range", "negative", "huge-unsigned", "bool", "float"])
+def test_a_code_refuses_a_bad_word_array(rows, message):
+    with pytest.raises(ValueError, match=message):
+        MdsCode(3, 2, rows)
+
+
+@pytest.mark.parametrize("q,n", [(4.7, 3), (4, 3.2), (True, 3), ("4", 3)],
+                         ids=["float-q", "float-n", "bool-q", "string-q"])
+def test_a_code_refuses_a_non_integer_q_or_n(q, n):
+    with pytest.raises(ValueError, match="^q and n must be integers$"):
+        MdsCode(q, n, [])
+
+
 def test_the_constructors_accept_numpy_integers():
     g = Isotopism([np.array([1, 0, 2]), np.array([2, 1, 0], dtype=np.uint8)])
     assert g.taus == ((1, 0, 2), (2, 1, 0))
@@ -162,12 +186,66 @@ def test_the_quasigroups_accept_numpy_integers():
     assert NAryQuasigroup([[np.int16(1), 0], [0, 1]]) == f
 
 
+@pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (4, 3)], ids=["fewer-taus", "more-taus", "wider"])
+def test_an_isotopism_of_another_shape_refuses_to_map_a_code(q, n):
+    with pytest.raises(ValueError, match="^the isotopism acts on another n or q than the code$"):
+        Isotopism.identity(q, n).apply_code(parity_code(3, 3))
+
+
 def test_a_column_permuted_code_is_sorted_and_equal_to_the_rebuilt_one():
     M = graph_of(NAryQuasigroup(random_latin_square(5, random.Random(3)).table))
     for eps in itertools.permutations(range(3)):
-        P = MdsCode._of(5, 3, M.word_array()[:, list(eps)], {"construction": "test"})
+        P = MdsCode(5, 3, M.word_array()[:, list(eps)], {"construction": "test"})
         R = MdsCode(5, 3, [tuple(w[i] for i in eps) for w in M.words])
         assert P == R and P.words == R.words
         assert np.array_equal(P.word_array(), R.word_array())
         assert {type(s) for w in P.words for s in w} == {int}
         assert P.provenance == {"construction": "test"} and is_mds(P)
+
+
+def assert_same_code(got, want, label):
+    """Equal words, word array and provenance, with Python int symbols and a
+    read-only array."""
+    assert got.words == want.words and got.provenance == want.provenance, label
+    assert np.array_equal(got.word_array(), want.word_array()), label
+    assert got.word_array().dtype == np.int64 and not got.word_array().flags.writeable, label
+    assert {type(s) for w in got.words for s in w} == {int}, label
+
+
+def test_array_fed_builders_match_list_built_references():
+    # each reference is a list of word tuples, built here from M.words
+    rng = random.Random(17)
+    for name, M in oracle_cases():
+        q, n = M.q, M.n
+        f = quasigroup_of(M, n - 1)
+        want = [xs + (int(f.table[xs]),) for xs in itertools.product(range(q), repeat=n - 1)]
+        assert_same_code(graph_of(f, {"construction": "test"}),
+                         MdsCode(q, n, want, {"construction": "test"}), f"graph-{name}")
+
+        fixed = {c: rng.randrange(q) for c in rng.sample(range(n), n - 2)}
+        free = [i for i in range(n) if i not in fixed]
+        want = [tuple(w[i] for i in free) for w in M.words
+                if all(w[c] == v for c, v in fixed.items())]
+        prov = {"construction": "subcode",
+                "fixed": {str(k): v for k, v in sorted(fixed.items())}, "of": M.provenance}
+        assert_same_code(subcode(M, fixed), MdsCode(q, 2, want, prov), f"subcode-{name}")
+
+        taus = [tuple(rng.sample(range(q), q)) for _ in range(n)]
+        want = [tuple(t[s] for t, s in zip(taus, w)) for w in M.words]
+        prov = {"construction": "isotopism-image", "of": M.provenance}
+        assert_same_code(Isotopism(taus).apply_code(M), MdsCode(q, n, want, prov),
+                         f"apply-code-{name}")
+
+        eps = rng.sample(range(n), n)
+        moved = [[0] * n for _ in M.words]
+        for out, w in zip(moved, M.words):
+            for j, s in enumerate(w):
+                out[eps[j]] = s
+        prov = {"construction": "parastrophe", "eps": eps, "of": M.provenance}
+        assert_same_code(parastrophe(M, eps), MdsCode(q, n, moved, prov), f"parastrophe-{name}")
+
+    for q, n in [(3, 1), (2, 2), (3, 4), (4, 3), (5, 3)]:
+        want = [xs + (-sum(xs) % q,) for xs in itertools.product(range(q), repeat=n - 1)]
+        assert_same_code(parity_code(q, n),
+                         MdsCode(q, n, want, {"construction": "parity", "q": q, "n": n}),
+                         f"parity-{q}-{n}")

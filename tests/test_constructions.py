@@ -128,6 +128,24 @@ def test_composition_witnesses_flatten_every_word():
     assert {g.apply_word(base) for g in seen} == set(M.words)
 
 
+@pytest.mark.parametrize("inner", [(1.5, 1), (True, 1), ("1", 1), (1.0, 1)],
+                         ids=["truncated", "bool", "string", "float"])
+def test_a_composition_spec_refuses_non_integer_arities(inner):
+    with pytest.raises(ValueError, match="^block arities must be integers$"):
+        CompositionSpec("cp", 3, inner)
+
+
+@pytest.mark.parametrize("alpha,beta,message", [
+    ([[0, 1.9], [0, 0]], None, "alpha entries must be field elements"),
+    ([[0, True], [0, 0]], None, "alpha entries must be field elements"),
+    (None, [[0, "1"], [0, 0]], "beta values must be field elements"),
+    (None, [[0, 1.0], [0, 0]], "beta values must be field elements")],
+    ids=["truncated-alpha", "bool-alpha", "string-beta", "float-beta"])
+def test_a_quadratic_spec_refuses_non_integer_entries(alpha, beta, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuadraticSpec.make(2, 1, 2, alpha=alpha, beta=beta)
+
+
 def test_composition_zpz2_outer():
     M = composition_code(CompositionSpec("zpz2", 3, (2,)))
     assert M.n == 3 and is_mds(M)

@@ -1063,11 +1063,27 @@ def test_equivalence_round_trips_a_random_isometry_of_every_oracle_code():
     assert moved > len(oracle_cases()) // 2
 
 
-@pytest.mark.parametrize("eps", [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1.0, 2), (True, 0, 2), "012"],
-                         ids=["repeat", "short", "out-of-range", "float", "bool", "string"])
+NON_PERMUTATIONS = pytest.mark.parametrize(
+    "eps", [(0, 0, 1), (0, 1), (0, 1, 3), (0, 1.0, 2), (True, 0, 2), "012", (0, 1.7, 2.2)],
+    ids=["repeat", "short", "out-of-range", "float", "bool", "string", "truncated"])
+
+
+@NON_PERMUTATIONS
 def test_parastrophe_refuses_a_non_permutation(eps):
     with pytest.raises(ValueError, match="^eps must be a permutation of the coordinates$"):
         isometry.parastrophe(parity_code(3, 3), eps)
+
+
+@NON_PERMUTATIONS
+def test_an_isometry_refuses_a_non_permutation(eps):
+    with pytest.raises(ValueError, match="^eps must be a permutation of the coordinates$"):
+        Isometry(Isotopism.identity(3, 3), eps)
+
+
+def test_an_isometry_reads_its_eps_as_ints():
+    g = Isometry(Isotopism.identity(3, 3), np.array([2, 0, 1]))
+    assert g.eps == (2, 0, 1) and {type(v) for v in g.eps} == {int}
+    assert g.apply_word((1, 2, 0)) == (2, 0, 1)
 
 
 def test_parastrophe_moves_each_coordinate_to_its_image():

@@ -3,9 +3,9 @@ constructions never imports from isometry, and no module defers an import
 into a function body to get round a cycle. The size policy sits in one
 place: one budget instance, whose points bound each verdict checks once, on
 entry. Only the modules that compose checked isotopisms or read rows of
-them build one past the constructor's check, only `isometry` so builds a
-code, from the columns of a checked one, and only `codes` sorts arrays:
-it holds the one symmetry test."""
+them build one past the constructor's check, every code is built by the
+checked constructor, and only `codes` sorts arrays: it holds the one
+symmetry test."""
 import ast
 from pathlib import Path
 
@@ -81,20 +81,18 @@ def test_budget_module_defines_one_budget_instance():
 
 
 def test_only_codes_and_isometry_build_isotopisms_unchecked():
-    # `Isotopism._of` skips the check that every tau permutes one alphabet,
-    # and `MdsCode._of` the checks of every symbol: `isometry.parastrophe`
-    # permutes the columns of a code built by the checked constructor
+    # `Isotopism._of` skips the check that every tau permutes one alphabet;
+    # every code goes through the checked `MdsCode` constructor
     callers = {(path.stem, getattr(node.value, "id", None)) for path in MODULES
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_of"}
-    assert callers == {("codes", "Isotopism"), ("isometry", "Isotopism"),
-                       ("isometry", "MdsCode")}
+    assert callers == {("codes", "Isotopism"), ("isometry", "Isotopism")}
 
 
 def test_only_codes_sorts_arrays():
     # `MdsCode.symmetries` compares sorted images with the code's words: the
     # one symmetry test, which a second np.sort elsewhere would duplicate;
-    # `MdsCode._of` puts permuted word rows in word order with np.lexsort
+    # the `MdsCode` constructor puts word arrays in word order with np.lexsort
     callers = {path.stem for path in MODULES
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in ("sort", "lexsort")

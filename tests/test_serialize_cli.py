@@ -452,6 +452,24 @@ def test_forged_provenance_is_a_dropped_hint(tmp_path, capsys, prov, dropped_in)
         assert named == (mode in dropped_in)
 
 
+@pytest.mark.parametrize("alpha,beta,message", [
+    ([[0, 1.9, 0], [0, 0, 0], [0, 0, 0]], None, "alpha entries must be field elements"),
+    ([[0, 0, 0], [0, 0, "1"], [0, 0, 0]], None, "alpha entries must be field elements"),
+    ([[0] * 3] * 3, [[0, True], [0, 1], [0, 0]], "beta values must be field elements"),
+    ([[0, 1.9, 0], [0, 0, "1"], [0, 0, 0]], [[0, True], [0, 1], [0, 0]],
+     "alpha entries must be field elements")],
+    ids=["float-alpha", "string-alpha", "bool-beta", "all-three"])
+def test_cli_quadratic_spec_with_non_integer_entries_exits_2(tmp_path, capsys, alpha, beta,
+                                                              message):
+    obj = {"construction": "quadratic", "p": 2, "k": 1, "n": 3, "alpha": alpha}
+    if beta is not None:
+        obj["beta"] = beta
+    spec, out = write_json(tmp_path / "spec.json", obj), tmp_path / "out.json"
+    assert main(["construct", spec, str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"malformed input: {message}"
+    assert not out.exists()
+
+
 def test_loop_identity_out_of_range_is_malformed(tmp_path):
     table = loop_to_json(make_dihedral(3))["table"]
     for identity in (7, -1):
