@@ -1,11 +1,10 @@
 """Distance-2 MDS codes: constructions, symmetry certificates, search."""
 
 from .budget import DEFAULT_BUDGET, BudgetExceeded, SearchBudget
-from .codes import (MdsCode, NAryQuasigroup, graph_of, is_mds, pair_code,
-                    parity_code, quasigroup_of, subcode)
-from .loops import (Loop, cyclic_loop, find_non_g_loop_order6, graph_code,
-                    is_associative, is_g_loop, make_cp, make_dihedral,
-                    make_zp_z2, principal_isotope, twisted_graph_code)
+from .codes import (Loop, MdsCode, NAryQuasigroup, cyclic_loop, graph_code,
+                    graph_of, is_associative, is_mds, make_cp, make_dihedral,
+                    make_zp_z2, pair_code, parity_code, quasigroup_of, subcode,
+                    twisted_graph_code)
 from .constructions import (CompositionSpec, IteratedGroupSpec, MalformedInput,
                             QuadraticSpec, chase_to_zero_cp, composition_code,
                             composition_witness, cp_autotopism_a1,
@@ -17,6 +16,7 @@ from .isometry import (Isometry, Isotopism, TransitivityCertificate,
                        autotopism_search, equivalent_codes,
                        is_isotopically_transitive, is_topolinear, mulclose,
                        search_isotopisms)
+from .loops import find_non_g_loop_order6, is_g_loop, principal_isotope
 from .classify_q4 import (classify, code_h, semilinearity_test,
                           standard_semilinear_code)
 from .counting import (lower_bound_report, partition_asymptotic,

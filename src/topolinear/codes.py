@@ -1,5 +1,5 @@
-"""Distance-2 MDS codes over dense integer alphabets, their isotopisms, and
-n-ary quasigroups.
+"""Distance-2 MDS codes over dense integer alphabets, their isotopisms,
+n-ary quasigroups, and the loop tables whose graphs the constructions build.
 
 A code M over {0..q-1}^n is MDS here when |M| = q^(n-1) and every line (all n-1
 coordinates fixed except one) carries exactly one codeword; equivalently the
@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 import operator
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .alphabet import from_residue_bit, to_residue_bit
 from .perms import compose, identity_perm, invert
 
 
@@ -361,6 +363,15 @@ def require_mds(M: MdsCode) -> None:
         raise ValueError(f"not an MDS code: {verdict.reason}")
 
 
+def _unpermuted_axes(table: np.ndarray) -> list[int]:
+    """The axes of a table of shape (q,)*arity along which its entries,
+    sorted, are not 0..q-1: the arguments in which the operation is not a
+    bijection when the others are fixed."""
+    symbols = np.arange(table.shape[0])
+    return [i for i in range(table.ndim)
+            if not (np.sort(np.moveaxis(table, i, -1)) == symbols).all()]
+
+
 class NAryQuasigroup:
     """Total n-ary operation on {0..q-1} that is a bijection in each argument
     when the others are fixed. The table has shape (q,)*arity, and its
@@ -371,12 +382,17 @@ class NAryQuasigroup:
             entries = np.asarray(table, dtype=object)
             table = np.reshape(_integers(entries.ravel(), "table entry must be an integer"),
                                entries.shape)
-        arr = np.asarray(table, dtype=np.int64)
+        try:
+            arr = np.asarray(table, dtype=np.int64)
+        except OverflowError:  # an entry past int64 is out of range in every argument
+            raise ValueError("table is not a bijection in argument 0") from None
         if arr.ndim < 1:
             raise ValueError("table must have at least one axis")
         q = arr.shape[0]
         if any(s != q for s in arr.shape):
             raise ValueError("table must be q**arity entries with equal axes")
+        if bad := _unpermuted_axes(arr):
+            raise ValueError(f"table is not a bijection in argument {bad[0]}")
         self.table = arr
         self.q = q
         self.arity = arr.ndim
@@ -444,3 +460,143 @@ def parity_code(q: int, n: int, provenance=None) -> MdsCode:
     xs = np.indices((q,) * (n - 1)).reshape(n - 1, q ** (n - 1))
     prov = provenance or {"construction": "parity", "q": q, "n": n}
     return MdsCode(q, n, np.vstack([xs, -xs.sum(axis=0) % q]).T, prov)
+
+
+# ---------------------------------------------------------------------------
+# binary quasigroups and loops
+#
+# Elements of the order-2p tables are two-indexed: index u = x + p*bit encodes
+# x_bit with x mod p and bit mod 2, so 0 is the identity 0_0. The three
+# built-in operations on that set are
+#
+#   direct product   x_s + y_t = (x + y)_(s^t)
+#   dihedral         x_s o y_t = ((-1)^t x + y)_(s^t)
+#   twisted loop     x_s * y_t = ((-1)^t x + y + s*t)_(s^t)
+#
+# The twisted loop is a loop but not a group for odd p >= 3; it is the main
+# source of nonlinear transitive codes here.
+
+class BinaryQuasigroup:
+    """q x q Latin square; value(x, y) = table[x][y]. With `check`, the
+    table must be square and each row and column a permutation of 0..q-1
+    (the check of `NAryQuasigroup`): ValueError otherwise."""
+
+    def __init__(self, table, check=True):
+        rows = tuple(_integers(row, "table entry must be an integer") for row in table)
+        q = len(rows)
+        if check:
+            if any(len(r) != q for r in rows):
+                raise ValueError("table must be square")
+            try:
+                bad = _unpermuted_axes(np.array(rows, dtype=np.int64).reshape(q, q))
+            except OverflowError:  # an entry past int64 is out of range anyway
+                bad = [1]
+            if bad:
+                raise ValueError("row is not a permutation" if 1 in bad
+                                 else "column is not a permutation")
+        self.table = rows
+        self.q = q
+
+    def value(self, x: int, y: int) -> int:
+        return self.table[x][y]
+
+    def col_perm(self, y: int) -> tuple[int, ...]:
+        """Right translation x -> f(x, y)."""
+        return tuple(row[y] for row in self.table)
+
+    def as_nary(self) -> NAryQuasigroup:
+        return NAryQuasigroup(np.array(self.table, dtype=np.int64))
+
+    def find_identity(self) -> int | None:
+        for e in range(self.q):
+            if self.table[e] == tuple(range(self.q)) and all(
+                self.table[x][e] == x for x in range(self.q)
+            ):
+                return e
+        return None
+
+    def __eq__(self, other):
+        return isinstance(other, BinaryQuasigroup) and self.table == other.table
+
+    def __hash__(self):
+        return hash(self.table)
+
+
+class Loop(BinaryQuasigroup):
+    """Binary quasigroup with a two-sided identity."""
+
+    def __init__(self, table, identity: int | None = None, check=True):
+        super().__init__(table, check=check)
+        if identity is None:
+            identity = self.find_identity()
+            if identity is None:
+                raise ValueError("table has no two-sided identity")
+        else:
+            if self.table[identity] != tuple(range(self.q)) or any(
+                self.table[x][identity] != x for x in range(self.q)
+            ):
+                raise ValueError(f"{identity} is not a two-sided identity")
+        self.identity = identity
+
+
+def _two_indexed_table(p: int, component) -> Loop:
+    q = 2 * p
+    table = [[0] * q for _ in range(q)]
+    for u in range(q):
+        x, s = to_residue_bit(u, p)
+        for v in range(q):
+            y, t = to_residue_bit(v, p)
+            table[u][v] = from_residue_bit(component(x, s, y, t), s ^ t, p)
+    return Loop(table, identity=0, check=False)
+
+
+def make_zp_z2(p: int) -> Loop:
+    """Direct product of the p-cycle with the 2-cycle on two-indexed symbols."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    return _two_indexed_table(p, lambda x, s, y, t: (x + y) % p)
+
+
+def make_dihedral(p: int) -> Loop:
+    """Dihedral group of order 2p on two-indexed symbols."""
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    return _two_indexed_table(p, lambda x, s, y, t: ((-1) ** t * x + y) % p)
+
+
+def make_cp(p: int) -> Loop:
+    """The twisted loop of order 2p: x_s * y_t = ((-1)^t x + y + s*t)_(s^t).
+
+    For odd p >= 3 this is a nonassociative loop whose graph is still
+    isotopically transitive. p = 2 is accepted but degenerates to a group.
+    """
+    if p < 2:
+        raise ValueError("p must be >= 2")
+    if p == 2:
+        warnings.warn("p = 2 twisted loop is associative (no new structure)", stacklevel=2)
+    return _two_indexed_table(p, lambda x, s, y, t: ((-1) ** t * x + y + s * t) % p)
+
+
+def cyclic_loop(q: int) -> Loop:
+    return Loop([[(x + y) % q for y in range(q)] for x in range(q)], identity=0, check=False)
+
+
+def graph_code(loop: BinaryQuasigroup, provenance=None) -> MdsCode:
+    if provenance is None:
+        provenance = {"construction": "graph",
+                      "table": [list(row) for row in loop.table]}
+        if isinstance(loop, Loop):
+            provenance["identity"] = loop.identity
+    return graph_of(loop.as_nary(), provenance=provenance)
+
+
+def twisted_graph_code(p: int) -> MdsCode:
+    """Graph of the twisted loop, with provenance for the witness machinery."""
+    return graph_code(make_cp(p), provenance={"construction": "graph", "loop": "cp", "p": p})
+
+
+def is_associative(f: BinaryQuasigroup) -> bool:
+    t = np.array(f.table, dtype=np.int64)
+    # one x at a time, so memory stays q^2 for tables read from files:
+    # t[t[x]][y, z] = (xy)z and t[x][t][y, z] = x(yz)
+    return all(np.array_equal(t[t[x]], t[x][t]) for x in range(f.q))

@@ -31,13 +31,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
+
 from .alphabet import from_residue_bit, pair_join, pair_split, to_residue_bit
 from .budget import BudgetExceeded
-from .codes import Isotopism, MdsCode, _integers
+from .codes import (BinaryQuasigroup, Isotopism, Loop, MdsCode, _integers, graph_code,
+                    is_associative, make_cp, make_dihedral, make_zp_z2, twisted_graph_code)
 from .fields import field_make, field_order
-from .loops import (BinaryQuasigroup, Loop, find_non_g_loop_order6, graph_code,
-                    is_associative, make_cp, make_dihedral, make_zp_z2,
-                    twisted_graph_code)
 from .perms import compose as compose_perm, identity_perm, invert
 
 
@@ -99,8 +99,13 @@ def loop_from_json(obj, loop_only: bool = True) -> BinaryQuasigroup:
         raise MalformedInput(str(exc)) from exc
 
 
+# the first intercalate flip of the cyclic order-6 table that is not a G-loop,
+# as `loops.find_non_g_loop_order6` derives it
+NON_G_6 = ((0, 1, 2, 3, 4, 5), (1, 5, 3, 4, 2, 0), (2, 3, 4, 5, 0, 1),
+           (3, 4, 5, 0, 1, 2), (4, 2, 0, 1, 5, 3), (5, 0, 1, 2, 3, 4))
+
 BUILTIN_LOOPS = {"cp": make_cp, "dihedral": make_dihedral, "zpz2": make_zp_z2,
-                 "non-g-6": lambda p: find_non_g_loop_order6()}
+                 "non-g-6": lambda p: Loop(NON_G_6, identity=0, check=False)}
 
 
 def builtin_order(name: str, p: int | None = None) -> int:
@@ -594,25 +599,32 @@ def quadratic_r(spec: QuadraticSpec, xs) -> int:
 
 
 def quadratic_code(spec: QuadraticSpec) -> MdsCode:
+    """Every word of paired symbols x_i*q + y_i whose x-parts sum to zero
+    and whose y-parts sum to -r(x), built for all words at once by gathers
+    on the field's add, mul and neg tables."""
     F = spec.field
     q, n = spec.q, spec.n
-    words = []
-    for xs in itertools.product(range(q), repeat=n - 1):
-        tot = 0
-        for v in xs:
-            tot = F.a(tot, v)
-        full_x = xs + (F.s(0, tot),)
-        r = quadratic_r(spec, full_x)
-        for ys in itertools.product(range(q), repeat=n - 1):
-            tot = r
-            for v in ys:
-                tot = F.a(tot, v)
-            full_y = ys + (F.s(0, tot),)
-            words.append(tuple(pair_join(x, y, q) for x, y in zip(full_x, full_y)))
+    add, mul, neg = (np.array(t, dtype=np.int64) for t in (F.add, F.mul_table, F.neg))
+    free = np.indices((q,) * (n - 1)).reshape(n - 1, -1)  # [coordinate, vector]
+
+    def total(parts, acc=0):
+        for part in parts:
+            acc = add[acc, part]
+        return acc
+
+    xs = np.vstack([free, neg[total(free)]])  # [coordinate, x-part]
+    r = 0
+    for i in range(n):
+        for j in range(n):
+            r = add[r, mul[spec.alpha[i][j], mul[xs[i], xs[j]]]]
+        r = add[r, np.array(spec.beta[i])[xs[i]]]
+    words = np.empty((free.shape[1], free.shape[1], n), dtype=np.int64)  # [x-part, y-part]
+    words[..., :-1] = xs[:-1].T[:, None] * q + free.T
+    words[..., -1] = xs[-1][:, None] * q + neg[add[r[:, None], total(free)]]
     prov = {"construction": "quadratic", "p": spec.p, "k": spec.k, "n": n,
             "alpha": [list(r_) for r_ in spec.alpha],
             "beta": [list(b) for b in spec.beta]}
-    return MdsCode(q * q, n, words, provenance=prov)
+    return MdsCode(q * q, n, words.reshape(-1, n), provenance=prov)
 
 
 def quadratic_witness(spec: QuadraticSpec, word) -> Isotopism:

@@ -33,18 +33,3 @@ def random_permutation(q: int, rng: random.Random) -> tuple[int, ...]:
     rng.shuffle(out)
     return tuple(out)
 
-
-def cycle_type(perm) -> tuple[int, ...]:
-    """Sorted cycle lengths; conjugation invariant."""
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        k, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = perm[x]
-            k += 1
-        lengths.append(k)
-    return tuple(sorted(lengths))

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 
-from .codes import Isotopism, MdsCode
+from .codes import Isotopism, Loop, MdsCode
 from .constructions import (CONSTRUCTIONS, MalformedInput, _as_int, _require,
                             loop_from_json)
 from .isometry import TransitivityCertificate
-from .loops import Loop
 
 
 def dumps_canonical(obj) -> str:

@@ -22,9 +22,9 @@ from topolinear.counting import partition_exact, lower_bound_report, ratio_repor
 from topolinear.isometry import (TransitivityCertificate, autotopism_search,
                                  equivalent_codes, is_isotopically_transitive,
                                  is_topolinear, mulclose)
-from topolinear.loops import (cyclic_loop, find_non_g_loop_order6, graph_code,
-                              is_g_loop, make_cp, make_dihedral,
-                              random_latin_square, twisted_graph_code)
+from topolinear.codes import (cyclic_loop, graph_code, make_cp, make_dihedral,
+                              twisted_graph_code)
+from topolinear.loops import find_non_g_loop_order6, is_g_loop, random_latin_square
 
 REPORT: list[tuple[int, bool, str]] = []
 

@@ -23,7 +23,7 @@ from topolinear.constructions import construction_hint
 from topolinear.isometry import (GROUP_CAP, TransitivityCertificate, _regular_subgroup_search,
                                  autotopism_search, is_isotopically_transitive,
                                  is_topolinear, mulclose)
-from topolinear.loops import make_dihedral, twisted_graph_code
+from topolinear.codes import make_dihedral, twisted_graph_code
 from topolinear.serialize import (build_from_spec, certificate_to_json, code_to_json,
                                   dumps_canonical, loop_to_json, save_certificate,
                                   save_code)

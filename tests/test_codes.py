@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from topolinear.classify_q4 import semilinearity_test
-from topolinear.codes import (Isotopism, MdsCode, NAryQuasigroup, graph_of, is_mds,
-                              pair_code, parity_code, quasigroup_of,
+from topolinear.codes import (BinaryQuasigroup, Isotopism, MdsCode, NAryQuasigroup,
+                              graph_of, is_mds, pair_code, parity_code, quasigroup_of,
                               require_mds, subcode)
 from topolinear.isometry import parastrophe
-from topolinear.loops import BinaryQuasigroup, random_latin_square
+from topolinear.loops import random_latin_square
 from test_isometry import oracle_cases
 
 
@@ -184,6 +184,36 @@ def test_the_quasigroups_accept_numpy_integers():
     f = NAryQuasigroup(table)
     assert f.table.dtype == np.int64 and f.table.tolist() == [[1, 0], [0, 1]]
     assert NAryQuasigroup([[np.int16(1), 0], [0, 1]]) == f
+
+
+@pytest.mark.parametrize("table,argument", [
+    ([[0, 0], [1, 1]], 1), ([[0, 1], [0, 1]], 0), ([[0, 1], [1, 2]], 0),
+    (np.array([[-1, 0], [0, -1]], dtype=np.int8), 0), ([0, 0], 0),
+    ((np.indices((3, 3, 3))[:2].sum(axis=0)) % 3, 2), ([[0, 2**70], [2**70, 0]], 0)],
+    ids=["first-argument-only", "second-argument-only", "out-of-range", "negative",
+         "unary-constant", "ternary-ignores-the-last", "past-int64"])
+def test_an_nary_quasigroup_refuses_a_table_that_is_not_latin(table, argument):
+    with pytest.raises(ValueError, match=f"^table is not a bijection in argument {argument}$"):
+        NAryQuasigroup(table)
+
+
+@pytest.mark.parametrize("table,message", [
+    ([[0, 1], [1]], "table must be square"), ([[0, 0], [1, 1]], "row is not a permutation"),
+    ([[0, 1], [0, 1]], "column is not a permutation"),
+    ([[0, 2], [2, 0]], "row is not a permutation"),
+    ([[0, 2**70], [2**70, 0]], "row is not a permutation")],
+    ids=["ragged", "row", "column", "out-of-range", "past-int64"])
+def test_a_binary_quasigroup_refuses_a_table_that_is_not_latin(table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BinaryQuasigroup(table)
+
+
+def test_a_pair_code_operand_must_be_a_quasigroup():
+    # a constant g once gave pair_code an 8-word code that is not MDS
+    f = NAryQuasigroup([[(a + b) % 2 for b in range(2)] for a in range(2)])
+    with pytest.raises(ValueError, match="^table is not a bijection in argument 0$"):
+        pair_code(f, NAryQuasigroup(np.zeros((2, 2), dtype=np.int64)))
+    assert is_mds(pair_code(f, f))
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 4), (4, 3)], ids=["fewer-taus", "more-taus", "wider"])

@@ -4,22 +4,21 @@ import random
 import pytest
 
 from topolinear.budget import SearchBudget
-from topolinear.codes import is_mds
+from topolinear.codes import (BinaryQuasigroup, graph_code, is_mds, make_cp, make_dihedral,
+                              twisted_graph_code)
 from topolinear.counting import partitions_of
 from topolinear.constructions import (CompositionSpec, IteratedGroupSpec,
                                       QuadraticSpec, composition_code,
                                       composition_witness,
                                       condition_c_solutions, element_inverse,
                                       fold, iterated_code, quadratic_code,
-                                      quadratic_witness,
+                                      quadratic_r, quadratic_witness,
                                       regular_group_iterated,
                                       sigma_compatibility_failure,
                                       shift_isotopism, solve_condition_c,
                                       star_product)
 from topolinear.isometry import (TransitivityCertificate, equivalent_codes,
                                  is_isotopically_transitive, is_topolinear)
-from topolinear.loops import (BinaryQuasigroup, graph_code, make_cp, make_dihedral,
-                             twisted_graph_code)
 from topolinear.perms import random_permutation
 
 
@@ -199,6 +198,42 @@ def test_quadratic_codes_verify_end_to_end(n, pairs):
         assert g.apply_word(w) == base
         assert g.is_automorphism_of(M)
     assert is_topolinear(M).status is True
+
+
+def quadratic_words_one_by_one(spec):
+    """Reference: the quadratic code word by word, through the field's
+    scalar operations and `quadratic_r`."""
+    F, q, n = spec.field, spec.q, spec.n
+    words = []
+    for xs in itertools.product(range(q), repeat=n - 1):
+        tot = 0
+        for v in xs:
+            tot = F.a(tot, v)
+        full_x = xs + (F.s(0, tot),)
+        r = quadratic_r(spec, full_x)
+        for ys in itertools.product(range(q), repeat=n - 1):
+            tot = r
+            for v in ys:
+                tot = F.a(tot, v)
+            full_y = ys + (F.s(0, tot),)
+            words.append(tuple(x * q + y for x, y in zip(full_x, full_y)))
+    return sorted(words)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 1, 4), (3, 1, 2), (3, 1, 3),
+                                   (2, 2, 3), (5, 1, 2), (2, 1, 5)])
+def test_quadratic_code_matches_the_word_by_word_build(p, k, n):
+    rng = random.Random(p * 100 + k * 10 + n)
+    q = p ** k
+    for _ in range(3):
+        alpha = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        beta = [[0] + [rng.randrange(q) for _ in range(q - 1)] for _ in range(n)]
+        spec = QuadraticSpec.make(p, k, n, alpha=alpha, beta=beta)
+        M = quadratic_code(spec)
+        assert list(M.words) == quadratic_words_one_by_one(spec)
+        assert M.provenance == {"construction": "quadratic", "p": p, "k": k, "n": n,
+                                "alpha": alpha, "beta": beta}
+        assert {type(s) for w in M.words[:3] for s in w} == {int}
 
 
 def test_quadratic_beta_tables_are_respected():

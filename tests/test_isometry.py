@@ -29,7 +29,7 @@ from topolinear.isometry import (Isometry, Isotopism, TransitivityCertificate,
                                  _regular_subgroup_search, autotopism_search,
                                  equivalent_codes, is_isotopically_transitive,
                                  is_topolinear, mulclose, search_isotopisms)
-from topolinear.loops import Loop, graph_code, make_dihedral, twisted_graph_code
+from topolinear.codes import Loop, graph_code, make_dihedral, twisted_graph_code
 from topolinear.perms import random_permutation
 from topolinear.serialize import build_from_spec
 

@@ -1,11 +1,12 @@
 """Import layering of the package: `isometry` sits above `constructions`, so
-constructions never imports from isometry, and no module defers an import
-into a function body to get round a cycle. The size policy sits in one
-place: one budget instance, whose points bound each verdict checks once, on
-entry. Only the modules that compose checked isotopisms or read rows of
-them build one past the constructor's check, every code is built by the
-checked constructor, and only `codes` sorts arrays: it holds the one
-symmetry test."""
+constructions never imports from isometry; `loops` sits above `isometry`
+and takes the G-loop verdict from its orbit walk, so the loop tables live
+in `codes`; and no module defers an import into a function body to get
+round a cycle. The size policy sits in one place: one budget instance,
+whose points bound each verdict checks once, on entry. Only the modules
+that compose checked isotopisms or read rows of them build one past the
+constructor's check, every code is built by the checked constructor, and
+only `codes` sorts arrays: it holds the one symmetry test."""
 import ast
 from pathlib import Path
 
@@ -38,6 +39,15 @@ def test_constructions_imports_nothing_from_isometry():
     tree = ast.parse((PACKAGE / "constructions.py").read_text())
     for module, names in relative_imports(tree):
         assert module != "isometry" and not (module is None and "isometry" in names)
+
+
+def test_loops_sits_above_isometry():
+    for stem in ("codes", "constructions"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        for module, names in relative_imports(tree):
+            assert module != "loops" and not (module is None and "loops" in names)
+    tree = ast.parse((PACKAGE / "loops.py").read_text())
+    assert ("isometry", ["is_isotopically_transitive"]) in list(relative_imports(tree))
 
 
 def own_calls(fn):
@@ -92,7 +102,8 @@ def test_only_codes_and_isometry_build_isotopisms_unchecked():
 def test_only_codes_sorts_arrays():
     # `MdsCode.symmetries` compares sorted images with the code's words: the
     # one symmetry test, which a second np.sort elsewhere would duplicate;
-    # the `MdsCode` constructor puts word arrays in word order with np.lexsort
+    # the `MdsCode` constructor puts word arrays in word order with np.lexsort,
+    # and the quasigroups' one Latin check sorts each axis of a table
     callers = {path.stem for path in MODULES
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr in ("sort", "lexsort")

@@ -10,10 +10,9 @@ import pytest
 from topolinear import cli, fields
 from topolinear.classify_q4 import code_h, standard_semilinear_code
 from topolinear.cli import main
-from topolinear.codes import MdsCode, parity_code
+from topolinear.codes import MdsCode, cyclic_loop, make_dihedral, parity_code, twisted_graph_code
 from topolinear.isometry import (Isotopism, TransitivityCertificate, autotopism_search,
                                  is_isotopically_transitive)
-from topolinear.loops import make_dihedral, twisted_graph_code
 from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedInput,
                                       builtin_loop, composition_code, construction_hint,
                                       loop_from_json, parse_r_expression)
@@ -557,6 +556,14 @@ def test_cli_gloop(tmp_path):
     loopfile = str(tmp_path / "loop.json")
     save_loop(make_dihedral(5), loopfile)
     assert main(["gloop", loopfile]) == 0
+
+
+def test_cli_gloop_admits_the_graph_of_a_loop_within_the_bound(tmp_path):
+    # the graph of order 20 has 8000 points, over the default points bound
+    loopfile = str(tmp_path / "c20.json")
+    save_loop(cyclic_loop(20), loopfile)
+    assert main(["gloop", loopfile, "--bound", "30"]) == 0
+    assert main(["gloop", loopfile]) == 3
 
 
 def test_cli_gloop_checks_the_bound_before_building(monkeypatch):
