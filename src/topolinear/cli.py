@@ -151,7 +151,7 @@ def _cmd_equivalent(args) -> int:
         return EXIT_FALSE
     payload = {"equivalent": True,
                "coordinate_permutation": list(w.eps),
-               "taus": [list(t) for t in w.iso.taus]}
+               "taus": w.iso.rows.tolist()}
     _emit(args, f"equivalent: True (coordinate permutation {w.eps})", payload)
     return EXIT_TRUE
 

@@ -18,19 +18,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import from_residue_bit, to_residue_bit
-from .perms import compose, identity_perm, invert
 
 
 def _integers(values, message: str) -> tuple[int, ...]:
-    """values as Python ints; ValueError(message) for a bool, a float or
-    any other non-integer (numpy integers pass)."""
+    """values as Python ints, from one scan of their types; ValueError(message)
+    for a bool, a float or any other non-integer (numpy integers pass)."""
     try:
         values = tuple(values)
-        if bool not in map(type, values):
-            return tuple(map(operator.index, values))
+        types = set(map(type, values))
+        if bool not in types:
+            return values if types <= {int} else tuple(map(operator.index, values))
     except TypeError:
         pass
     raise ValueError(message)
+
+
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    rows.flags.writeable = False
+    return rows
+
+
+def _row_dtype(q: int) -> np.dtype:
+    """The dtype of isotopism rows: the least unsigned one holding q - 1 (files do not bound q)."""
+    return np.min_scalar_type(q - 1)
+
+
+def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    """rows, of shape (k, ...), in the lexicographic order of their entries."""
+    return rows[np.lexsort(rows.reshape(len(rows), -1).T[::-1])]
 
 
 class MdsCode:
@@ -51,12 +66,11 @@ class MdsCode:
         if isinstance(words, np.ndarray) and words.dtype.kind in "iu":
             if words.ndim != 2 or words.shape[1] != self.n:
                 raise ValueError(f"word array has shape {words.shape}, expected (k, {self.n})")
-            rows = words[np.lexsort(words.T[::-1])]
+            rows = _lex_sorted(words)
             self.words: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows.tolist()))
             fits = not rows.size or 0 <= int(rows.min()) and int(rows.max()) < self.q
             if np.can_cast(rows.dtype, np.int64):
-                self._arr = rows.astype(np.int64, copy=False)
-                self._arr.flags.writeable = False
+                self._arr = _frozen(rows.astype(np.int64, copy=False))
         else:
             self.words = tuple(sorted(_integers(w, "symbol must be an integer") for w in words))
         if not fits:  # an array's words are walked only to name the symbol out of range
@@ -103,8 +117,7 @@ class MdsCode:
     def word_array(self) -> np.ndarray:
         """The words as a read-only (|M|, n) integer array, built once."""
         if self._arr is None:
-            self._arr = np.array(self.words, dtype=np.int64)
-            self._arr.flags.writeable = False
+            self._arr = _frozen(np.array(self.words, dtype=np.int64))
         return self._arr
 
     def encode(self, rows) -> np.ndarray:
@@ -252,66 +265,95 @@ class MdsCode:
 
 
 class Isotopism:
-    """Tuple of per-coordinate symbol permutations, all of one alphabet
-    0..q-1, given as integers: ValueError for anything else."""
+    """n permutations of one alphabet 0..q-1, the read-only (n, q) array
+    `rows`: rows[i, a] is the image of the symbol a at coordinate i. Its
+    dtype, the smallest unsigned one holding q - 1, is the group kernel's,
+    whose rows an isotopism views without a copy. Built from taus given as
+    integers, checked as `isotopisms` checks them."""
 
-    __slots__ = ("taus",)
+    __slots__ = ("rows",)
 
     def __init__(self, taus):
-        self.taus = tuple(_integers(t, "each tau must be a list of integers") for t in taus)
-        symbols = list(range(len(self.taus[0]) if self.taus else 0))
-        if not symbols or any(sorted(t) != symbols for t in self.taus):
-            raise ValueError("each tau must be a permutation of the same 0..q-1")
+        taus = list(taus)
+        self.rows = isotopisms(taus, len(taus))[0].rows
 
     @classmethod
-    def _of(cls, taus: tuple) -> "Isotopism":
-        """Isotopism of `taus`, already tuples of ints permuting one
-        alphabet: skips normalising and checking."""
+    def _of(cls, rows: np.ndarray) -> "Isotopism":
+        """Isotopism viewing `rows`, an (n, q) array in the dtype of q whose
+        rows permute 0..q-1: no check and no copy."""
         g = object.__new__(cls)
-        g.taus = taus
+        g.rows = rows
         return g
 
     @property
+    def taus(self) -> tuple[tuple[int, ...], ...]:
+        """The permutations as tuples of Python ints, one per coordinate."""
+        return tuple(map(tuple, self.rows.tolist()))
+
+    @property
     def n(self) -> int:
-        return len(self.taus)
+        return self.rows.shape[0]
 
     @property
     def q(self) -> int:
-        return len(self.taus[0])
+        return self.rows.shape[1]
 
     @staticmethod
     def identity(q: int, n: int) -> "Isotopism":
-        return Isotopism._of((identity_perm(q),) * n)
+        return Isotopism._of(np.broadcast_to(np.arange(q, dtype=_row_dtype(q)), (n, q)))
 
     def apply_word(self, w) -> tuple[int, ...]:
-        return tuple(t[s] for t, s in zip(self.taus, w))
+        return tuple(self.rows[np.arange(self.n), w].tolist())
 
     def apply_code(self, M: MdsCode) -> MdsCode:
-        """The image of M: one gather of its word array through the taus."""
+        """The image of M: one gather of its word array through the rows."""
         if (self.n, self.q) != (M.n, M.q):
             raise ValueError("the isotopism acts on another n or q than the code")
         prov = {"construction": "isotopism-image", "of": M.provenance}
-        return MdsCode(M.q, M.n, np.array(self.taus)[np.arange(M.n), M.word_array()], prov)
+        return MdsCode(M.q, M.n, self.rows[np.arange(M.n), M.word_array()], prov)
 
     def compose(self, other: "Isotopism") -> "Isotopism":
         """(self o other): other is applied first."""
-        return Isotopism._of(tuple(compose(a, b) for a, b in zip(self.taus, other.taus)))
+        return Isotopism._of(_frozen(np.take_along_axis(self.rows, other.rows, axis=1)))
 
     def inverse(self) -> "Isotopism":
-        return Isotopism._of(tuple(invert(t) for t in self.taus))
+        out = np.empty(self.rows.shape, self.rows.dtype)
+        np.put_along_axis(out, self.rows, np.arange(self.q, dtype=out.dtype), axis=1)
+        return Isotopism._of(_frozen(out))
 
     def is_automorphism_of(self, M: MdsCode) -> bool:
         """Whether this maps M onto itself; False for another n or q."""
-        return (self.n, self.q) == (M.n, M.q) and bool(M.symmetries(np.array(self.taus)[None])[0])
+        return (self.n, self.q) == (M.n, M.q) and bool(M.symmetries(self.rows[None])[0])
 
     def __eq__(self, other):
-        return isinstance(other, Isotopism) and self.taus == other.taus
+        return (isinstance(other, Isotopism) and self.rows.shape == other.rows.shape
+                and self.rows.tobytes() == other.rows.tobytes())
 
     def __hash__(self):
-        return hash(self.taus)
+        return hash((self.rows.shape, self.rows.tobytes()))
 
     def __repr__(self):
         return f"Isotopism(q={self.q}, n={self.n})"
+
+
+def isotopisms(taus: list, n: int) -> list[Isotopism]:
+    """The isotopisms that the list `taus` gives, n taus each, as views of
+    one read-only (k, n, q) array, all checked by one scan of the entries'
+    types, one array build and one sort. ValueError "each tau must be a list
+    of integers" unless every tau is a sequence of integers (numpy integers
+    pass, bools do not), else "each tau must be a permutation of the same
+    0..q-1" unless every tau permutes one alphabet 0..q-1, the same for all."""
+    flat = _integers(itertools.chain.from_iterable(taus), "each tau must be a list of integers")
+    lengths = set(map(len, taus))
+    q = lengths.pop() if len(lengths) == 1 else 0
+    try:  # built in int64 first: an entry past it is outside 0..q-1
+        rows = np.fromiter(flat, np.int64, len(flat)).reshape(-1, q) if q else None
+    except OverflowError:
+        rows = None
+    if rows is None or not (np.sort(rows, axis=1) == np.arange(q)).all():
+        raise ValueError("each tau must be a permutation of the same 0..q-1")
+    rows = rows.astype(_row_dtype(q)).reshape(-1, n, q)
+    return list(map(Isotopism._of, _frozen(rows)))
 
 
 @dataclass
@@ -477,23 +519,22 @@ def parity_code(q: int, n: int, provenance=None) -> MdsCode:
 # source of nonlinear transitive codes here.
 
 class BinaryQuasigroup:
-    """q x q Latin square; value(x, y) = table[x][y]. With `check`, the
-    table must be square and each row and column a permutation of 0..q-1
+    """q x q Latin square; value(x, y) = table[x][y]. The table must be
+    square, of integers, and each row and column a permutation of 0..q-1
     (the check of `NAryQuasigroup`): ValueError otherwise."""
 
-    def __init__(self, table, check=True):
+    def __init__(self, table):
         rows = tuple(_integers(row, "table entry must be an integer") for row in table)
         q = len(rows)
-        if check:
-            if any(len(r) != q for r in rows):
-                raise ValueError("table must be square")
-            try:
-                bad = _unpermuted_axes(np.array(rows, dtype=np.int64).reshape(q, q))
-            except OverflowError:  # an entry past int64 is out of range anyway
-                bad = [1]
-            if bad:
-                raise ValueError("row is not a permutation" if 1 in bad
-                                 else "column is not a permutation")
+        if any(len(r) != q for r in rows):
+            raise ValueError("table must be square")
+        try:
+            bad = _unpermuted_axes(np.array(rows, dtype=np.int64).reshape(q, q))
+        except OverflowError:  # an entry past int64 is out of range anyway
+            bad = [1]
+        if bad:
+            raise ValueError("row is not a permutation" if 1 in bad
+                             else "column is not a permutation")
         self.table = rows
         self.q = q
 
@@ -507,14 +548,6 @@ class BinaryQuasigroup:
     def as_nary(self) -> NAryQuasigroup:
         return NAryQuasigroup(np.array(self.table, dtype=np.int64))
 
-    def find_identity(self) -> int | None:
-        for e in range(self.q):
-            if self.table[e] == tuple(range(self.q)) and all(
-                self.table[x][e] == x for x in range(self.q)
-            ):
-                return e
-        return None
-
     def __eq__(self, other):
         return isinstance(other, BinaryQuasigroup) and self.table == other.table
 
@@ -522,20 +555,23 @@ class BinaryQuasigroup:
         return hash(self.table)
 
 
+def _is_identity(table, e: int) -> bool:
+    """Whether row and column e of a square table (compared, not checked) are 0..q-1."""
+    q = len(table)
+    return tuple(table[e]) == tuple(range(q)) and all(table[x][e] == x for x in range(q))
+
+
 class Loop(BinaryQuasigroup):
     """Binary quasigroup with a two-sided identity."""
 
-    def __init__(self, table, identity: int | None = None, check=True):
-        super().__init__(table, check=check)
+    def __init__(self, table, identity: int | None = None):
+        super().__init__(table)
         if identity is None:
-            identity = self.find_identity()
+            identity = next((e for e in range(self.q) if _is_identity(self.table, e)), None)
             if identity is None:
                 raise ValueError("table has no two-sided identity")
-        else:
-            if self.table[identity] != tuple(range(self.q)) or any(
-                self.table[x][identity] != x for x in range(self.q)
-            ):
-                raise ValueError(f"{identity} is not a two-sided identity")
+        elif not _is_identity(self.table, identity):
+            raise ValueError(f"{identity} is not a two-sided identity")
         self.identity = identity
 
 
@@ -547,7 +583,7 @@ def _two_indexed_table(p: int, component) -> Loop:
         for v in range(q):
             y, t = to_residue_bit(v, p)
             table[u][v] = from_residue_bit(component(x, s, y, t), s ^ t, p)
-    return Loop(table, identity=0, check=False)
+    return Loop(table, identity=0)
 
 
 def make_zp_z2(p: int) -> Loop:
@@ -578,7 +614,7 @@ def make_cp(p: int) -> Loop:
 
 
 def cyclic_loop(q: int) -> Loop:
-    return Loop([[(x + y) % q for y in range(q)] for x in range(q)], identity=0, check=False)
+    return Loop([[(x + y) % q for y in range(q)] for x in range(q)], identity=0)
 
 
 def graph_code(loop: BinaryQuasigroup, provenance=None) -> MdsCode:

@@ -58,13 +58,12 @@ word set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .budget import BudgetExceeded, DEFAULT_BUDGET, SearchBudget
-from .codes import Isotopism, MdsCode, _integers, require_mds
+from .codes import Isotopism, MdsCode, _frozen, _integers, _lex_sorted, _row_dtype, require_mds
 from .constructions import construction_hint, dropped_hint
 from .perms import compose, invert
 
@@ -109,15 +108,10 @@ class Isometry:
         return self.iso.apply_code(parastrophe(M, self.eps))
 
     def compose(self, other: "Isometry") -> "Isometry":
-        """(self o other): other is applied first; isotopism parts braid past
-        the coordinate permutation."""
-        eps = compose(self.eps, other.eps)
-        inv_self = invert(self.eps)
-        taus = tuple(
-            compose(self.iso.taus[i], other.iso.taus[inv_self[i]])
-            for i in range(len(self.eps))
-        )
-        return Isometry(Isotopism(taus), eps)
+        """(self o other): other is applied first; its isotopism part braids
+        past self's coordinate permutation, one gather of its rows."""
+        moved = Isotopism._of(other.iso.rows[list(invert(self.eps))])
+        return Isometry(self.iso.compose(moved), compose(self.eps, other.eps))
 
     def __eq__(self, other):
         return isinstance(other, Isometry) and self.iso == other.iso and self.eps == other.eps
@@ -130,29 +124,17 @@ class Isometry:
 
 
 # ---------------------------------------------------------------------------
-# group closure: row k of an (m, n, q) array holds the n permutations of one
-# element, in the smallest unsigned dtype holding q - 1 (code files do not
-# bound q); Isotopism objects are made only for what a caller reads
+# group closure: row k of an (m, n, q) array is the `rows` of one element, so
+# a stack of isotopisms' rows is a kernel array and an Isotopism of the
+# kernel views one of its rows
 
 GROUP_CAP = 1_000_000
 
 
-def _rows(isos, n: int, q: int) -> np.ndarray:
-    """The taus of isotopisms of n permutations of q symbols, as rows."""
-    isos = list(isos)
-    flat = itertools.chain.from_iterable
-    return np.fromiter(flat(flat(g.taus for g in isos)), np.min_scalar_type(q - 1),
-                       count=len(isos) * n * q).reshape(-1, n, q)
-
-
 def _isotopisms(rows: np.ndarray) -> list[Isotopism]:
-    """Isotopisms of rows; equal taus, found by sorting their bytes, share
-    one tuple."""
-    m, n, q = rows.shape
-    as_bytes = np.ascontiguousarray(rows).view(np.dtype((np.void, q * rows.itemsize)))
-    distinct, at = np.unique(as_bytes, return_inverse=True)
-    taus = list(map(tuple, distinct.view(rows.dtype).reshape(-1, q).tolist()))
-    return [Isotopism._of(tuple(map(taus.__getitem__, r))) for r in at.reshape(m, n).tolist()]
+    """The isotopisms of an (m, n, q) kernel array: views of its rows, which
+    it makes read-only."""
+    return list(map(Isotopism._of, _frozen(rows)))
 
 
 def _compose_rows(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -203,14 +185,11 @@ def _close(group: np.ndarray, index: dict, gens: np.ndarray, key, cap: int):
     return np.concatenate(parts), index
 
 
-def _identity_rows(q: int, n: int) -> np.ndarray:
-    return np.broadcast_to(np.arange(q, dtype=np.min_scalar_type(q - 1)), (1, n, q))
-
-
 def mulclose(gens, cap: int = GROUP_CAP) -> list[Isotopism]:
     """Closure under composition (inverses come for free in a finite group),
-    sorted by `taus`; BudgetExceeded("group closure", cap) when the group has
-    more than `cap` elements.
+    in the lexicographic order of the rows, which is that of `taus`;
+    BudgetExceeded("group closure", cap) when the group has more than `cap`
+    elements.
 
     A generator already in the group closed so far is skipped, and each kept
     one at least doubles it; closing a group of order |G| under k kept
@@ -219,16 +198,15 @@ def mulclose(gens, cap: int = GROUP_CAP) -> list[Isotopism]:
     gens = list(gens)
     if not gens:
         return []
-    n, q = gens[0].n, gens[0].q
-    rows = _rows(gens, n, q)
-    group = _identity_rows(q, n)
+    rows = np.stack([g.rows for g in gens])
+    group = Isotopism.identity(gens[0].q, gens[0].n).rows[None]
     index = {b: b for b in _row_bytes(group)}
     kept = []
     for j, b in enumerate(_row_bytes(rows)):
         if b not in index:
             kept.append(j)
             group, index = _close(group, index, rows[kept], _row_bytes, cap)
-    return sorted(_isotopisms(group), key=lambda g: g.taus)
+    return _isotopisms(_lex_sorted(group))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +242,7 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
     high = [q * w for w in low]
 
     tau = [[-1] * q for _ in range(n)]
+    dtype = _row_dtype(q)  # a found tau permutes: no check
     tinv = [[-1] * q for _ in range(n)]
     acc = [0] * nwords  # base-q value of the images assigned so far
     miss = [n * (n - 1) // 2] * nwords  # sum of the unassigned coordinates
@@ -331,7 +310,7 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
     def dfs():
         widx = pick_word()
         if widx == -1:
-            yield Isotopism(tau)
+            yield Isotopism._of(_frozen(np.array(tau, dtype)))
             return
         w = words[widx]
         i = next(i for i in range(n) if tau[i][w[i]] == -1)
@@ -388,7 +367,7 @@ class TransitivityCertificate:
         wits = [self.witnesses.get(w) for w in words]
         if len(self.witnesses) == len(M) and all(
                 g is not None and (g.n, g.q) == (n, q) for g in wits):
-            rows, wit = _rows(wits, n, q), self.witnesses.get
+            rows, wit = np.stack([g.rows for g in wits]), self.witnesses.get
             came, gens, perms, failing = _orbit_closure(
                 M, base, lambda w: None if _witness_fault(M, base, w, wit(w)) else wit(w))
             if failing is None and _on_the_tree(came, gens, rows):
@@ -524,7 +503,7 @@ def _orbit_closure(M: MdsCode, base, find):
     words, n, q = M.words, M.n, M.q
     first = int(np.searchsorted(M.encoded(), M.encode(np.asarray(base))))
     came = {first: None}
-    gens = _identity_rows(q, n)[:0]
+    gens = Isotopism.identity(q, n).rows[None][:0]
     perms: list[list[int]] = []
     failing = None
     for w in range(len(words)):
@@ -534,7 +513,7 @@ def _orbit_closure(M: MdsCode, base, find):
         if g is None:
             failing = words[w]
             break
-        gens = np.concatenate([gens, _rows([g], n, q)])
+        gens = np.concatenate([gens, g.rows[None]])
         images = M.images(gens[-1:], M.word_array())[0]  # of the codewords, by g
         perms.append(np.searchsorted(M.encoded(), images).tolist())
         fresh = []
@@ -565,7 +544,7 @@ def _schreier_witnesses(M: MdsCode, came: dict, gens: np.ndarray) -> dict:
         if depth[v] == len(layers):
             layers.append([])
         layers[depth[v]].append(v)
-    rows[layers[0]] = _identity_rows(q, n)
+    rows[layers[0]] = Isotopism.identity(q, n).rows
     for layer in layers[1:]:
         k, u = np.array([came[v] for v in layer]).T
         rows[layer] = _compose_pairs(gens[k], rows[u])
@@ -596,8 +575,8 @@ def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer=None,
     at least doubles the group, so it is at most log2|M| deep. Each
     candidate tried counts against `budget.max_nodes`."""
     n, q, target = M.n, M.q, len(M)
-    wits = _rows((witnesses[w] for w in M.words), n, q)
-    coset = None if stabilizer is None else _rows(stabilizer, n, q)
+    wits = np.stack([witnesses[w].rows for w in M.words])
+    coset = None if stabilizer is None else np.stack([h.rows for h in stabilizer])
     enc, base = M.encoded(), np.asarray(base)
 
     def key(rows):  # word index of the base image: every row is a symmetry
@@ -623,7 +602,7 @@ def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer=None,
                     return found
         return None
 
-    ident = _identity_rows(q, n)
+    ident = Isotopism.identity(q, n).rows[None]
     found = dfs(ident, dict(zip(key(ident), _row_bytes(ident))), ident[:0])
     return None if found is None else _isotopisms(found)
 

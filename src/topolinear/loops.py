@@ -45,7 +45,7 @@ def principal_isotope(f: BinaryQuasigroup, a: int, b: int) -> Loop:
     psi0 = tuple(fp[0][y] for y in range(q))
     xi0_inv, psi0_inv = invert(xi0), invert(psi0)
     table = [[fp[xi0_inv[x]][psi0_inv[y]] for y in range(q)] for x in range(q)]
-    return Loop(table, identity=0, check=False)
+    return Loop(table, identity=0)
 
 
 @dataclass
@@ -95,7 +95,7 @@ def random_latin_square(q: int, rng: random.Random) -> BinaryQuasigroup:
             for c, v in enumerate(row):
                 cols[c].discard(v)
         if ok:
-            return BinaryQuasigroup(rows, check=False)
+            return BinaryQuasigroup(rows)
 
 
 def _random_row(q, cols, rng):
@@ -128,7 +128,7 @@ def find_non_g_loop_order6() -> Loop:
                 t = [row[:] for row in base]
                 t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
                 t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
-                loop = Loop(t, identity=0, check=False)
+                loop = Loop(t, identity=0)
                 if not is_g_loop(loop):
                     return loop
     raise RuntimeError("no non-G-loop found among intercalate flips")

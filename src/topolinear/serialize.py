@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .codes import Isotopism, Loop, MdsCode
+from .codes import Loop, MdsCode, isotopisms
 from .constructions import (CONSTRUCTIONS, MalformedInput, _as_int, _require,
                             loop_from_json)
 from .isometry import TransitivityCertificate
@@ -117,7 +117,7 @@ def load_loop(path: str) -> Loop:
 # certificates
 
 def certificate_to_json(cert: TransitivityCertificate) -> dict:
-    rows = [{"word": list(w), "taus": [list(t) for t in g.taus]}
+    rows = [{"word": list(w), "taus": g.rows.tolist()}
             for w, g in sorted(cert.witnesses.items())]
     return {"mode": cert.mode, "base": list(cert.base), "witnesses": rows}
 
@@ -130,19 +130,20 @@ def certificate_from_json(obj) -> TransitivityCertificate:
     _require(isinstance(base, list), "base must be a word")
     rows = obj.get("witnesses")
     _require(isinstance(rows, list), "witnesses must be a list")
-    witnesses = {}
+    words, flat = {}, []
     for row in rows:
         _require(isinstance(row, dict) and isinstance(row.get("word"), list)
                  and isinstance(row.get("taus"), list), "bad witness row")
         word = tuple(_as_int(s, "symbol") for s in row["word"])
-        _require(word not in witnesses, f"two witnesses for {word}")
-        taus = row["taus"]
+        _require(word not in words, f"two witnesses for {word}")
+        words[word] = taus = row["taus"]
         _require(len(taus) == len(base), "one permutation per coordinate")
         _require(all(isinstance(t, list) for t in taus), "each tau must be a list of integers")
-        try:
-            witnesses[word] = Isotopism(taus)
-        except ValueError as exc:
-            raise MalformedInput(str(exc)) from exc
+        flat += taus
+    try:  # every witness at once, over one alphabet
+        witnesses = dict(zip(words, isotopisms(flat, len(base)))) if words else {}
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
     return TransitivityCertificate(mode, tuple(_as_int(s, "symbol") for s in base), witnesses)
 
 

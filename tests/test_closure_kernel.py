@@ -352,9 +352,9 @@ def test_cli_replay_of_a_certificate_without_the_base_words_witness_exits_1(
 
 @pytest.mark.parametrize("taus", [
     [(0, 2), (0, 1, 2)], [(0, 1, 2), (1, 0)], [(0, 1, 1), (0, 1, 2)], [(0, 1, 2), (0, -1, 2)],
-    [(0, 300, 2), (0, 1, 2)], [(0, 1, 2 ** 70), (0, 1, 2)], []],
+    [(0, 300, 2), (0, 1, 2)], [(0, 1, 2 ** 70), (0, 1, 2)], [], [(), ()]],
     ids=["short-tau", "mixed-lengths", "repeated-entry", "entry-minus-1", "entry-300",
-         "entry-2-to-70", "no-taus"])
+         "entry-2-to-70", "no-taus", "empty-taus"])
 def test_an_isotopism_permutes_one_alphabet(taus):
     with pytest.raises(ValueError, match="permutation of the same 0..q-1"):
         Isotopism(taus)

@@ -10,6 +10,7 @@ from topolinear.codes import (BinaryQuasigroup, Isotopism, MdsCode, NAryQuasigro
                               require_mds, subcode)
 from topolinear.isometry import parastrophe
 from topolinear.loops import random_latin_square
+from topolinear.perms import compose, invert
 from test_isometry import oracle_cases
 
 
@@ -164,6 +165,41 @@ def test_the_constructors_accept_numpy_integers():
     M = MdsCode(3, 2, np.array([[1, 2], [0, 1]], dtype=np.int16))
     assert M.words == ((0, 1), (1, 2))
     assert {type(s) for t in g.taus + M.words for s in t} == {int}
+
+
+@pytest.mark.parametrize("q,n", [(1, 3), (6, 3), (300, 2)])
+def test_an_isotopism_matches_a_tuple_reference(q, n):
+    # the reference composes and inverts tuples with `perms`; q = 300 takes
+    # the rows to uint16, and the last case is a symmetry of the parity code
+    rng = random.Random(q)
+    M = parity_code(q, n)
+    shifts = [rng.randrange(q) for _ in range(n - 1)]
+    shifts.append(-sum(shifts) % q)
+    cases = [[tuple(rng.sample(range(q), q)) for _ in range(n)] for _ in range(4)]
+    cases.append([tuple((s + c) % q for s in range(q)) for c in shifts])
+    for a, b in itertools.product(cases, repeat=2):
+        g, h = Isotopism(a), Isotopism(b)
+        assert g.rows.dtype == (np.uint16 if q > 256 else np.uint8)
+        assert (g.n, g.q, g.taus) == (n, q, tuple(a))
+        assert g.compose(h).taus == tuple(map(compose, a, b))
+        assert g.inverse().taus == tuple(map(invert, a))
+        w = tuple(rng.randrange(q) for _ in range(n))
+        got = g.apply_word(w)
+        assert got == tuple(t[s] for t, s in zip(a, w)) and {type(s) for s in got} == {int}
+        image = {tuple(t[s] for t, s in zip(a, w)) for w in M.words}
+        assert set(g.apply_code(M).words) == image
+        assert g.is_automorphism_of(M) == (image == M.word_set)
+    assert Isotopism(cases[-1]).is_automorphism_of(M)
+    identity = Isotopism.identity(q, n)
+    assert identity.taus == (tuple(range(q)),) * n
+    assert identity == Isotopism(identity.taus) and hash(identity) == hash(Isotopism(identity.taus))
+
+
+def test_the_rows_of_an_isotopism_are_read_only():
+    g = Isotopism([(1, 0, 2), (2, 0, 1)])
+    for h in (g, g.inverse(), g.compose(g), Isotopism.identity(3, 2)):
+        with pytest.raises(ValueError, match="read-only"):
+            h.rows[0, 0] = 1
 
 
 @pytest.mark.parametrize("make", [BinaryQuasigroup, NAryQuasigroup],

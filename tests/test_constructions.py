@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+
+from topolinear import constructions
 
 from topolinear.budget import SearchBudget
 from topolinear.codes import (BinaryQuasigroup, graph_code, is_mds, make_cp, make_dihedral,
@@ -102,6 +105,55 @@ def test_condition_c_tail_controls_the_solution():
     assert (b[1][e], b[2][e]) == (2, 5)
 
 
+def compatible_sigmas(L):
+    """Every sigma x -> c·a(x) of the dihedral loop L = D_p, c an element
+    and a an automorphism. The images of the generators 1 and p fix a, which
+    is kept when it is a well-defined bijective homomorphism."""
+    T, q, e = np.array(L.table), L.q, L.identity
+    sigmas = set()
+    for images in itertools.product(range(q), repeat=2):
+        a, todo = {e: e}, [e]
+        while todo and a is not None:
+            u = todo.pop()
+            for g, image in zip((1, q // 2), images):
+                v, w = L.table[u][g], L.table[a[u]][image]
+                if v not in a:
+                    a[v] = w
+                    todo.append(v)
+                elif a[v] != w:
+                    a = None
+                    break
+        if a is not None and len(a) == q and len(set(a.values())) == q:
+            a = np.array([a[x] for x in range(q)])
+            assert np.array_equal(a[T], T[a][:, a])
+            sigmas |= {tuple(T[c, a].tolist()) for c in range(q)}
+    return sigmas
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_condition_c_solutions_replay_for_every_compatible_sigma(p):
+    # solve_condition_c checks none of its solutions: each is replayed here
+    # on all of Q^m for m <= 3
+    L = make_dihedral(p)
+    T, q, e = np.array(L.table), L.q, L.identity
+    sigmas = compatible_sigmas(L)
+    assert len(sigmas) == q * p * (p - 1)  # |Aut(D_p)| = p(p - 1) for odd p
+    if p == 3:  # the defining identity sigma(xy) = sigma(x) sigma(e)^-1 sigma(y) on S_6
+        inverse = {x: L.table[x].index(e) for x in range(q)}
+        assert sigmas == {s for s in itertools.permutations(range(q)) if all(
+            s[L.table[x][y]] == L.table[L.table[s[x]][inverse[s[e]]]][s[y]]
+            for x in range(q) for y in range(q))}
+    for sigma in sigmas:
+        assert sigma_compatibility_failure(L, sigma) is None
+        for m in (1, 2, 3):
+            taus = np.array(solve_condition_c(L, m, sigma))
+            zs = np.indices((q,) * m).reshape(m, -1)
+            folded = image = np.full(zs.shape[1], e)
+            for j in range(m):
+                folded, image = T[folded, zs[j]], T[image, taus[j][zs[j]]]
+            assert np.array_equal(image, np.array(sigma)[folded]), (sigma, m)
+
+
 # ---------------------------------------------------------------------------
 # composition codes
 
@@ -125,6 +177,31 @@ def test_composition_witnesses_flatten_every_word():
     # the inverses hit every word from the base, one each
     assert len(seen) == len(M)
     assert {g.apply_word(base) for g in seen} == set(M.words)
+
+
+def test_a_composition_witness_consults_no_randomness(monkeypatch):
+    # a block solution once checked itself on words drawn from random.Random
+    # when q^m > 10000, as for cp p=11 with blocks (3, 1): 22^3 = 10648
+    spec, rng = CompositionSpec("cp", 11, (3, 1)), random.Random(5)
+    dih, cp = make_dihedral(11), make_cp(11)
+
+    def word(blocks):
+        return (fold(cp, [fold(dih, b) for b in blocks]),) + sum(blocks, ())
+
+    words = [word(((rng.randrange(22), rng.randrange(22), rng.randrange(22)),
+                   (rng.randrange(22),))) for _ in range(20)]
+
+    def refuse(*args):
+        raise AssertionError("random.Random was called")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    constructions._solve_block.cache_clear()
+    for w in words[:4]:
+        g = composition_witness(spec, w)
+        assert g.apply_word(w) == (0,) * 5
+        for v in words:  # g maps code words to code words
+            image = g.apply_word(v)
+            assert image == word((image[1:4], image[4:])), (w, v)
 
 
 @pytest.mark.parametrize("inner", [(1.5, 1), (True, 1), ("1", 1), (1.0, 1)],

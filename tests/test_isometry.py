@@ -533,6 +533,23 @@ def test_mulclose_matches_the_all_pairs_oracle():
                      "cp-regular-3": 36, "cp-regular-5": 100, "ic-3": 4 * 27}
 
 
+def test_kernel_views_equal_and_hash_like_isotopisms_built_from_taus():
+    # the explicit route (twisted p=3) and the pinned one (its scramble)
+    for M in (twisted_graph_code(3), scrambled(twisted_graph_code(3), 31)):
+        trans, top = is_isotopically_transitive(M), is_topolinear(M)
+        sources = {"mulclose": mulclose(trans.generators), "group": top.group,
+                   "witnesses": list(trans.certificate.witnesses.values()),
+                   "generators": trans.generators}
+        for name, views in sources.items():
+            for g in views:
+                h = Isotopism(g.taus)
+                assert h == g and hash(h) == hash(g) and h.rows.dtype == g.rows.dtype, name
+                with pytest.raises(ValueError, match="read-only"):
+                    g.rows[0, 0] = g.rows[0, 1]
+            assert len(set(views) | {Isotopism(g.taus) for g in views}) == len(views), name
+        assert set(sources["mulclose"]) >= set(sources["witnesses"]) | set(sources["group"])
+
+
 def test_mulclose_cap_is_the_largest_group_it_returns():
     for name, gens in mulclose_cases():
         size = len(mulclose(gens))

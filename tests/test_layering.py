@@ -6,7 +6,9 @@ round a cycle. The size policy sits in one place: one budget instance,
 whose points bound each verdict checks once, on entry. Only the modules
 that compose checked isotopisms or read rows of them build one past the
 constructor's check, every code is built by the checked constructor, and
-only `codes` sorts arrays: it holds the one symmetry test."""
+only `codes` sorts arrays: it holds the one symmetry test. An isotopism has
+one representation, its rows: only `codes` reads the taus or picks their
+dtype, and no call passes a knob that skips a check."""
 import ast
 from pathlib import Path
 
@@ -109,3 +111,22 @@ def test_only_codes_sorts_arrays():
                if isinstance(node, ast.Attribute) and node.attr in ("sort", "lexsort")
                and isinstance(node.value, ast.Name) and node.value.id == "np"}
     assert callers == {"codes"}
+
+
+def test_only_codes_reads_taus_or_picks_the_row_dtype():
+    # `Isotopism.rows` is the one representation: the tuples of `taus` are
+    # for readers outside the package, and `codes._row_dtype` fixes the dtype
+    readers = {(path.stem, node.attr) for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr in ("taus", "min_scalar_type")}
+    assert ("codes", "min_scalar_type") in readers
+    assert {stem for stem, _ in readers} == {"codes"}
+
+
+def test_no_call_passes_a_check_or_verify_knob():
+    # every loop and quasigroup is checked by its constructor, and every
+    # witness a verdict uses is checked by that verdict
+    knobs = [(path.stem, keyword.arg) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             for keyword in node.keywords if keyword.arg in ("check", "verify")]
+    assert knobs == []

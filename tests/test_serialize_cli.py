@@ -18,8 +18,9 @@ from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedI
                                       loop_from_json, parse_r_expression)
 from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
-                                  code_to_json, load_code, loop_to_json,
+                                  code_to_json, dumps_canonical, load_code, loop_to_json,
                                   save_certificate, save_code, save_loop)
+from test_isometry import oracle_cases
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -88,6 +89,42 @@ def test_certificate_round_trip_and_validation():
     bad["witnesses"][0]["taus"][0][0] = bad["witnesses"][0]["taus"][0][1]
     with pytest.raises(MalformedInput):
         certificate_from_json(bad)
+
+
+def test_certificate_json_is_the_tuple_built_form():
+    # the writer reads each witness's rows; the reference reads its taus
+    for name, M in oracle_cases():
+        res = is_isotopically_transitive(M)
+        if not res:
+            continue
+        cert = res.certificate
+        want = {"mode": cert.mode, "base": list(cert.base), "witnesses": [
+            {"word": list(w), "taus": [list(t) for t in g.taus]}
+            for w, g in sorted(cert.witnesses.items())]}
+        obj = certificate_to_json(cert)
+        assert obj == want, name
+        assert dumps_canonical(obj) == json.dumps(want, indent=2, sort_keys=True) + "\n", name
+        back = certificate_from_json(json.loads(dumps_canonical(obj))).witnesses
+        assert back == cert.witnesses, name
+        assert all(not g.rows.flags.writeable for g in back.values()), name
+
+
+def test_a_certificate_whose_witnesses_use_different_alphabets_exits_2(tmp_path, capsys):
+    # the loader checks every witness at once, over one alphabet; a single
+    # witness over another alphabet was refused only by verify's fit check
+    M = twisted_graph_code(3)
+    code, path = str(tmp_path / "code.json"), tmp_path / "cert.json"
+    save_code(M, code)
+    obj = certificate_to_json(is_isotopically_transitive(M).certificate)
+    obj["witnesses"][-1]["taus"] = [list(range(7))] * 3
+    path.write_text(json.dumps(obj))
+    with pytest.raises(MalformedInput, match="^each tau must be a permutation of the same 0..q-1$"):
+        certificate_from_json(obj)
+    for mode in ("transitive", "topolinear"):
+        capsys.readouterr()
+        assert main(["verify", code, "--mode", mode, "--certificate", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "malformed input: each tau must be a permutation of the same 0..q-1")
 
 
 # ---------------------------------------------------------------------------
