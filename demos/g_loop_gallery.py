@@ -31,6 +31,6 @@ print(f"patched order-6 loop: g-loop = {bool(verdict)}, "
       f"counterexample at (a, b) = ({a}, {b})")
 
 # replay: no autotopism of the graph carries (e, e, e) to (a, b, ab)
-e, target = bad.identity, (a, b, bad.value(a, b))
+e, target = bad.identity, (a, b, int(bad.table[a, b]))
 pins = {(i, e): s for i, s in enumerate(target)}
 print("replayed:", next(autotopism_search(graph_code(bad), pins=pins), None) is None)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import from_residue_bit, to_residue_bit
-
 
 def _integers(values, message: str) -> tuple[int, ...]:
     """values as Python ints, from one scan of their types; ValueError(message)
@@ -269,12 +267,14 @@ class Isotopism:
     `rows`: rows[i, a] is the image of the symbol a at coordinate i. Its
     dtype, the smallest unsigned one holding q - 1, is the group kernel's,
     whose rows an isotopism views without a copy. Built from taus given as
-    integers, checked as `isotopisms` checks them."""
+    integers or as an integer (n, q) array, checked as `isotopisms` checks
+    them."""
 
     __slots__ = ("rows",)
 
     def __init__(self, taus):
-        taus = list(taus)
+        if not isinstance(taus, np.ndarray):
+            taus = list(taus)
         self.rows = isotopisms(taus, len(taus))[0].rows
 
     @classmethod
@@ -336,20 +336,27 @@ class Isotopism:
         return f"Isotopism(q={self.q}, n={self.n})"
 
 
-def isotopisms(taus: list, n: int) -> list[Isotopism]:
-    """The isotopisms that the list `taus` gives, n taus each, as views of
-    one read-only (k, n, q) array, all checked by one scan of the entries'
-    types, one array build and one sort. ValueError "each tau must be a list
-    of integers" unless every tau is a sequence of integers (numpy integers
+def isotopisms(taus, n: int) -> list[Isotopism]:
+    """The isotopisms that `taus` gives, n taus each, as views of one
+    read-only (k, n, q) array, all checked by one sort. `taus` is a list of
+    taus, whose entries' types are checked by one scan before one array
+    build, or an integer array of shape (k*n, q), checked by the sort alone,
+    as `MdsCode` checks a word array. ValueError "each tau must be a list of
+    integers" unless every tau is a sequence of integers (numpy integers
     pass, bools do not), else "each tau must be a permutation of the same
     0..q-1" unless every tau permutes one alphabet 0..q-1, the same for all."""
-    flat = _integers(itertools.chain.from_iterable(taus), "each tau must be a list of integers")
-    lengths = set(map(len, taus))
-    q = lengths.pop() if len(lengths) == 1 else 0
-    try:  # built in int64 first: an entry past it is outside 0..q-1
-        rows = np.fromiter(flat, np.int64, len(flat)).reshape(-1, q) if q else None
-    except OverflowError:
-        rows = None
+    if isinstance(taus, np.ndarray) and taus.dtype.kind in "iu":
+        rows = taus if taus.ndim == 2 and taus.size else None
+    else:
+        flat = _integers(itertools.chain.from_iterable(taus),
+                         "each tau must be a list of integers")
+        lengths = set(map(len, taus))
+        q = lengths.pop() if len(lengths) == 1 else 0
+        try:  # built in int64 first: an entry past it is outside 0..q-1
+            rows = np.fromiter(flat, np.int64, len(flat)).reshape(-1, q) if q else None
+        except OverflowError:
+            rows = None
+    q = 0 if rows is None else rows.shape[1]
     if rows is None or not (np.sort(rows, axis=1) == np.arange(q)).all():
         raise ValueError("each tau must be a permutation of the same 0..q-1")
     rows = rows.astype(_row_dtype(q)).reshape(-1, n, q)
@@ -416,28 +423,39 @@ def _unpermuted_axes(table: np.ndarray) -> list[int]:
 
 class NAryQuasigroup:
     """Total n-ary operation on {0..q-1} that is a bijection in each argument
-    when the others are fixed. The table has shape (q,)*arity, and its
-    entries are integers: ValueError for anything else."""
+    when the others are fixed. `table` is a read-only int64 array of shape
+    (q,)*arity, copied from integer entries: ValueError for anything else.
+    An integer array is checked by its shape and the one Latin check, with
+    no per-entry type pass."""
 
     def __init__(self, table):
-        if not (isinstance(table, np.ndarray) and table.dtype.kind in "iu"):
-            entries = np.asarray(table, dtype=object)
-            table = np.reshape(_integers(entries.ravel(), "table entry must be an integer"),
-                               entries.shape)
+        ints = isinstance(table, np.ndarray) and table.dtype.kind in "iu"
+        entries = table if ints else np.asarray(table, dtype=object)
+        self._check_shape(entries.shape)
+        if not ints:
+            entries = np.reshape(_integers(entries.ravel(), "table entry must be an integer"),
+                                 entries.shape)
         try:
-            arr = np.asarray(table, dtype=np.int64)
+            arr = np.array(entries, dtype=np.int64)
+            bad = _unpermuted_axes(arr)
         except OverflowError:  # an entry past int64 is out of range in every argument
-            raise ValueError("table is not a bijection in argument 0") from None
-        if arr.ndim < 1:
-            raise ValueError("table must have at least one axis")
-        q = arr.shape[0]
-        if any(s != q for s in arr.shape):
-            raise ValueError("table must be q**arity entries with equal axes")
-        if bad := _unpermuted_axes(arr):
-            raise ValueError(f"table is not a bijection in argument {bad[0]}")
-        self.table = arr
-        self.q = q
+            bad = list(range(entries.ndim))
+        if bad:
+            raise ValueError(self._not_latin(bad))
+        self.table = _frozen(arr)
+        self.q = arr.shape[0]
         self.arity = arr.ndim
+
+    @staticmethod
+    def _check_shape(shape):
+        if not shape:
+            raise ValueError("table must have at least one axis")
+        if any(s != shape[0] for s in shape):
+            raise ValueError("table must be q**arity entries with equal axes")
+
+    @staticmethod
+    def _not_latin(bad: list[int]) -> str:
+        return f"table is not a bijection in argument {bad[0]}"
 
     def __eq__(self, other):
         return isinstance(other, NAryQuasigroup) and np.array_equal(self.table, other.table)
@@ -518,86 +536,69 @@ def parity_code(q: int, n: int, provenance=None) -> MdsCode:
 # The twisted loop is a loop but not a group for odd p >= 3; it is the main
 # source of nonlinear transitive codes here.
 
-class BinaryQuasigroup:
-    """q x q Latin square; value(x, y) = table[x][y]. The table must be
-    square, of integers, and each row and column a permutation of 0..q-1
-    (the check of `NAryQuasigroup`): ValueError otherwise."""
+class BinaryQuasigroup(NAryQuasigroup):
+    """q x q Latin square: the arity-2 `NAryQuasigroup`, whose refusals name
+    the square, its rows and its columns."""
 
-    def __init__(self, table):
-        rows = tuple(_integers(row, "table entry must be an integer") for row in table)
-        q = len(rows)
-        if any(len(r) != q for r in rows):
+    @staticmethod
+    def _check_shape(shape):
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("table must be square")
-        try:
-            bad = _unpermuted_axes(np.array(rows, dtype=np.int64).reshape(q, q))
-        except OverflowError:  # an entry past int64 is out of range anyway
-            bad = [1]
-        if bad:
-            raise ValueError("row is not a permutation" if 1 in bad
-                             else "column is not a permutation")
-        self.table = rows
-        self.q = q
 
-    def value(self, x: int, y: int) -> int:
-        return self.table[x][y]
-
-    def col_perm(self, y: int) -> tuple[int, ...]:
-        """Right translation x -> f(x, y)."""
-        return tuple(row[y] for row in self.table)
-
-    def as_nary(self) -> NAryQuasigroup:
-        return NAryQuasigroup(np.array(self.table, dtype=np.int64))
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryQuasigroup) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
+    @staticmethod
+    def _not_latin(bad: list[int]) -> str:
+        # a row of the table runs over argument 1, a column over argument 0
+        return "row is not a permutation" if 1 in bad else "column is not a permutation"
 
 
-def _is_identity(table, e: int) -> bool:
-    """Whether row and column e of a square table (compared, not checked) are 0..q-1."""
-    q = len(table)
-    return tuple(table[e]) == tuple(range(q)) and all(table[x][e] == x for x in range(q))
+def _identity_of(table: np.ndarray) -> int | None:
+    """The two-sided identity of a square table (compared, not checked): the
+    e whose row and column are 0..q-1, or None. A magma has at most one."""
+    symbols = np.arange(len(table))
+    units = np.flatnonzero((table == symbols).all(axis=1) & (table.T == symbols).all(axis=1))
+    return int(units[0]) if len(units) else None
 
 
 class Loop(BinaryQuasigroup):
-    """Binary quasigroup with a two-sided identity."""
+    """Binary quasigroup with a two-sided identity. A given `identity` must
+    be an integer in 0..q-1 and be that identity, else ValueError."""
 
     def __init__(self, table, identity: int | None = None):
         super().__init__(table)
+        unit = _identity_of(self.table)
         if identity is None:
-            identity = next((e for e in range(self.q) if _is_identity(self.table, e)), None)
-            if identity is None:
+            if unit is None:
                 raise ValueError("table has no two-sided identity")
-        elif not _is_identity(self.table, identity):
-            raise ValueError(f"{identity} is not a two-sided identity")
+            identity = unit
+        else:
+            (identity,) = _integers((identity,), "identity must be an integer")
+            if not 0 <= identity < self.q:
+                raise ValueError(f"identity {identity} out of range")
+            if identity != unit:
+                raise ValueError(f"{identity} is not a two-sided identity")
         self.identity = identity
 
 
 def _two_indexed_table(p: int, component) -> Loop:
-    q = 2 * p
-    table = [[0] * q for _ in range(q)]
-    for u in range(q):
-        x, s = to_residue_bit(u, p)
-        for v in range(q):
-            y, t = to_residue_bit(v, p)
-            table[u][v] = from_residue_bit(component(x, s, y, t), s ^ t, p)
-    return Loop(table, identity=0)
+    """The loop x_s . y_t = component(x, s, y, t)_(s^t), by one broadcast over
+    the rows (x, s) and the columns (y, t) of the symbols u = x + p*s."""
+    s, x = divmod(np.arange(2 * p), p)
+    rows_s, rows_x = s[:, None], x[:, None]
+    return Loop(component(rows_x, rows_s, x, s) % p + p * (rows_s ^ s), identity=0)
 
 
 def make_zp_z2(p: int) -> Loop:
     """Direct product of the p-cycle with the 2-cycle on two-indexed symbols."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    return _two_indexed_table(p, lambda x, s, y, t: (x + y) % p)
+    return _two_indexed_table(p, lambda x, s, y, t: x + y)
 
 
 def make_dihedral(p: int) -> Loop:
     """Dihedral group of order 2p on two-indexed symbols."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    return _two_indexed_table(p, lambda x, s, y, t: ((-1) ** t * x + y) % p)
+    return _two_indexed_table(p, lambda x, s, y, t: (1 - 2 * t) * x + y)
 
 
 def make_cp(p: int) -> Loop:
@@ -610,20 +611,20 @@ def make_cp(p: int) -> Loop:
         raise ValueError("p must be >= 2")
     if p == 2:
         warnings.warn("p = 2 twisted loop is associative (no new structure)", stacklevel=2)
-    return _two_indexed_table(p, lambda x, s, y, t: ((-1) ** t * x + y + s * t) % p)
+    return _two_indexed_table(p, lambda x, s, y, t: (1 - 2 * t) * x + y + s * t)
 
 
 def cyclic_loop(q: int) -> Loop:
-    return Loop([[(x + y) % q for y in range(q)] for x in range(q)], identity=0)
+    symbols = np.arange(q)
+    return Loop((symbols[:, None] + symbols) % q, identity=0)
 
 
 def graph_code(loop: BinaryQuasigroup, provenance=None) -> MdsCode:
     if provenance is None:
-        provenance = {"construction": "graph",
-                      "table": [list(row) for row in loop.table]}
+        provenance = {"construction": "graph", "table": loop.table.tolist()}
         if isinstance(loop, Loop):
             provenance["identity"] = loop.identity
-    return graph_of(loop.as_nary(), provenance=provenance)
+    return graph_of(loop, provenance=provenance)
 
 
 def twisted_graph_code(p: int) -> MdsCode:
@@ -632,7 +633,7 @@ def twisted_graph_code(p: int) -> MdsCode:
 
 
 def is_associative(f: BinaryQuasigroup) -> bool:
-    t = np.array(f.table, dtype=np.int64)
+    t = f.table
     # one x at a time, so memory stays q^2 for tables read from files:
     # t[t[x]][y, z] = (xy)z and t[x][t][y, z] = x(yz)
     return all(np.array_equal(t[t[x]], t[x][t]) for x in range(f.q))

@@ -32,13 +32,11 @@ from typing import Callable
 
 import numpy as np
 
-from .alphabet import from_residue_bit, pair_join, pair_split, to_residue_bit
 from .budget import BudgetExceeded
-from .codes import (BinaryQuasigroup, Isotopism, Loop, MdsCode, _integers, _is_identity,
-                    graph_code, is_associative, make_cp, make_dihedral, make_zp_z2,
+from .codes import (BinaryQuasigroup, Isotopism, Loop, MdsCode, _frozen, _identity_of,
+                    _integers, graph_code, is_associative, make_cp, make_dihedral, make_zp_z2,
                     twisted_graph_code)
 from .fields import field_make, field_order
-from .perms import compose as compose_perm, identity_perm, invert
 
 
 class MalformedInput(ValueError):
@@ -88,11 +86,11 @@ def loop_from_json(obj, loop_only: bool = True) -> BinaryQuasigroup:
     for row in table:
         _require(isinstance(row, list) and len(row) == q, "table must be square")
     identity = obj.get("identity")
-    if identity is not None:
-        _require(0 <= _as_int(identity, "identity") < q, f"identity {identity} out of range")
-    try:  # the table is checked once, by the one constructor it picks
-        loop = identity is not None or loop_only or any(_is_identity(table, e) for e in range(q))
-        return Loop(table, identity=identity) if loop else BinaryQuasigroup(table)
+    try:  # Loop checks the identity as well
+        if identity is not None or loop_only:
+            return Loop(table, identity=identity)
+        f = BinaryQuasigroup(table)  # a loop's table is checked once more, as an array
+        return f if _identity_of(f.table) is None else Loop(f.table)
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
 
@@ -122,6 +120,13 @@ def builtin_loop(name: str, p: int | None = None) -> Loop:
     return BUILTIN_LOOPS[name](p)
 
 
+@lru_cache(maxsize=None)
+def _shared_loop(name: str, p: int) -> Loop:
+    """The builtin loop of a composition code, built once per p: its table is
+    read-only, so every witness can share it."""
+    return BUILTIN_LOOPS[name](p)
+
+
 def _parse_loop(obj, n: int, shape=None, loop_only: bool = True) -> BinaryQuasigroup:
     """Loop of a spec or provenance for codes of length n."""
     if isinstance(obj, dict) and "table" in obj:
@@ -147,47 +152,40 @@ class GraphSpec:
     loop: BinaryQuasigroup | None = None
 
 
-def _signed(p: int, sign_bit: int, x: int) -> int:
-    return (-x if sign_bit & 1 else x) % p
+def _residue_bit(p: int):
+    """(x, s) of every symbol u = x + p*s of the order-2p alphabet, as arrays."""
+    s, x = divmod(np.arange(2 * p), p)
+    return x, s
+
+
+def _cp_isotopism(p: int, residues, bits) -> Isotopism:
+    """The isotopism sending x_s to r_b at coordinate i, where r and b are
+    residues[i] and bits[i], arrays over the symbols x_s."""
+    return Isotopism(np.array(residues) % p + p * (np.array(bits) & 1))
 
 
 def cp_autotopism_a1(p: int, beta: int) -> Isotopism:
     """First family: x_s -> ((-1)^beta x + s*beta)_s, and the second and third
     coordinates get their index bit flipped by beta."""
-    q = 2 * p
-    tx, ty, tz = [0] * q, [0] * q, [0] * q
-    for u in range(q):
-        x, s = to_residue_bit(u, p)
-        tx[u] = from_residue_bit(_signed(p, beta, x) + s * beta, s, p)
-        ty[u] = from_residue_bit(x, s ^ beta, p)
-        tz[u] = from_residue_bit(x, s ^ beta, p)
-    return Isotopism((tx, ty, tz))
+    x, s = _residue_bit(p)
+    sign = -1 if beta & 1 else 1
+    return _cp_isotopism(p, [sign * x + s * beta, x, x], [s, s ^ beta, s ^ beta])
 
 
 def cp_autotopism_a2(p: int, a1: int, b: int, alpha: int) -> Isotopism:
     """Second family: translations whose first and third components flip sign
     with the index bit relative to alpha."""
-    q = 2 * p
-    tx, ty, tz = [0] * q, [0] * q, [0] * q
-    for u in range(q):
-        x, s = to_residue_bit(u, p)
-        tx[u] = from_residue_bit(x - a1 * (-1) ** (s ^ alpha), s, p)
-        ty[u] = from_residue_bit(x - b, s, p)
-        tz[u] = from_residue_bit(x - a1 * (-1) ** (s ^ alpha) - b, s, p)
-    return Isotopism((tx, ty, tz))
+    x, s = _residue_bit(p)
+    shift = a1 * (1 - 2 * ((s ^ alpha) & 1))  # a1 * (-1)^(s ^ alpha)
+    return _cp_isotopism(p, [x - shift, x - b, x - shift - b], [s] * 3)
 
 
 def cp_autotopism_a3(p: int, alpha: int) -> Isotopism:
     """Third family: global sign flip with an index-bit swap on the outer
     coordinates and a shear on the middle one."""
-    q = 2 * p
-    tx, ty, tz = [0] * q, [0] * q, [0] * q
-    for u in range(q):
-        x, s = to_residue_bit(u, p)
-        tx[u] = from_residue_bit(_signed(p, alpha, x), s ^ alpha, p)
-        ty[u] = from_residue_bit(_signed(p, alpha, x) - alpha * s, s, p)
-        tz[u] = from_residue_bit(_signed(p, alpha, x), s ^ alpha, p)
-    return Isotopism((tx, ty, tz))
+    x, s = _residue_bit(p)
+    signed = -x if alpha & 1 else x
+    return _cp_isotopism(p, [signed, signed - alpha * s, signed], [s ^ alpha, s, s ^ alpha])
 
 
 def ic_p_generators(p: int) -> list[Isotopism]:
@@ -206,10 +204,10 @@ def ic_p_generators(p: int) -> list[Isotopism]:
 def chase_to_zero_cp(p: int, word) -> Isotopism:
     """Compose one member of each family so the given graph word lands on
     (0, 0, 0). Parameters are read off the word itself."""
-    a, alpha = to_residue_bit(word[0], p)
-    b, beta = to_residue_bit(word[1], p)
+    alpha, a = divmod(word[0], p)
+    beta, b = divmod(word[1], p)
     g1 = cp_autotopism_a1(p, beta)
-    a1 = (_signed(p, beta, a) + alpha * beta) % p
+    a1 = ((-a if beta & 1 else a) + alpha * beta) % p
     g2 = cp_autotopism_a2(p, a1, b, alpha)
     g3 = cp_autotopism_a3(p, alpha)
     return g3.compose(g2.compose(g1))
@@ -222,8 +220,8 @@ def cp_shear(p: int, t: int = 1) -> Isotopism:
     Its powers are the full stabilizer of the base word inside the closure of
     the three families, which is therefore p times larger than sharply
     transitive."""
-    tau = tuple(from_residue_bit(u % p - 2 * t * (u // p), u // p, p) for u in range(2 * p))
-    return Isotopism((tau, tau, tau))
+    x, s = _residue_bit(p)
+    return _cp_isotopism(p, [x - 2 * t * s] * 3, [s] * 3)
 
 
 def cp_regular_generators(p: int) -> list[Isotopism]:
@@ -257,68 +255,37 @@ def cp_regular_witness(p: int, word) -> Isotopism:
     return c.compose(cp_shear(p, delta * pow(2 * sgn, -1, p)))
 
 
-def element_inverse(loop: Loop, x: int) -> int:
-    """Group inverse: the w with x * w = identity."""
-    return invert(loop.table[x])[loop.identity]
+def _inverses(loop: Loop) -> np.ndarray:
+    """inv[x]: the w with x * w = identity, the group inverse in a group."""
+    return (loop.table == loop.identity).argmax(axis=1)
 
 
-def fold(loop: Loop, zs) -> int:
-    """Left-to-right product, starting at the identity; fold(()) = identity."""
+def fold(loop: Loop, zs):
+    """Left-to-right product, starting at the identity; fold(()) = identity.
+    zs is a word, or an (m, ...) array whose columns are words, folded by one
+    gather per coordinate."""
     acc = loop.identity
-    t = loop.table
     for z in zs:
-        acc = t[acc][z]
+        acc = loop.table[acc, z]
     return acc
 
 
 # ---------------------------------------------------------------------------
 # star machinery over an associative loop
 
-def star_product(loop: Loop, xs, ys) -> tuple[int, ...]:
-    """Componentwise twisted product: component k is P^-1 x_k P y_k where P
-    runs over the prefix products y_1 .. y_(k-1). Folds multiply:
-    fold(x star y) = fold(x) fold(y)."""
-    t = loop.table
-    out = []
-    pref = loop.identity
-    for xk, yk in zip(xs, ys):
-        pinv = element_inverse(loop, pref)
-        out.append(t[t[t[pinv][xk]][pref]][yk])
-        pref = t[pref][yk]
-    return tuple(out)
-
-
 def star_isotopism(loop: Loop, ys) -> Isotopism:
-    """x -> x star y as a coordinatewise map; sends the all-identity word to y."""
+    """x -> x star y, the componentwise twisted product: component k is
+    P^-1 x_k P y_k where P runs over the prefix products y_1 .. y_(k-1). Folds
+    multiply, fold(x star y) = fold(x) fold(y), and the all-identity word goes
+    to y. Over a group the star translations form a sharply transitive group."""
     t = loop.table
-    q = loop.q
-    taus = []
-    pref = loop.identity
-    for yk in ys:
-        pinv = element_inverse(loop, pref)
-        taus.append(tuple(t[t[t[pinv][v]][pref]][yk] for v in range(q)))
-        pref = t[pref][yk]
-    return Isotopism(taus)
-
-
-def star_inverse(loop: Loop, bs) -> tuple[int, ...]:
-    """The c with b star c = all-identity word."""
-    t = loop.table
-    cs = []
-    pref = loop.identity
-    for bk in bs:
-        pinv = element_inverse(loop, pref)
-        ck = t[t[pinv][element_inverse(loop, bk)]][pref]
-        cs.append(ck)
-        pref = t[pref][ck]
-    return tuple(cs)
-
-
-def shift_isotopism(loop: Loop, bs) -> Isotopism:
-    """Star translation carrying b to the all-identity word; because folds
-    multiply and fold(c) completes fold(b) to the identity, it preserves every
-    fold fiber pointwise whenever fold(b) is the identity."""
-    return star_isotopism(loop, star_inverse(loop, bs))
+    prefixes, acc = [], loop.identity
+    for y in ys:
+        prefixes.append(acc)
+        acc = t[acc, y]
+    pref = np.array(prefixes, dtype=np.int64)[:, None]
+    ys = np.array(ys, dtype=np.int64)[:, None]
+    return Isotopism(t[t[t[_inverses(loop)[pref], np.arange(loop.q)], pref], ys])
 
 
 @dataclass(frozen=True)
@@ -336,10 +303,9 @@ class IteratedGroupSpec:
 def iterated_code(spec: IteratedGroupSpec) -> MdsCode:
     """Words whose full left product is the identity."""
     loop, n = spec.loop, spec.n
-    words = []
-    for xs in itertools.product(range(loop.q), repeat=n - 1):
-        words.append(xs + (element_inverse(loop, fold(loop, xs)),))
-    prov = {"construction": "iterated", "table": [list(r) for r in loop.table],
+    xs = np.indices((loop.q,) * (n - 1)).reshape(n - 1, -1)
+    words = np.vstack([xs, _inverses(loop)[fold(loop, xs)]]).T
+    prov = {"construction": "iterated", "table": loop.table.tolist(),
             "identity": loop.identity, "n": n}
     return MdsCode(loop.q, n, words, provenance=prov)
 
@@ -360,56 +326,52 @@ def sigma_compatibility_failure(loop: Loop, sigma):
     That identity on sigma alone decides solvability of the block equation
     below: it says sigma is a left translation composed with an automorphism.
     """
-    t = loop.table
-    mid = element_inverse(loop, sigma[loop.identity])
-    for x in range(loop.q):
-        left = t[sigma[x]][mid]
-        row = t[x]
-        for y in range(loop.q):
-            if sigma[row[y]] != t[left][sigma[y]]:
-                return (x, y)
-    return None
+    t, sigma = loop.table, np.asarray(sigma)
+    left = t[sigma, _inverses(loop)[sigma[loop.identity]]]  # sigma(x) sigma(e)^-1
+    bad = np.argwhere(sigma[t] != t[left[:, None], sigma])
+    return tuple(bad[0].tolist()) if len(bad) else None
 
 
-def solve_condition_c(loop: Loop, m: int, sigma, tail=None):
-    """Coordinate maps (tau_1..tau_m) with fold(tau(z)) = sigma(fold(z)) for
-    every z in Q^m.
+def solve_condition_c(loop: Loop, m: int, sigma, tail=None) -> np.ndarray:
+    """Coordinate maps (tau_1..tau_m), the rows of a read-only (m, q) int64
+    array, with fold(tau(z)) = sigma(fold(z)) for every z in Q^m.
 
     Solutions are parameterized completely by the images of the identity in
     positions 2..m (the tail): writing R_j for the suffix product
     u_(j+1) .. u_m, they are tau_1 = sigma(.) R_1^-1 and
     tau_j = R_(j-1) sigma(e)^-1 sigma(.) R_j^-1. The default tail is all
-    identities. Raises ValueError when sigma fails the compatibility identity,
-    in which case no solution exists for m >= 2.
+    identities. sigma must list a permutation of the symbols and the tail
+    m - 1 symbols, as integers, else ValueError; so does a sigma failing the
+    compatibility identity, in which case no solution exists for m >= 2.
     """
     q = loop.q
-    sigma = tuple(int(v) for v in sigma)
+    sigma = _integers(sigma, "sigma must be a permutation of the symbols")
     if sorted(sigma) != list(range(q)):
         raise ValueError("sigma must be a permutation of the symbols")
     if m < 1:
         raise ValueError("m must be positive")
+    sigma = np.array(sigma, dtype=np.int64)
     if m == 1:
-        return (sigma,)
+        return _frozen(sigma[None])
     bad = sigma_compatibility_failure(loop, sigma)
     if bad is not None:
         raise ValueError(f"sigma is not fold-compatible at {bad}; no solution")
     e = loop.identity
-    if tail is None:
-        tail = (e,) * (m - 1)
-    tail = tuple(int(v) for v in tail)
+    tail = (e,) * (m - 1) if tail is None else _integers(tail, "tail entries must be symbols")
     if len(tail) != m - 1:
         raise ValueError("tail must list the identity images at positions 2..m")
-    t = loop.table
+    if not all(0 <= v < q for v in tail):
+        raise ValueError("tail entries must be symbols")
+    t, inv = loop.table, _inverses(loop)
     suffix = [e] * (m + 1)  # suffix[j] = u_(j+1) ... u_m, suffix[m] = e
     for j in range(m - 1, 0, -1):
-        suffix[j] = t[tail[j - 1]][suffix[j + 1]]
-    mid = element_inverse(loop, sigma[e])
-    taus = [tuple(t[sigma[z]][element_inverse(loop, suffix[1])] for z in range(q))]
-    for j in range(2, m + 1):
-        head = suffix[j - 1]
-        rinv = element_inverse(loop, suffix[j])
-        taus.append(tuple(t[t[t[head][mid]][sigma[z]]][rinv] for z in range(q)))
-    return tuple(taus)
+        suffix[j] = t[tail[j - 1], suffix[j + 1]]
+    suffix = np.array(suffix, dtype=np.int64)
+    taus = np.empty((m, q), dtype=np.int64)
+    taus[0] = t[sigma, inv[suffix[1]]]
+    head = t[suffix[1:m], inv[sigma[e]]][:, None]  # R_(j-1) sigma(e)^-1 for j = 2..m
+    taus[1:] = t[t[head, sigma], inv[suffix[2:]][:, None]]
+    return _frozen(taus)
 
 
 def condition_c_solutions(loop: Loop, m: int, sigma):
@@ -452,10 +414,6 @@ class CompositionSpec:
         return 1 + sum(self.inner)
 
 
-def _outer_loop(spec: CompositionSpec) -> Loop:
-    return make_cp(spec.p) if spec.outer == "cp" else make_zp_z2(spec.p)
-
-
 def _split_blocks(spec: CompositionSpec, word):
     blocks = []
     pos = 1
@@ -467,26 +425,21 @@ def _split_blocks(spec: CompositionSpec, word):
 
 def composition_code(spec: CompositionSpec) -> MdsCode:
     """Coordinate 0 equals the outer operation applied to the dihedral folds
-    of the blocks."""
-    q = spec.q
-    dih = make_dihedral(spec.p)
-    outer = _outer_loop(spec)
-    words = []
-    for zs in itertools.product(range(q), repeat=sum(spec.inner)):
-        vs = []
-        pos = 0
-        for m in spec.inner:
-            vs.append(fold(dih, zs[pos:pos + m]))
-            pos += m
-        words.append((fold(outer, vs),) + zs)
+    of the blocks, for all words at once."""
+    dih = _shared_loop("dihedral", spec.p)
+    m = sum(spec.inner)
+    zs = np.indices((spec.q,) * m).reshape(m, -1)
+    ends = itertools.accumulate(spec.inner)
+    vs = [fold(dih, zs[end - k:end]) for k, end in zip(spec.inner, ends)]
+    words = np.vstack([fold(_shared_loop(spec.outer, spec.p), vs), zs]).T
     prov = {"construction": "composition", "outer": spec.outer, "p": spec.p,
             "inner": list(spec.inner)}
-    return MdsCode(q, spec.length, words, provenance=prov)
+    return MdsCode(spec.q, spec.length, words, provenance=prov)
 
 
 @lru_cache(maxsize=None)
-def _solve_block(p: int, m: int, sigma: tuple) -> tuple:
-    return solve_condition_c(make_dihedral(p), m, sigma)
+def _solve_block(p: int, m: int, sigma: tuple) -> np.ndarray:
+    return solve_condition_c(_shared_loop("dihedral", p), m, sigma)
 
 
 def composition_witness(spec: CompositionSpec, word) -> Isotopism:
@@ -494,26 +447,24 @@ def composition_witness(spec: CompositionSpec, word) -> Isotopism:
 
     The outer symbols transform by a symmetry of the outer operation's graph
     killing (fold values, coordinate 0); each block then gets a solution of
-    the fold-equivariance equation for its outer component, followed by a
-    fiber-preserving star shift flattening the block itself.
+    the fold-equivariance equation for its outer component, followed by the
+    inverse star translation of the block's image, a fiber-preserving shift
+    flattening the block itself.
     """
-    dih = make_dihedral(spec.p)
+    dih = _shared_loop("dihedral", spec.p)
     b0, blocks = _split_blocks(spec, word)
     vs = [fold(dih, b) for b in blocks]
     if spec.outer == "cp":
-        g = chase_to_zero_cp(spec.p, (vs[0], vs[1], b0))
-        *sigmas, sigma0 = g.rows.tolist()
-    else:
-        zp = _outer_loop(spec)
-        sigma0 = zp.col_perm(element_inverse(zp, b0))
-        sigmas = [zp.col_perm(element_inverse(zp, v)) for v in vs]
-    taus = [tuple(sigma0)]
-    for m, sig, blk in zip(spec.inner, sigmas, blocks):
-        block_taus = _solve_block(spec.p, m, tuple(sig))
-        moved = tuple(t[z] for t, z in zip(block_taus, blk))
-        shift = shift_isotopism(dih, moved)
-        taus.extend(compose_perm(a, b) for a, b in zip(shift.rows.tolist(), block_taus))
-    out = Isotopism(taus)
+        *sigmas, sigma0 = chase_to_zero_cp(spec.p, (vs[0], vs[1], b0)).rows
+    else:  # right translations by the inverses
+        zp = _shared_loop("zpz2", spec.p)
+        sigma0, *sigmas = zp.table[:, _inverses(zp)[[b0, *vs]]].T
+    rows = [sigma0]
+    for m, sigma, block in zip(spec.inner, sigmas, blocks):
+        taus = _solve_block(spec.p, m, tuple(sigma.tolist()))
+        shift = star_isotopism(dih, taus[np.arange(m), block]).inverse()
+        rows.extend(np.take_along_axis(shift.rows, taus, axis=1))
+    out = Isotopism(np.vstack(rows))
     if out.apply_word(word) != (0,) * spec.length:
         raise ValueError(f"{word} is not a word of the composition code")
     return out
@@ -571,14 +522,23 @@ class QuadraticSpec:
         return field_make(self.p, self.k)
 
 
-def quadratic_r(spec: QuadraticSpec, xs) -> int:
-    F = spec.field
-    acc = 0
+def _field_sum(add: np.ndarray, parts, acc=0):
+    """The field sum of the rows of `parts` (and acc), one gather per row."""
+    for part in parts:
+        acc = add[acc, part]
+    return acc
+
+
+def _quadratic_form(spec: QuadraticSpec, xs):
+    """r(x), the quadratic form plus the beta tables, of the x-parts xs, an
+    (n, ...) array, by one gather per term."""
+    F, beta = spec.field, np.array(spec.beta, dtype=np.int64)
+    r = 0
     for i in range(spec.n):
         for j in range(spec.n):
-            acc = F.a(acc, F.m(spec.alpha[i][j], F.m(xs[i], xs[j])))
-        acc = F.a(acc, spec.beta[i][xs[i]])
-    return acc
+            r = F.add[r, F.mul[spec.alpha[i][j], F.mul[xs[i], xs[j]]]]
+        r = F.add[r, beta[i, xs[i]]]
+    return r
 
 
 def quadratic_code(spec: QuadraticSpec) -> MdsCode:
@@ -587,23 +547,13 @@ def quadratic_code(spec: QuadraticSpec) -> MdsCode:
     on the field's add, mul and neg tables."""
     F = spec.field
     q, n = spec.q, spec.n
-    add, mul, neg = (np.array(t, dtype=np.int64) for t in (F.add, F.mul_table, F.neg))
     free = np.indices((q,) * (n - 1)).reshape(n - 1, -1)  # [coordinate, vector]
-
-    def total(parts, acc=0):
-        for part in parts:
-            acc = add[acc, part]
-        return acc
-
-    xs = np.vstack([free, neg[total(free)]])  # [coordinate, x-part]
-    r = 0
-    for i in range(n):
-        for j in range(n):
-            r = add[r, mul[spec.alpha[i][j], mul[xs[i], xs[j]]]]
-        r = add[r, np.array(spec.beta[i])[xs[i]]]
+    total = _field_sum(F.add, free)
+    xs = np.vstack([free, F.neg[total]])  # [coordinate, x-part]
+    r = _quadratic_form(spec, xs)
     words = np.empty((free.shape[1], free.shape[1], n), dtype=np.int64)  # [x-part, y-part]
     words[..., :-1] = xs[:-1].T[:, None] * q + free.T
-    words[..., -1] = xs[-1][:, None] * q + neg[add[r[:, None], total(free)]]
+    words[..., -1] = xs[-1][:, None] * q + F.neg[F.add[r[:, None], total]]
     prov = {"construction": "quadratic", "p": spec.p, "k": spec.k, "n": n,
             "alpha": [list(r_) for r_ in spec.alpha],
             "beta": [list(b) for b in spec.beta]}
@@ -611,45 +561,27 @@ def quadratic_code(spec: QuadraticSpec) -> MdsCode:
 
 
 def quadratic_witness(spec: QuadraticSpec, word) -> Isotopism:
-    """Two translation stages: shift the x-parts by the word's x-parts with a
-    compensating y-shear keeping both defining sums invariant, then shift the
-    y-parts by the image's y-parts."""
-    F = spec.field
-    q = spec.q
-    axs = [pair_split(s, q)[0] for s in word]
-    bys = [pair_split(s, q)[1] for s in word]
+    """Two translation stages: shift the x-parts by the word's x-parts a with
+    a compensating y-shear keeping both defining sums invariant, then shift
+    the y-parts by the image's y-parts. Coordinate i is one gather over every
+    paired symbol (x, y): stage one sends it to (x - a_i, y + x*shear_i -
+    beta_i(x - a_i) + beta_i(x) - a_i*row_i), where row_i = sum_j alpha_ij a_j
+    and shear_i = row_i + sum_j alpha_ji a_j."""
+    F, q, n = spec.field, spec.q, spec.n
+    add, mul, neg = F.add, F.mul, F.neg
+    a, b = np.divmod(np.array(word, dtype=np.int64), q)
     # the stages carry any word to zero, so membership is checked up front
-    sum_x, sum_y = 0, quadratic_r(spec, axs)
-    for x, y in zip(axs, bys):
-        sum_x, sum_y = F.a(sum_x, x), F.a(sum_y, y)
-    if sum_x or sum_y:
+    if _field_sum(add, a) or add[_quadratic_form(spec, a), _field_sum(add, b)]:
         raise ValueError(f"{word} is not a word of the quadratic code")
-    taus = []
-    for i in range(spec.n):
-        ai = axs[i]
-        row = 0
-        col = 0
-        for j in range(spec.n):
-            row = F.a(row, F.m(spec.alpha[i][j], axs[j]))
-            col = F.a(col, F.m(spec.alpha[j][i], axs[j]))
-        shear = F.a(row, col)
-        const = F.m(ai, row)
-        beta_i = spec.beta[i]
-
-        def stage1(x, y):
-            xp = F.s(x, ai)
-            yp = F.a(y, F.m(x, shear))
-            yp = F.a(F.s(yp, beta_i[xp]), beta_i[x])
-            return xp, F.s(yp, const)
-
-        _, ci = stage1(ai, bys[i])
-        perm = [0] * (q * q)
-        for s in range(q * q):
-            x, y = pair_split(s, q)
-            xp, yp = stage1(x, y)
-            perm[s] = pair_join(xp, F.s(yp, ci), q)
-        taus.append(tuple(perm))
-    return Isotopism(taus)
+    alpha, beta = np.array(spec.alpha, dtype=np.int64), np.array(spec.beta, dtype=np.int64)
+    row = _field_sum(add, mul[alpha, a].T)
+    shear = add[row, _field_sum(add, mul[alpha.T, a].T)][:, None]
+    x, y = np.divmod(np.arange(q * q), q)
+    xp = add[x, neg[a][:, None]]  # [coordinate, paired symbol]
+    yp = add[add[y, mul[x, shear]], neg[beta[np.arange(n)[:, None], xp]]]
+    yp = add[add[yp, beta[:, x]], neg[mul[a, row]][:, None]]
+    c = yp[np.arange(n), a * q + b]  # stage one's image of the word's own y-parts
+    return Isotopism(xp * q + add[yp, neg[c][:, None]])
 
 
 # ---------------------------------------------------------------------------
@@ -743,9 +675,9 @@ def _build_graph(spec: GraphSpec) -> MdsCode:
 
 
 def _star_witness(loop: Loop, src):
-    """Word -> the star translation carrying `src` to it."""
-    src_inv = star_inverse(loop, src)
-    return lambda w: star_isotopism(loop, star_product(loop, src_inv, w))
+    """Word -> the star translation carrying `src` to it, star(w) o star(src)^-1."""
+    back = star_isotopism(loop, src).inverse()
+    return lambda w: star_isotopism(loop, w).compose(back)
 
 
 def _graph_witness(spec: GraphSpec):
@@ -756,8 +688,8 @@ def _graph_witness(spec: GraphSpec):
         return None
     # the graph is the length-3 iterated code with its last coordinate
     # relabeled by inversion; conjugate the star translation through the relabel
-    ident = identity_perm(loop.q)
-    relabel = Isotopism((ident, ident, tuple(element_inverse(loop, v) for v in range(loop.q))))
+    symbols = np.arange(loop.q)
+    relabel = Isotopism(np.stack([symbols, symbols, _inverses(loop)]))
     star = _star_witness(loop, relabel.apply_word((0, 0, 0)))
     return lambda w: relabel.compose(star(relabel.apply_word(w))).compose(relabel)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -95,7 +97,8 @@ def field_order(p: int, k: int) -> int:
 
 
 class FieldTable:
-    """GF(p^k) with precomputed add, mul and neg tables."""
+    """GF(p^k) with its add, mul and neg tables: read-only int64 arrays,
+    add[x, y] = x + y, mul[x, y] = x * y and neg[x] = -x."""
 
     def __init__(self, p: int, k: int):
         q = self.q = field_order(p, k)
@@ -104,29 +107,17 @@ class FieldTable:
         modulus = next(m for m in _monic_polys(p, k) if _is_irreducible(m, p))
         self.modulus: tuple[int, ...] = tuple(modulus)
         polys = [_index_to_poly(i, p, k) for i in range(q)]
+        digits, weights = np.array(polys, dtype=np.int64), p ** np.arange(k)
 
-        def mul_row(a: int, b: int) -> int:
-            prod = _poly_mul(polys[a], polys[b], p)
-            return _poly_to_index(_poly_mod(prod, modulus, p), p)
+        def mul(a: int, b: int) -> int:
+            return _poly_to_index(_poly_mod(_poly_mul(polys[a], polys[b], p), modulus, p), p)
 
-        def add_row(a: int, b: int) -> int:
-            return _poly_to_index(
-                [(x + y) % p for x, y in zip(polys[a], polys[b])], p
-            )
-
-        self.add = tuple(tuple(add_row(a, b) for b in range(q)) for a in range(q))
-        self.mul_table = tuple(tuple(mul_row(a, b) for b in range(q)) for a in range(q))
-
-        self.neg = tuple(next(b for b in range(q) if self.add[a][b] == 0) for a in range(q))
-
-    def a(self, x: int, y: int) -> int:
-        return self.add[x][y]
-
-    def s(self, x: int, y: int) -> int:
-        return self.add[x][self.neg[y]]
-
-    def m(self, x: int, y: int) -> int:
-        return self.mul_table[x][y]
+        # coefficients add digit by digit, so add and neg are one broadcast each
+        self.add = (digits[:, None] + digits) % p @ weights
+        self.mul = np.array([[mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+        self.neg = -digits % p @ weights
+        for table in (self.add, self.mul, self.neg):
+            table.flags.writeable = False
 
     def __repr__(self):
         return f"FieldTable(p={self.p}, k={self.k})"

@@ -24,7 +24,13 @@ from .budget import BudgetExceeded, SearchBudget
 from .codes import (BinaryQuasigroup, Loop, NAryQuasigroup, cyclic_loop, graph_of,
                     make_cp, make_dihedral, twisted_graph_code)
 from .isometry import is_isotopically_transitive
-from .perms import invert, transposition
+
+
+def _swap(q: int, i: int, j: int) -> np.ndarray:
+    """The transposition of the symbols i and j of 0..q-1, as an array."""
+    out = np.arange(q)
+    out[[i, j]] = j, i
+    return out
 
 
 def principal_isotope(f: BinaryQuasigroup, a: int, b: int) -> Loop:
@@ -34,17 +40,14 @@ def principal_isotope(f: BinaryQuasigroup, a: int, b: int) -> Loop:
     the values, then renormalize by the unit translations so 0 becomes a
     two-sided identity. Up to conjugation by the value transposition this is
     the classical principal isotope f(x / b, a \\ y), so ranging over all
-    (a, b) reaches every loop isotopic to f up to isomorphism.
+    (a, b) reaches every loop isotopic to f up to isomorphism. The exchanges
+    are gathers; the renormalization is one scatter, which puts row r and
+    column c of the exchanged table at row fp[r, 0] and column fp[0, c].
     """
-    q = f.q
-    xi = transposition(q, 0, a)
-    psi = transposition(q, 0, b)
-    phi = transposition(q, f.value(a, b), 0)
-    fp = [[phi[f.value(xi[x], psi[y])] for y in range(q)] for x in range(q)]
-    xi0 = tuple(fp[x][0] for x in range(q))
-    psi0 = tuple(fp[0][y] for y in range(q))
-    xi0_inv, psi0_inv = invert(xi0), invert(psi0)
-    table = [[fp[xi0_inv[x]][psi0_inv[y]] for y in range(q)] for x in range(q)]
+    q, t = f.q, f.table
+    fp = _swap(q, t[a, b], 0)[t[_swap(q, 0, a)][:, _swap(q, 0, b)]]
+    table = np.empty_like(fp)
+    table[fp[:, :1], fp[:1]] = fp
     return Loop(table, identity=0)
 
 
@@ -70,8 +73,8 @@ def is_g_loop(f: Loop, bound: int = 12) -> GLoopVerdict:
     q = f.q
     if q > bound:
         raise BudgetExceeded("loop order", bound, q)
-    swap = np.array(transposition(q, 0, f.identity))
-    table = swap[np.array(f.table, dtype=np.int64)[swap][:, swap]]
+    swap = _swap(q, 0, f.identity)
+    table = swap[f.table[swap][:, swap]]
     verdict = is_isotopically_transitive(graph_of(NAryQuasigroup(table)), "pinned",
                                          SearchBudget(max_points=q ** 3))
     if verdict:
@@ -121,7 +124,7 @@ def find_non_g_loop_order6() -> Loop:
     keeping 0 an identity) that fails the G-loop test. Deterministic; the
     builtin loop "non-g-6" is its table, written out."""
     z6 = cyclic_loop(6)
-    base = [list(r) for r in z6.table]
+    base = z6.table.tolist()
     for r1, r2 in itertools.combinations(range(1, 6), 2):
         for c1, c2 in itertools.combinations(range(1, 6), 2):
             if base[r1][c1] == base[r2][c2] and base[r1][c2] == base[r2][c1]:

@@ -100,8 +100,7 @@ def _load(path: str):
 # loop tables
 
 def loop_to_json(loop: Loop) -> dict:
-    return {"q": loop.q, "table": [list(row) for row in loop.table],
-            "identity": loop.identity}
+    return {"q": loop.q, "table": loop.table.tolist(), "identity": loop.identity}
 
 
 def save_loop(loop: Loop, path: str):

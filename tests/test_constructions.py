@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,18 +12,18 @@ from topolinear.codes import (BinaryQuasigroup, graph_code, is_mds, make_cp, mak
                               twisted_graph_code)
 from topolinear.counting import partitions_of
 from topolinear.constructions import (CompositionSpec, IteratedGroupSpec,
-                                      QuadraticSpec, composition_code,
+                                      QuadraticSpec, _inverses, composition_code,
                                       composition_witness,
-                                      condition_c_solutions, element_inverse,
+                                      condition_c_solutions,
                                       fold, iterated_code, quadratic_code,
-                                      quadratic_r, quadratic_witness,
+                                      quadratic_witness,
                                       regular_group_iterated,
                                       sigma_compatibility_failure,
-                                      shift_isotopism, solve_condition_c,
-                                      star_product)
+                                      solve_condition_c, star_isotopism)
 from topolinear.isometry import (TransitivityCertificate, equivalent_codes,
                                  is_isotopically_transitive, is_topolinear)
 from topolinear.perms import random_permutation
+from tuple_reference import TupleField, quadratic_words
 
 
 # ---------------------------------------------------------------------------
@@ -34,15 +35,17 @@ def test_folds_multiply_under_star():
     for _ in range(30):
         xs = tuple(rng.randrange(6) for _ in range(4))
         ys = tuple(rng.randrange(6) for _ in range(4))
-        prod = star_product(L, xs, ys)
+        prod = star_isotopism(L, ys).apply_word(xs)  # x star y
         assert fold(L, prod) == L.table[fold(L, xs)][fold(L, ys)]
 
 
 def test_shift_isotopism_preserves_fold_fibers():
+    # the inverse star translation of b, once `shift_isotopism`, carries b
+    # to the identity word
     L = make_dihedral(3)
     M = iterated_code(IteratedGroupSpec(L, 3))
     for b in list(M.words)[:8]:
-        g = shift_isotopism(L, b)
+        g = star_isotopism(L, b).inverse()
         assert g.apply_word(b) == (L.identity,) * 3
         assert g.is_automorphism_of(M)
 
@@ -74,7 +77,7 @@ def test_condition_c_solutions_count_and_replay():
     m = 2
     sols = list(condition_c_solutions(L, m, sigma))
     assert len(sols) == 6 ** (m - 1)
-    assert len(set(sols)) == len(sols)
+    assert len({taus.tobytes() for taus in sols}) == len(sols)
     for taus in sols:
         for zs in itertools.product(range(6), repeat=m):
             image = tuple(t[z] for t, z in zip(taus, zs))
@@ -99,10 +102,28 @@ def test_condition_c_tail_controls_the_solution():
     sigma = tuple(L.table[1][z] for z in range(6))
     a = solve_condition_c(L, 3, sigma, tail=(0, 0))
     b = solve_condition_c(L, 3, sigma, tail=(2, 5))
-    assert a != b
+    assert not np.array_equal(a, b)
     # the tail really is the image of the identity at positions 2..m
     e = L.identity
     assert (b[1][e], b[2][e]) == (2, 5)
+
+
+@pytest.mark.parametrize("sigma,tail,message", [
+    ((0, 1, 2, 3, 4, 5.5), None, "sigma must be a permutation of the symbols"),
+    ((0, 1, 2, 3, 4, True), None, "sigma must be a permutation of the symbols"),
+    ((0, 1, 2, 3, 4, 6), None, "sigma must be a permutation of the symbols"),
+    (tuple(range(6)), (-1,), "tail entries must be symbols"),
+    (tuple(range(6)), (6,), "tail entries must be symbols"),
+    (tuple(range(6)), (1.7,), "tail entries must be symbols"),
+    (tuple(range(6)), (True,), "tail entries must be symbols"),
+    (tuple(range(6)), (1, 1), "tail must list the identity images at positions 2..m")],
+    ids=["float-sigma", "bool-sigma", "sigma-out-of-range", "negative-tail",
+         "tail-out-of-range", "float-tail", "bool-tail", "long-tail"])
+def test_condition_c_refuses_what_is_not_a_symbol(sigma, tail, message):
+    # sigma and the tail were read with int(): 5.5 passed as 5, a tail entry
+    # -1 read the last row, and 1.7 and True read row 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve_condition_c(make_dihedral(3), 2, sigma, tail=tail)
 
 
 def compatible_sigmas(L):
@@ -139,7 +160,7 @@ def test_condition_c_solutions_replay_for_every_compatible_sigma(p):
     sigmas = compatible_sigmas(L)
     assert len(sigmas) == q * p * (p - 1)  # |Aut(D_p)| = p(p - 1) for odd p
     if p == 3:  # the defining identity sigma(xy) = sigma(x) sigma(e)^-1 sigma(y) on S_6
-        inverse = {x: L.table[x].index(e) for x in range(q)}
+        inverse = {x: L.table[x].tolist().index(e) for x in range(q)}
         assert sigmas == {s for s in itertools.permutations(range(q)) if all(
             s[L.table[x][y]] == L.table[L.table[s[x]][inverse[s[e]]]][s[y]]
             for x in range(q) for y in range(q))}
@@ -278,23 +299,9 @@ def test_quadratic_codes_verify_end_to_end(n, pairs):
 
 
 def quadratic_words_one_by_one(spec):
-    """Reference: the quadratic code word by word, through the field's
-    scalar operations and `quadratic_r`."""
-    F, q, n = spec.field, spec.q, spec.n
-    words = []
-    for xs in itertools.product(range(q), repeat=n - 1):
-        tot = 0
-        for v in xs:
-            tot = F.a(tot, v)
-        full_x = xs + (F.s(0, tot),)
-        r = quadratic_r(spec, full_x)
-        for ys in itertools.product(range(q), repeat=n - 1):
-            tot = r
-            for v in ys:
-                tot = F.a(tot, v)
-            full_y = ys + (F.s(0, tot),)
-            words.append(tuple(x * q + y for x, y in zip(full_x, full_y)))
-    return sorted(words)
+    """Reference: the quadratic code word by word, through scalar
+    operations on the field's tuple tables and the form r one term at a time."""
+    return quadratic_words(TupleField(spec.p, spec.k), spec.alpha, spec.beta, spec.n)
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (2, 1, 4), (3, 1, 2), (3, 1, 3),
@@ -364,6 +371,7 @@ def test_twisted_graph_of_even_p_has_no_hint_to_drop():
 
 def test_element_inverse_is_two_sided_in_groups():
     L = make_dihedral(5)
+    inverses = _inverses(L)
     for x in range(L.q):
-        w = element_inverse(L, x)
+        w = inverses[x]
         assert L.table[x][w] == L.identity == L.table[w][x]

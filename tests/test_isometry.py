@@ -21,7 +21,7 @@ from topolinear.constructions import (CONSTRUCTIONS, CompositionSpec,
                                       composition_witness, cp_autotopism_a1,
                                       cp_autotopism_a2, cp_autotopism_a3,
                                       cp_regular_generators, cp_regular_witness,
-                                      cp_shear, element_inverse, ic_p_generators,
+                                      cp_shear, ic_p_generators,
                                       iterated_code, quadratic_code,
                                       quadratic_witness, regular_group_iterated)
 from topolinear.counting import upper_triangular_forms
@@ -451,7 +451,7 @@ def graph_relabel(loop):
     """Inversion on the last coordinate: the graph of a group onto its
     length-3 iterated code."""
     ident = tuple(range(loop.q))
-    return Isotopism((ident, ident, tuple(element_inverse(loop, v) for v in range(loop.q))))
+    return Isotopism((ident, ident, tuple(row.index(loop.identity) for row in loop.table.tolist())))
 
 
 def formula_cases():

@@ -8,7 +8,9 @@ that compose checked isotopisms or read rows of them build one past the
 constructor's check, every code is built by the checked constructor, and
 only `codes` sorts arrays: it holds the one symmetry test. An isotopism has
 one representation, its rows: only `codes` reads the taus or picks their
-dtype, and no call passes a knob that skips a check."""
+dtype, and no call passes a knob that skips a check. A loop or field table
+has one form too, a read-only int64 array: the formulas gather on it, with
+no index lens module and no tuple permutations from `perms`."""
 import ast
 from pathlib import Path
 
@@ -130,3 +132,31 @@ def test_no_call_passes_a_check_or_verify_knob():
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
              for keyword in node.keywords if keyword.arg in ("check", "verify")]
     assert knobs == []
+
+
+def test_no_module_imports_alphabet():
+    # symbols are read off a table's index arrays; no lens module converts them
+    assert not (PACKAGE / "alphabet.py").exists()
+    for path in MODULES:
+        for module, names in relative_imports(ast.parse(path.read_text())):
+            assert module != "alphabet" and not (module is None and "alphabet" in names)
+
+
+def test_constructions_and_loops_import_nothing_from_perms():
+    for stem in ("constructions", "loops"):
+        for module, names in relative_imports(ast.parse((PACKAGE / f"{stem}.py").read_text())):
+            assert module != "perms" and not (module is None and "perms" in names), stem
+
+
+def test_only_codes_and_fields_convert_a_table():
+    # a loop's `table` and a field's add, mul and neg are read-only int64
+    # arrays from their constructors: nothing converts them again
+    converters = {path.stem for path in MODULES
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("array", "asarray")
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                  and any(isinstance(arg, ast.Attribute)
+                          and arg.attr in ("table", "add", "mul", "neg", "mul_table")
+                          for arg in node.args)}
+    assert converters <= {"codes", "fields"}

@@ -5,12 +5,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from topolinear import cli, fields
 from topolinear.classify_q4 import code_h, standard_semilinear_code
 from topolinear.cli import main
-from topolinear.codes import MdsCode, cyclic_loop, make_dihedral, parity_code, twisted_graph_code
+from topolinear.codes import (Loop, MdsCode, cyclic_loop, graph_code, make_dihedral, parity_code,
+                              twisted_graph_code)
 from topolinear.isometry import (Isotopism, TransitivityCertificate, autotopism_search,
                                  is_isotopically_transitive)
 from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedInput,
@@ -18,8 +20,8 @@ from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedI
                                       loop_from_json, parse_r_expression)
 from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
-                                  code_to_json, dumps_canonical, load_code, loop_to_json,
-                                  save_certificate, save_code, save_loop)
+                                  code_to_json, dumps_canonical, load_code, load_loop,
+                                  loop_to_json, save_certificate, save_code, save_loop)
 from test_isometry import oracle_cases
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -515,6 +517,35 @@ def test_loop_identity_out_of_range_is_malformed(tmp_path):
                       {"construction": "iterated", "loop": {"table": table, "identity": 7},
                        "n": 3})
     assert main(["construct", spec, str(tmp_path / "out.json")]) == 2
+
+
+# Z3 relabelled so that its identity is the last symbol, 2
+Z3_IDENTITY_2 = [[(x + y - 2) % 3 for y in range(3)] for x in range(3)]
+
+
+@pytest.mark.parametrize("identity,message", [
+    (-1, "identity -1 out of range"), (3, "identity 3 out of range"),
+    (2.0, "identity must be an integer"), (True, "identity must be an integer"),
+    (0, "0 is not a two-sided identity")])
+def test_a_loop_refuses_an_identity_its_file_could_not_hold(identity, message):
+    # identity -1 once read the last row: the loop was accepted, `save_loop`
+    # wrote a file `load_loop` refused, and `graph_code` recorded -1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Loop(Z3_IDENTITY_2, identity=identity)
+    with pytest.raises(MalformedInput, match=f"^{message}$"):
+        loop_from_json({"table": Z3_IDENTITY_2, "identity": identity})
+
+
+def test_a_saved_loop_loads_back_with_its_identity(tmp_path):
+    path = str(tmp_path / "loop.json")
+    for loop in (Loop(Z3_IDENTITY_2, identity=np.int64(2)), Loop(Z3_IDENTITY_2)):
+        assert type(loop.identity) is int and loop.identity == 2
+        save_loop(loop, path)
+        back = load_loop(path)
+        assert back == loop and back.identity == 2
+        assert open(path).read() == dumps_canonical(
+            {"q": 3, "table": Z3_IDENTITY_2, "identity": 2})
+        assert graph_code(back).provenance["identity"] == 2
 
 
 def test_cli_oversized_search_exits_3(tmp_path):
