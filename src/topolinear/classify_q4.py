@@ -143,8 +143,8 @@ def _x_labelings(M: MdsCode):
     labeling tuples, which is the order of their indices in
     _BALANCED_LABELINGS, coordinate 0 first.
     """
-    n, w0 = M.n, M.words[0]
-    arr = M.word_array()
+    n, arr = M.n, M.word_array()
+    w0 = arr[0].tolist()
     at_first = M.completion_maps()[0]
     rest = int(M.encoded()[0]) % 4 ** (n - 1)  # w0's line key in direction 0
     # per coordinate j: symbol b at j -> symbol at 0 on w0's slice through b

@@ -46,39 +46,68 @@ def _lex_sorted(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.reshape(len(rows), -1).T[::-1])]
 
 
+def _word_rows(words, end: int, n: int) -> np.ndarray:
+    """An iterable of integer sequences as one (|M|, length) int64 array:
+    one scan of all the symbols' types, then one `np.fromiter`. Words of
+    different lengths, or a symbol past int64, are refused as `_first_fault`
+    names them."""
+    words = list(words)
+    flat = _integers(itertools.chain.from_iterable(words), "symbol must be an integer")
+    lengths = set(map(len, words))
+    if len(lengths) <= 1:
+        try:
+            return np.fromiter(flat, np.int64, len(flat)).reshape(
+                len(words), lengths.pop() if lengths else n)
+        except OverflowError:
+            pass
+    raise ValueError(_first_fault(words, end, n))
+
+
+def _first_fault(words, end: int, n: int) -> str:
+    """The refusal of the first word of `words`, in sorted order, that has
+    another length than n or a symbol outside 0..end-1; the caller knows
+    one of them does."""
+    for w in sorted(tuple(map(operator.index, w)) for w in words):
+        if len(w) != n:
+            return f"word {w} has length {len(w)}, expected {n}"
+        for s in w:
+            if not 0 <= s < end:
+                return f"symbol {s} out of range in {w}"
+
+
 class MdsCode:
     """Immutable word set with cached line, membership and profile indexes.
 
-    Words are stored sorted lexicographically; that sorted tuple is the
-    canonical form used for equality, hashing and serialization. Every code
-    is checked on construction: q and n are integers, and every word is n
-    integer symbols in 0..q-1, else ValueError. `words` is an iterable of
-    words, each checked symbol by symbol, or an integer numpy array of
-    shape (|M|, n), checked by its shape and one min/max test with no
-    per-entry type pass and put in word order by one lexsort.
+    The words are stored once, as a read-only (|M|, n) int64 array sorted
+    lexicographically (`word_array`); that sorted array is the canonical
+    form used for equality, hashing and serialization, and every index is
+    built from it. `words`, the same words as tuples of Python ints, is a
+    view built on first read.
+
+    Every code is checked on construction, on one path, else ValueError: q
+    and n are integers, and `words` is an integer numpy array of shape
+    (|M|, n) or an iterable of words, each a sequence of integer symbols
+    (numpy integers pass, bools do not), whose symbols' types one scan
+    checks before one array build. The array gets one shape check, one
+    lexsort and one min/max test: every symbol is in 0..q-1 and below 2^63,
+    which int64 holds. Only a refusal walks the words, to name the first
+    bad one in sorted order.
     """
 
     def __init__(self, q, n, words, provenance=None):
         self.q, self.n = _integers((q, n), "q and n must be integers")
-        self._arr, fits = None, False
-        if isinstance(words, np.ndarray) and words.dtype.kind in "iu":
-            if words.ndim != 2 or words.shape[1] != self.n:
-                raise ValueError(f"word array has shape {words.shape}, expected (k, {self.n})")
-            rows = _lex_sorted(words)
-            self.words: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows.tolist()))
-            fits = not rows.size or 0 <= int(rows.min()) and int(rows.max()) < self.q
-            if np.can_cast(rows.dtype, np.int64):
-                self._arr = _frozen(rows.astype(np.int64, copy=False))
-        else:
-            self.words = tuple(sorted(_integers(w, "symbol must be an integer") for w in words))
-        if not fits:  # an array's words are walked only to name the symbol out of range
-            for w in self.words:
-                if len(w) != self.n:
-                    raise ValueError(f"word {w} has length {len(w)}, expected {self.n}")
-                for s in w:
-                    if not 0 <= s < self.q:
-                        raise ValueError(f"symbol {s} out of range in {w}")
+        end = min(self.q, 1 << 63)  # a symbol must fit int64
+        if not (isinstance(words, np.ndarray) and words.dtype.kind in "iu"):
+            words = _word_rows(words, end, self.n)
+        if words.ndim != 2 or words.shape[1] != self.n:
+            raise ValueError(f"word array has shape {words.shape}, expected (k, {self.n})")
+        rows = _lex_sorted(words) if words.size else words.copy()  # an empty array is sorted
+        if rows.size and not (0 <= int(rows.min()) and int(rows.max()) < end):
+            raise ValueError(_first_fault(rows.tolist(), end, self.n))
+        self._arr = _frozen(rows.astype(np.int64, copy=False))
         self.provenance = dict(provenance) if provenance else {"construction": "literal"}
+        self._words = None
+        self._repeats = None
         self._word_set = None
         self._complete = None
         self._slots = None
@@ -87,7 +116,7 @@ class MdsCode:
         self._subcubes = None
 
     def __len__(self):
-        return len(self.words)
+        return len(self._arr)
 
     def __contains__(self, w):
         return tuple(w) in self.word_set
@@ -97,26 +126,43 @@ class MdsCode:
             isinstance(other, MdsCode)
             and self.q == other.q
             and self.n == other.n
-            and self.words == other.words
+            and np.array_equal(self._arr, other._arr)
         )
 
     def __hash__(self):
-        return hash((self.q, self.n, self.words))
+        return hash((self.q, self.n, self._arr.tobytes()))
 
     def __repr__(self):
-        return f"MdsCode(q={self.q}, n={self.n}, words={len(self.words)})"
+        return f"MdsCode(q={self.q}, n={self.n}, words={len(self)})"
+
+    @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The words as tuples of Python ints, in word order: built from the
+        word array on first read, for readers outside the package and for a
+        word that leaves as a tuple (a certificate key, a base or failing
+        word, the pair `is_mds` names)."""
+        if self._words is None:
+            self._words = tuple(map(tuple, self._arr.tolist()))
+        return self._words
 
     @property
     def word_set(self) -> set:
+        """The membership index behind `w in M`."""
         if self._word_set is None:
             self._word_set = set(self.words)
         return self._word_set
 
     def word_array(self) -> np.ndarray:
-        """The words as a read-only (|M|, n) integer array, built once."""
-        if self._arr is None:
-            self._arr = _frozen(np.array(self.words, dtype=np.int64))
+        """The words as a read-only (|M|, n) int64 array, in word order."""
         return self._arr
+
+    def repeats(self) -> np.ndarray:
+        """The indices k with word k equal to word k + 1, read off adjacent
+        rows of the sorted word array once: the words listed more than once."""
+        if self._repeats is None:
+            arr = self._arr
+            self._repeats = np.flatnonzero((arr[1:] == arr[:-1]).all(axis=1))
+        return self._repeats
 
     def encode(self, rows) -> np.ndarray:
         """Big-endian base-q values of the length-n rows of an integer array."""
@@ -169,8 +215,8 @@ class MdsCode:
         """slots()[i][s]: indices of the words carrying symbol s at coordinate i."""
         if self._slots is None:
             table = [[[] for _ in range(self.q)] for _ in range(self.n)]
-            for idx, w in enumerate(self.words):
-                for i, s in enumerate(w):
+            for i, column in enumerate(self._arr.T.tolist()):
+                for idx, s in enumerate(column):
                     table[i][s].append(idx)
             self._slots = table
         return self._slots
@@ -374,31 +420,33 @@ class MdsVerdict:
 
 
 def is_mds(M: MdsCode) -> MdsVerdict:
-    """Check size q^(n-1) and exactly one codeword per line, from the cached
-    `word_set` and the record the `completion_maps` build keeps of a line
-    that lost its word. A repeated word or a shared line is witnessed by the
-    first such pair (for a line, in the first direction that record names),
-    found by scanning the words again."""
-    words, q, n = M.words, M.q, M.n
+    """Check size q^(n-1) and exactly one codeword per line, from the word
+    array and the record the `completion_maps` build keeps of a line that
+    lost its word. A repeated word, found on adjacent rows of the sorted
+    array, or a shared line is witnessed by the first such pair (for a line,
+    in the first direction that record names, found by scanning the words
+    again)."""
+    arr, q, n = M.word_array(), M.q, M.n
     if n < 2:
         raise ValueError("codes of length < 2 are out of scope")
-    if len(M.word_set) != len(words):
-        w = next(a for a, b in zip(words, words[1:]) if a == b)  # words are sorted
+    repeated = M.repeats()
+    if len(repeated):
+        w = tuple(arr[repeated[0]].tolist())
         return MdsVerdict(False, "duplicate word", (w, w))
     # multiply up to q^(n-1) only while the power is at most the size, so a
     # huge q is refused without building or printing a huge power
     expected, e = 1, 0
-    while e < n - 1 and expected <= len(words):
+    while e < n - 1 and expected <= len(arr):
         expected, e = expected * q, e + 1
     if e < n - 1:
-        return MdsVerdict(False, f"size {len(words)} < q^(n-1)")
-    if len(words) != expected:
-        return MdsVerdict(False, f"size {len(words)} != q^(n-1) = {expected}")
+        return MdsVerdict(False, f"size {len(arr)} < q^(n-1)")
+    if len(arr) != expected:
+        return MdsVerdict(False, f"size {len(arr)} != q^(n-1) = {expected}")
     M.completion_maps()
     i = M._lost_line
     if i is not None:
         first = {}
-        for w in words:
+        for w in M.words:
             a = first.setdefault(w[:i] + w[i + 1:], w)
             if a is not w:
                 return MdsVerdict(False, "two words on one line", (a, w))

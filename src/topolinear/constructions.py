@@ -310,13 +310,6 @@ def iterated_code(spec: IteratedGroupSpec) -> MdsCode:
     return MdsCode(loop.q, n, words, provenance=prov)
 
 
-def regular_group_iterated(spec: IteratedGroupSpec, M: MdsCode | None = None):
-    """The star translations by all codewords; a sharply transitive group."""
-    if M is None:
-        M = iterated_code(spec)
-    return [star_isotopism(spec.loop, w) for w in M.words]
-
-
 # ---------------------------------------------------------------------------
 # the fold-equivariance equation on a block
 
@@ -372,12 +365,6 @@ def solve_condition_c(loop: Loop, m: int, sigma, tail=None) -> np.ndarray:
     head = t[suffix[1:m], inv[sigma[e]]][:, None]  # R_(j-1) sigma(e)^-1 for j = 2..m
     taus[1:] = t[t[head, sigma], inv[suffix[2:]][:, None]]
     return _frozen(taus)
-
-
-def condition_c_solutions(loop: Loop, m: int, sigma):
-    """All solutions, one per tail in Q^(m-1)."""
-    for tail in itertools.product(range(loop.q), repeat=m - 1):
-        yield solve_condition_c(loop, m, sigma, tail=tail)
 
 
 # ---------------------------------------------------------------------------

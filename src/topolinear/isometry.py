@@ -9,8 +9,8 @@ inside the symmetry group, and topolinear when isotopisms alone suffice.
 
 Both verdicts rest on one orbit algorithm (Seress, Permutation Group
 Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 4.1). The base word is 0..0 when M holds it, else the first
-codeword. A symmetry carrying the base word to a codeword is looked for
+Theory, 4.1). The base word is the first codeword, which is 0..0 when
+M holds it. A symmetry carrying the base word to a codeword is looked for
 only when the orbit of the base word has not reached that codeword yet; it
 becomes a generator, and the orbit is closed under the generators, each new
 word keeping a Schreier witness (generator composed with the witness of the
@@ -65,7 +65,6 @@ import numpy as np
 from .budget import BudgetExceeded, DEFAULT_BUDGET, SearchBudget
 from .codes import Isotopism, MdsCode, _frozen, _integers, _lex_sorted, _row_dtype, require_mds
 from .constructions import construction_hint, dropped_hint
-from .perms import compose, invert
 
 
 def permute_word(w, eps) -> tuple[int, ...]:
@@ -89,7 +88,7 @@ def parastrophe(M: MdsCode, eps) -> MdsCode:
     gather of its word array. ValueError unless eps permutes range(n)."""
     eps = _coordinate_permutation(eps, M.n)
     prov = {"construction": "parastrophe", "eps": list(eps), "of": M.provenance}
-    return MdsCode(M.q, M.n, M.word_array()[:, invert(eps)], prov)
+    return MdsCode(M.q, M.n, M.word_array()[:, np.argsort(eps)], prov)
 
 
 class Isometry:
@@ -110,8 +109,8 @@ class Isometry:
     def compose(self, other: "Isometry") -> "Isometry":
         """(self o other): other is applied first; its isotopism part braids
         past self's coordinate permutation, one gather of its rows."""
-        moved = Isotopism._of(other.iso.rows[list(invert(self.eps))])
-        return Isometry(self.iso.compose(moved), compose(self.eps, other.eps))
+        moved = Isotopism._of(other.iso.rows[np.argsort(self.eps)])
+        return Isometry(self.iso.compose(moved), tuple(self.eps[j] for j in other.eps))
 
     def __eq__(self, other):
         return isinstance(other, Isometry) and self.iso == other.iso and self.eps == other.eps
@@ -230,12 +229,12 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
     if (src.q, src.n) != (dst.q, dst.n):
         raise ValueError("codes live on different point sets")
     require_mds(dst)
-    if len(src) != len(dst) or len(src.word_set) != len(src):
+    if len(src) != len(dst) or len(src.repeats()):
         return
 
     q, n = src.q, src.n
-    words = src.words
-    nwords = len(words)
+    column = src.word_array().T.tolist()  # column[i][widx]: n lists, not one per word
+    nwords = len(src)
     comp = dst.completion_maps()
     slots = src.slots()
     low = [q ** (n - 1 - i) for i in range(n)]  # weight of coordinate i
@@ -281,7 +280,7 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
                 j = miss[widx] if u else i
                 val = comp[j][k // high[j] * low[j] + k % low[j]]
                 if u:
-                    queue.append((j, words[widx][j], val))
+                    queue.append((j, column[j][widx], val))
                 elif val != b:
                     return False
         return True
@@ -312,9 +311,8 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
         if widx == -1:
             yield Isotopism._of(_frozen(np.array(tau, dtype)))
             return
-        w = words[widx]
-        i = next(i for i in range(n) if tau[i][w[i]] == -1)
-        a = w[i]
+        i = next(i for i in range(n) if tau[i][column[i][widx]] == -1)
+        a = column[i][widx]
         for b in range(q):
             if tinv[i][b] != -1:
                 continue
@@ -443,11 +441,10 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
     if method not in ("auto", "explicit", "pinned"):
         raise ValueError(f"unknown method {method!r}")
     budget.check_points(M.q, M.n)
-    zero = (0,) * M.n
-    base = zero if zero in M else M.words[0]
+    base = M.words[0]  # 0..0 whenever M holds it: words are sorted and nonnegative
     note = ""
     if method in ("auto", "explicit"):
-        formula, note = construction_hint(M) if base == zero else (None, "")
+        formula, note = construction_hint(M) if not any(base) else (None, "")
 
         def explicit(w):
             g = formula(w)
@@ -548,8 +545,8 @@ def _schreier_witnesses(M: MdsCode, came: dict, gens: np.ndarray) -> dict:
     for layer in layers[1:]:
         k, u = np.array([came[v] for v in layer]).T
         rows[layer] = _compose_pairs(gens[k], rows[u])
-    reached = list(came)
-    return dict(zip((M.words[v] for v in reached), _isotopisms(rows[reached])))
+    reached, words = list(came), M.words
+    return dict(zip((words[v] for v in reached), _isotopisms(rows[reached])))
 
 
 # ---------------------------------------------------------------------------

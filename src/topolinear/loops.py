@@ -13,7 +13,6 @@ orbit walk of `isometry.is_isotopically_transitive` on that graph.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,42 +80,6 @@ def is_g_loop(f: Loop, bound: int = 12) -> GLoopVerdict:
         return GLoopVerdict(True)
     a, b = (int(swap[s]) for s in verdict.failing_word[:2])
     return GLoopVerdict(False, (a, b, principal_isotope(f, a, b)))
-
-
-def random_latin_square(q: int, rng: random.Random) -> BinaryQuasigroup:
-    """Row-by-row randomized backtracking filler; fine for q <= 8."""
-    while True:
-        rows: list[list[int]] = []
-        cols = [set(range(q)) for _ in range(q)]
-        ok = True
-        for _ in range(q):
-            row = _random_row(q, cols, rng)
-            if row is None:
-                ok = False
-                break
-            rows.append(row)
-            for c, v in enumerate(row):
-                cols[c].discard(v)
-        if ok:
-            return BinaryQuasigroup(rows)
-
-
-def _random_row(q, cols, rng):
-    row = [-1] * q
-    def fill(c):
-        if c == q:
-            return True
-        options = [v for v in cols[c] if v not in row[:c]]
-        rng.shuffle(options)
-        for v in options:
-            row[c] = v
-            if fill(c + 1):
-                return True
-        row[c] = -1
-        return False
-    if fill(0):
-        return row
-    return None
 
 
 def find_non_g_loop_order6() -> Loop:

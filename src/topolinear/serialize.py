@@ -57,7 +57,7 @@ def code_to_json(M: MdsCode) -> dict:
         "q": M.q,
         "n": M.n,
         "structure": M.provenance.get("construction", "literal"),
-        "words": [list(w) for w in M.words],
+        "words": M.word_array().tolist(),
         "provenance": M.provenance,
     }
 

@@ -24,7 +24,8 @@ from topolinear.isometry import (TransitivityCertificate, autotopism_search,
                                  is_topolinear, mulclose)
 from topolinear.codes import (cyclic_loop, graph_code, make_cp, make_dihedral,
                               twisted_graph_code)
-from topolinear.loops import find_non_g_loop_order6, is_g_loop, random_latin_square
+from topolinear.loops import find_non_g_loop_order6, is_g_loop
+from random_square import random_latin_square
 
 REPORT: list[tuple[int, bool, str]] = []
 

@@ -6,12 +6,12 @@ import pytest
 
 from topolinear.classify_q4 import semilinearity_test
 from topolinear.codes import (BinaryQuasigroup, Isotopism, MdsCode, NAryQuasigroup,
-                              graph_of, is_mds, pair_code, parity_code, quasigroup_of,
-                              require_mds, subcode)
-from topolinear.isometry import parastrophe
-from topolinear.loops import random_latin_square
-from topolinear.perms import compose, invert
+                              cyclic_loop, graph_of, is_mds, pair_code, parity_code,
+                              quasigroup_of, require_mds, subcode, twisted_graph_code)
+from topolinear.isometry import equivalent_codes, parastrophe, search_isotopisms
+from random_square import random_latin_square
 from test_isometry import oracle_cases
+from tuple_reference import compose, invert
 
 
 def lines(q, n):
@@ -128,28 +128,60 @@ def test_an_isotopism_refuses_non_integer_entries(taus):
         Isotopism(taus)
 
 
+NON_INTEGER_WORDS = {
+    "truncated": [(0.5, 1.9), (True, 2)], "float": [(0, 1.0), (1, 2)],
+    "bool": [(0, 1), (True, 2)], "numpy-float": [(0, np.float32(1))], "string": [("0", "1")]}
+
+
+# each list once as given and once as an object array: both take one path
 @pytest.mark.parametrize("words", [
-    [(0.5, 1.9), (True, 2)], [(0, 1.0), (1, 2)], [(0, 1), (True, 2)],
-    [(0, np.float32(1))], [("0", "1")]],
-    ids=["truncated", "float", "bool", "numpy-float", "string"])
+    pytest.param(form(words), id=prefix + name) for name, words in NON_INTEGER_WORDS.items()
+    for prefix, form in (("", list), ("array-", lambda w: np.array(w, dtype=object)))])
 def test_a_code_refuses_non_integer_symbols(words):
     with pytest.raises(ValueError, match="^symbol must be an integer$"):
         MdsCode(3, 2, words)
 
 
-@pytest.mark.parametrize("rows,message", [
-    (np.array([[0, 1, 2]]), r"^word array has shape \(1, 3\), expected \(k, 2\)$"),
-    (np.array([0, 1]), r"^word array has shape \(2,\), expected \(k, 2\)$"),
-    (np.array([[0, 1], [2, 3]]), r"^symbol 3 out of range in \(2, 3\)$"),
-    (np.array([[0, 1], [-1, 2]], dtype=np.int8), r"^symbol -1 out of range in \(-1, 2\)$"),
-    (np.array([[0, 2**64 - 1]], dtype=np.uint64),
+BAD_WORD_ARRAYS = [  # id, q, rows, message
+    ("wide", 3, np.array([[0, 1, 2]]), r"^word array has shape \(1, 3\), expected \(k, 2\)$"),
+    ("one-axis", 3, np.array([0, 1]), r"^word array has shape \(2,\), expected \(k, 2\)$"),
+    ("out-of-range", 3, np.array([[0, 1], [2, 3]]), r"^symbol 3 out of range in \(2, 3\)$"),
+    ("negative", 3, np.array([[0, 1], [-1, 2]], dtype=np.int8),
+     r"^symbol -1 out of range in \(-1, 2\)$"),
+    ("huge-unsigned", 3, np.array([[0, 2**64 - 1]], dtype=np.uint64),
      rf"^symbol {2**64 - 1} out of range in \(0, {2**64 - 1}\)$"),
-    (np.array([[True, False]]), "^symbol must be an integer$"),
-    (np.array([[0.0, 1.0]]), "^symbol must be an integer$")],
-    ids=["wide", "one-axis", "out-of-range", "negative", "huge-unsigned", "bool", "float"])
-def test_a_code_refuses_a_bad_word_array(rows, message):
+    # q = 2^64 admits the symbol 2^63, which int64 cannot hold
+    ("past-int64", 2**64, np.array([[0, 2**63]], dtype=np.uint64),
+     rf"^symbol {2**63} out of range in \(0, {2**63}\)$"),
+    ("bool", 3, np.array([[True, False]]), "^symbol must be an integer$"),
+    ("float", 3, np.array([[0.0, 1.0]]), "^symbol must be an integer$")]
+
+
+# each array once as given and once as a list of words (a one-axis array is
+# not a list of words): both take one path and give one message
+@pytest.mark.parametrize("q,words,message", [
+    pytest.param(q, form(rows), message, id=prefix + name)
+    for name, q, rows, message in BAD_WORD_ARRAYS
+    for prefix, form in (("", np.asarray), ("list-", np.ndarray.tolist))
+    if prefix == "" or rows.ndim == 2])
+def test_a_code_refuses_a_bad_word_array(q, words, message):
     with pytest.raises(ValueError, match=message):
-        MdsCode(3, 2, rows)
+        MdsCode(q, 2, words)
+
+
+def test_operations_on_an_array_built_code_build_no_word_tuples(monkeypatch):
+    # the tuples of `words` are for readers outside the package: the
+    # operations and searches on a code read its word array only
+    M = twisted_graph_code(3)
+    g = Isotopism([(5, 4, 3, 2, 1, 0), (1, 2, 3, 4, 5, 0), (2, 0, 1, 3, 5, 4)])
+    monkeypatch.setattr(MdsCode, "words", property(
+        lambda self: pytest.fail("built the tuple view of a code's words")))
+    image = g.apply_code(parastrophe(M, (2, 0, 1)))
+    assert subcode(image, {0: 1}).word_array().shape == (6, 2)
+    assert is_mds(M) and is_mds(image)
+    assert next(search_isotopisms(M, g.apply_code(M))) is not None
+    assert equivalent_codes(M, image) is not None
+    assert equivalent_codes(M, graph_of(NAryQuasigroup(cyclic_loop(6).table))) is None
 
 
 @pytest.mark.parametrize("q,n", [(4.7, 3), (4, 3.2), (True, 3), ("4", 3)],
@@ -169,7 +201,7 @@ def test_the_constructors_accept_numpy_integers():
 
 @pytest.mark.parametrize("q,n", [(1, 3), (6, 3), (300, 2)])
 def test_an_isotopism_matches_a_tuple_reference(q, n):
-    # the reference composes and inverts tuples with `perms`; q = 300 takes
+    # the reference composes and inverts tuples one symbol at a time; q = 300 takes
     # the rows to uint16, and the last case is a symmetry of the parity code
     rng = random.Random(q)
     M = parity_code(q, n)

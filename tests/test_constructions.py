@@ -14,16 +14,26 @@ from topolinear.counting import partitions_of
 from topolinear.constructions import (CompositionSpec, IteratedGroupSpec,
                                       QuadraticSpec, _inverses, composition_code,
                                       composition_witness,
-                                      condition_c_solutions,
                                       fold, iterated_code, quadratic_code,
                                       quadratic_witness,
-                                      regular_group_iterated,
                                       sigma_compatibility_failure,
                                       solve_condition_c, star_isotopism)
 from topolinear.isometry import (TransitivityCertificate, equivalent_codes,
                                  is_isotopically_transitive, is_topolinear)
-from topolinear.perms import random_permutation
-from tuple_reference import TupleField, quadratic_words
+from tuple_reference import TupleField, quadratic_words, random_permutation
+
+
+def regular_group_iterated(spec: IteratedGroupSpec, M=None):
+    """The star translations by all codewords; a sharply transitive group."""
+    if M is None:
+        M = iterated_code(spec)
+    return [star_isotopism(spec.loop, w) for w in M.words]
+
+
+def condition_c_solutions(loop, m: int, sigma):
+    """All solutions of the block equation, one per tail in Q^(m-1)."""
+    for tail in itertools.product(range(loop.q), repeat=m - 1):
+        yield solve_condition_c(loop, m, sigma, tail=tail)
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,16 @@ from topolinear.constructions import (CONSTRUCTIONS, CompositionSpec,
                                       cp_regular_generators, cp_regular_witness,
                                       cp_shear, ic_p_generators,
                                       iterated_code, quadratic_code,
-                                      quadratic_witness, regular_group_iterated)
+                                      quadratic_witness)
 from topolinear.counting import upper_triangular_forms
 from topolinear.isometry import (Isometry, Isotopism, TransitivityCertificate,
                                  _regular_subgroup_search, autotopism_search,
                                  equivalent_codes, is_isotopically_transitive,
                                  is_topolinear, mulclose, search_isotopisms)
 from topolinear.codes import Loop, graph_code, make_dihedral, twisted_graph_code
-from topolinear.perms import random_permutation
 from topolinear.serialize import build_from_spec
+from test_constructions import regular_group_iterated
+from tuple_reference import random_permutation
 
 
 def random_isotopism(q, n, rng):

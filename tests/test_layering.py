@@ -10,7 +10,9 @@ only `codes` sorts arrays: it holds the one symmetry test. An isotopism has
 one representation, its rows: only `codes` reads the taus or picks their
 dtype, and no call passes a knob that skips a check. A loop or field table
 has one form too, a read-only int64 array: the formulas gather on it, with
-no index lens module and no tuple permutations from `perms`."""
+no index lens module and no module of tuple permutations. So has a code: its
+words are one sorted int64 array, and only `codes` and `isometry` read the
+tuples of `words`."""
 import ast
 from pathlib import Path
 
@@ -142,10 +144,22 @@ def test_no_module_imports_alphabet():
             assert module != "alphabet" and not (module is None and "alphabet" in names)
 
 
-def test_constructions_and_loops_import_nothing_from_perms():
-    for stem in ("constructions", "loops"):
-        for module, names in relative_imports(ast.parse((PACKAGE / f"{stem}.py").read_text())):
-            assert module != "perms" and not (module is None and "perms" in names), stem
+def test_no_module_imports_perms():
+    # coordinate permutations are inverted and composed where isometry uses them
+    assert not (PACKAGE / "perms.py").exists()
+    for path in MODULES:
+        for module, names in relative_imports(ast.parse(path.read_text())):
+            assert module != "perms" and not (module is None and "perms" in names)
+
+
+def test_only_codes_and_isometry_read_words():
+    # the word array is a code's one form; the tuples of `words` are built on
+    # first read, for words that leave as tuples: certificate keys, the base
+    # and failing words of the orbit walk, and the pair `is_mds` names
+    readers = {path.stem for path in MODULES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "words"}
+    assert readers == {"codes", "isometry"}
 
 
 def test_only_codes_and_fields_convert_a_table():

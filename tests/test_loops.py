@@ -9,8 +9,8 @@ import pytest
 from topolinear.codes import (Loop, cyclic_loop, graph_code, is_associative, is_mds,
                               make_cp, make_dihedral, make_zp_z2, twisted_graph_code)
 from topolinear.constructions import NON_G_6, builtin_loop
-from topolinear.loops import (find_non_g_loop_order6, is_g_loop, principal_isotope,
-                              random_latin_square)
+from topolinear.loops import find_non_g_loop_order6, is_g_loop, principal_isotope
+from random_square import random_latin_square
 
 
 def direct_associative(loop):

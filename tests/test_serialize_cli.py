@@ -429,6 +429,15 @@ def test_cli_code_with_a_huge_alphabet_is_not_mds_or_malformed(tmp_path, capsys)
     assert capsys.readouterr().err.startswith("malformed input: not valid JSON: ")
 
 
+def test_cli_refuses_a_symbol_past_int64(tmp_path, capsys):
+    # q = 2^64 admits the symbol 2^63, which int64 cannot hold: the code was
+    # called not MDS (exit 1), and its operations overflowed
+    path = write_json(tmp_path / "wide.json", {"q": 2**64, "n": 3, "words": [[0, 0, 2**63]]})
+    assert main(["verify", path, "--mode", "mds"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"malformed input: symbol {2**63} out of range in (0, 0, {2**63})")
+
+
 def test_cli_unexpected_errors_exit_4(monkeypatch, capsys):
     def boom(args):
         raise RuntimeError("boom")

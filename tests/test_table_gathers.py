@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tuple_reference as ref
+from test_constructions import regular_group_iterated
 from test_loops import has_identity, latin_squares, seeded_loops
 from topolinear.codes import Loop, cyclic_loop, graph_code, make_cp, make_dihedral, make_zp_z2
 from topolinear.constructions import (CONSTRUCTIONS, CompositionSpec, IteratedGroupSpec,
@@ -17,8 +18,7 @@ from topolinear.constructions import (CONSTRUCTIONS, CompositionSpec, IteratedGr
                                       cp_autotopism_a1, cp_autotopism_a2, cp_autotopism_a3,
                                       cp_regular_witness, cp_shear, iterated_code,
                                       quadratic_code, quadratic_witness,
-                                      regular_group_iterated, solve_condition_c,
-                                      star_isotopism)
+                                      solve_condition_c, star_isotopism)
 from topolinear.fields import field_make
 from topolinear.loops import principal_isotope
 

@@ -6,6 +6,7 @@ statement of its construction. The array gathers of `codes`, `constructions`
 and `loops` are compared with these byte for byte; nothing here calls them.
 """
 import itertools
+import random
 
 from topolinear.fields import (_index_to_poly, _is_irreducible, _monic_polys, _poly_mod,
                                _poly_mul, _poly_to_index)
@@ -23,6 +24,12 @@ def invert(a):
     out = [0] * len(a)
     for x, y in enumerate(a):
         out[y] = x
+    return tuple(out)
+
+
+def random_permutation(q: int, rng: random.Random):
+    out = list(range(q))
+    rng.shuffle(out)
     return tuple(out)
 
 
