@@ -121,27 +121,28 @@ def code_h(provenance=None) -> MdsCode:
 
 @dataclass(frozen=True)
 class SemilinearForm:
-    """Witness relabeling onto a standard form, with r reduced to the n-1
-    free variables."""
+    """Witness relabeling onto the standard form of `monomials`, the terms
+    of degree 2 or more of r reduced to the n-1 free variables (masks); the
+    witness absorbs the affine part, so an affine r has degree 0."""
     witness: Isotopism
     monomials: frozenset[int]
     degree: int
 
 
 def _x_labelings(M: MdsCode):
-    """All joint balanced bit labelings of the coordinates under which every
-    word has x-parity zero, read off the slices of the MDS code M.
+    """One joint balanced bit labeling of the coordinates per pair partition
+    of coordinate 0's symbols under which every word has x-parity zero,
+    read off the slices of the MDS code M: at most three.
 
     Fixing every coordinate except 0 and j leaves q words, which pair the
     symbols of coordinate 0 with those of coordinate j by a bijection s_j.
     The x-parity is constant on those words only if lab_j = lab_0 o s_j^-1
-    up to a complement. So each of the six labelings lab_0 fixes a base
-    labeling at every coordinate; it goes on only if the base x-parity is
-    one constant c on all words, and then the labelings are the base ones
-    with any set of complemented coordinates 1..n-1 of size parity c: at
-    most 6 * 2^(n-2) in all. The list is in lexicographic order of the
-    labeling tuples, which is the order of their indices in
-    _BALANCED_LABELINGS, coordinate 0 first.
+    up to a complement. So each labeling lab_0 fixes a base labeling at
+    every coordinate, and its partition is valid only if the base x-parity
+    is constant on all words. lab_0 runs over the three of
+    _BALANCED_LABELINGS that label symbol 0 with 0, one per partition (the
+    other three are their complements). The first word w0 starts with 0, so
+    every base label of w0 is lab_0[0] = 0, and a constant parity is 0.
     """
     n, arr = M.n, M.word_array()
     w0 = arr[0].tolist()
@@ -152,27 +153,23 @@ def _x_labelings(M: MdsCode):
         [at_first[rest + (b - w0[j]) * 4 ** (n - 1 - j)] for b in range(4)]
         for j in range(1, n)]
     found = []
-    for lab0 in _BALANCED_LABELINGS:
+    for lab0 in _BALANCED_LABELINGS[:3]:
         base = [tuple(lab0[a] for a in inv) for inv in to_first]
-        parity = np.asarray(base)[np.arange(n), arr].sum(axis=1) & 1
-        if parity.min() != parity.max():
-            continue
-        for flips in itertools.product((0, 1), repeat=n - 1):
-            if sum(flips) % 2 == parity[0]:
-                found.append((lab0,) + tuple(
-                    tuple(b ^ f for b in lab) for lab, f in zip(base[1:], flips)))
-    return sorted(found)
+        if not (np.asarray(base)[np.arange(n), arr].sum(axis=1) & 1).any():
+            found.append(tuple(base))
+    return found
 
 
 def _y_parity_by_pattern(M: MdsCode, taus):
-    """Array over x-patterns (bit i = x-bit of coordinate i) of the y-parity
-    of the words of M relabeled by taus, or None when two words with one
-    x-pattern differ in y-parity."""
+    """Array over x-patterns of the y-parity of the words of M relabeled by
+    taus, or None when two words with one x-pattern differ in y-parity.
+    Every word has x-parity 0, so its pattern is the mask of its first n-1
+    x-bits (bit i = x-bit of coordinate i), and M holds every mask."""
     n = M.n
     img = np.asarray(taus)[np.arange(n), M.word_array()]
-    patterns = (img & 1) @ (1 << np.arange(n))
+    patterns = (img[:, :-1] & 1) @ (1 << np.arange(n - 1))
     parity = (img >> 1).sum(axis=1) & 1
-    table = np.zeros(1 << n, dtype=np.int64)
+    table = np.zeros(1 << (n - 1), dtype=np.int64)
     table[patterns] = parity
     return table if np.array_equal(table[patterns], parity) else None
 
@@ -182,38 +179,35 @@ def semilinearity_test(M: MdsCode) -> SemilinearForm | None:
     return a minimum-degree one, or None when no relabeling works. M must be
     an MDS code (ValueError "not an MDS code: ..." otherwise).
 
-    Stage 1 (_x_labelings) lists the joint balanced bit labelings under
-    which every word has x-parity 0. Each labeling becomes an isotopism
-    that sends the two symbols labeled x to x and x + 2, the smaller one
-    first. Stage 2 checks that the y-parity is constant on each x-pattern.
-    The pair classes, and so the y-bits, are the same for every labeling
-    with the same lab_0, which only complements some coordinates: the check
-    runs once per lab_0, and each labeling reads its reduced function from
-    that table at the slice patterns flipped on its complemented
-    coordinates. Flipping a class label toggles the constant on a whole
-    pattern at once, so one labeling per partition decides, and the change
-    in r stays affine, which leaves every degree-2-and-up term alone. The
-    labelings are tried in stage 1's order and the first of minimum degree
+    Stage 1 (_x_labelings) gives one joint balanced bit labeling per pair
+    partition under which every word has x-parity 0. Each labeling becomes
+    an isotopism that sends the two symbols labeled x to x and x + 2, the
+    smaller one first. Stage 2 checks that the y-parity is constant on each
+    x-pattern, which depends only on the partition. So one labeling per
+    partition decides: complementing one coordinate's labels keeps every
+    y-bit, since the smaller symbol of each pair goes to y = 0, and turns r
+    into r(x + e_i), a translation, which keeps the degree. The affine part
+    of r is then folded into the witness: the constant by y -> y + 1 on
+    coordinate 0, and each linear x_i by y -> y + x on coordinate i. The
+    monomials left have degree 2 or more, and an affine r has degree 0. The
+    partitions are tried in stage 1's order and the first of minimum degree
     is kept; a degree of at most 1 ends the search.
     """
     if M.q != 4:
         raise ValueError("classification is specific to alphabet size 4")
     require_mds(M)
-    n = M.n
-    # each mask of the n-1 free x-bits, completed to even weight
-    free = np.arange(1 << (n - 1))
-    slice_patterns = free | (np.array([bin(m).count("1") & 1 for m in free]) << (n - 1))
-    ref = table = None  # the first labeling with the current lab_0, and its table
     best: SemilinearForm | None = None
     for labels in _x_labelings(M):
-        taus = tuple(_TAUS[lab] for lab in labels)
-        if ref is None or taus[0] != ref[0]:
-            ref, table = taus, _y_parity_by_pattern(M, taus)
+        taus = np.array([_TAUS[lab] for lab in labels])
+        table = _y_parity_by_pattern(M, taus)
         if table is None:
             continue
-        flipped = sum(1 << i for i in range(n) if taus[i] != ref[i])
-        reduced = tuple(int(b) for b in table[slice_patterns ^ flipped])
-        monos = anf(reduced)
+        monos = anf(table.tolist())
+        # symbols are x + 2y: y -> y + 1 is u ^ 2, and y -> y + x is u ^ 2x
+        taus[0] ^= 2 * (0 in monos)
+        for i in range(M.n - 1):
+            taus[i] ^= 2 * (taus[i] & 1) * ((1 << i) in monos)
+        monos = frozenset(m for m in monos if m & (m - 1))
         degree = anf_degree(monos)
         if best is None or degree < best.degree:
             best = SemilinearForm(Isotopism(taus), monos, degree)

@@ -85,17 +85,19 @@ class MdsCode:
     view built on first read.
 
     Every code is checked on construction, on one path, else ValueError: q
-    and n are integers, and `words` is an integer numpy array of shape
-    (|M|, n) or an iterable of words, each a sequence of integer symbols
-    (numpy integers pass, bools do not), whose symbols' types one scan
-    checks before one array build. The array gets one shape check, one
-    lexsort and one min/max test: every symbol is in 0..q-1 and below 2^63,
-    which int64 holds. Only a refusal walks the words, to name the first
-    bad one in sorted order.
+    and n are integers, q >= 1 and n >= 2, and `words` is an integer numpy
+    array of shape (|M|, n) or an iterable of words, each a sequence of
+    integer symbols (numpy integers pass, bools do not), whose symbols'
+    types one scan checks before one array build. The array gets one shape
+    check, one lexsort and one min/max test: every symbol is in 0..q-1 and
+    below 2^63, which int64 holds. Only a refusal walks the words, to name
+    the first bad one in sorted order.
     """
 
     def __init__(self, q, n, words, provenance=None):
         self.q, self.n = _integers((q, n), "q and n must be integers")
+        if self.q < 1 or self.n < 2:
+            raise ValueError("q must be positive and n at least 2")
         end = min(self.q, 1 << 63)  # a symbol must fit int64
         if not (isinstance(words, np.ndarray) and words.dtype.kind in "iu"):
             words = _word_rows(words, end, self.n)
@@ -427,8 +429,6 @@ def is_mds(M: MdsCode) -> MdsVerdict:
     in the first direction that record names, found by scanning the words
     again)."""
     arr, q, n = M.word_array(), M.q, M.n
-    if n < 2:
-        raise ValueError("codes of length < 2 are out of scope")
     repeated = M.repeats()
     if len(repeated):
         w = tuple(arr[repeated[0]].tolist())
@@ -548,6 +548,8 @@ def subcode(M: MdsCode, fixed: dict[int, int]) -> MdsCode:
     """Fix coordinates per `fixed`, project the matching words onto the rest."""
     if not fixed:
         return M
+    message = "fixed coordinates and values must be integers"
+    fixed = dict(zip(_integers(fixed, message), _integers(fixed.values(), message)))
     for c, v in fixed.items():
         if not 0 <= c < M.n:
             raise ValueError(f"coordinate {c} out of range")

@@ -1,85 +1,23 @@
 """Finite fields GF(p^k) as dense integer-indexed tables.
 
-Elements are indices 0..q-1; index sum(c_i * p**i) stands for the coefficient
-vector (c_0..c_{k-1}) over GF(p). Addition and multiplication are full
-tables; the monic irreducible modulus is chosen as the lexicographically
-least one and recorded so outputs are reproducible.
+Elements are indices 0..q-1; index sum(c_i * p**i) stands for the
+polynomial sum(c_i x^i) over GF(p) modulo a monic modulus m of degree k.
+GF(p)[x]/(m) is a field exactly when m is irreducible (Lidl and
+Niederreiter, *Finite Fields*, ch. 1), so m is the first monic x^k + low,
+low in index order, whose ring has no zero divisor: the lexicographically
+least irreducible one, recorded so outputs are reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num by monic den, coefficients mod p, little-endian."""
-    num = num[:]
-    dn = len(den) - 1
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i] % p
-        if c:
-            shift = i - dn
-            for j, dj in enumerate(den):
-                num[shift + j] = (num[shift + j] - c * dj) % p
-    out = [c % p for c in num[:dn]]
-    return out + [0] * (dn - len(out))
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _monic_polys(p: int, deg: int):
-    """All monic degree-deg polynomials, lexicographic in index order."""
-    for idx in range(p**deg):
-        coeffs = []
-        t = idx
-        for _ in range(deg):
-            coeffs.append(t % p)
-            t //= p
-        yield coeffs + [1]
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            if not any(_poly_mod(poly, cand, p)):
-                return False
-    return True
-
-
-def _index_to_poly(idx: int, p: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        out.append(idx % p)
-        idx //= p
-    return out
-
-
-def _poly_to_index(poly: list[int], p: int) -> int:
-    idx = 0
-    for c in reversed(poly):
-        idx = idx * p + (c % p)
-    return idx
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def field_order(p: int, k: int) -> int:
@@ -98,23 +36,30 @@ def field_order(p: int, k: int) -> int:
 
 class FieldTable:
     """GF(p^k) with its add, mul and neg tables: read-only int64 arrays,
-    add[x, y] = x + y, mul[x, y] = x * y and neg[x] = -x."""
+    add[x, y] = x + y, mul[x, y] = x * y and neg[x] = -x.
+
+    Multiplication by x is one gather table, times_x: shift the digits up
+    one place and fold the top digit back through x^k = -low. Then x^i * b
+    is i gathers of it, and a * b = sum_i a_i (x^i * b), digit by digit."""
 
     def __init__(self, p: int, k: int):
         q = self.q = field_order(p, k)
         self.p, self.k = p, k
-
-        modulus = next(m for m in _monic_polys(p, k) if _is_irreducible(m, p))
-        self.modulus: tuple[int, ...] = tuple(modulus)
-        polys = [_index_to_poly(i, p, k) for i in range(q)]
-        digits, weights = np.array(polys, dtype=np.int64), p ** np.arange(k)
-
-        def mul(a: int, b: int) -> int:
-            return _poly_to_index(_poly_mod(_poly_mul(polys[a], polys[b], p), modulus, p), p)
-
+        weights = p ** np.arange(k)
+        digits = np.arange(q)[:, None] // weights % p  # row b: the digits of b
+        shifted = digits[np.arange(q) * p % q]  # x * b before x^k folds back: index b * p mod q
+        for low in digits:  # the modulus x^k + low, low in index order
+            times_x = (shifted - digits[:, -1:] * low) % p @ weights
+            powers = [np.arange(q)]
+            for _ in range(k - 1):
+                powers.append(times_x[powers[-1]])
+            mul = np.tensordot(digits, digits[np.array(powers)], 1) % p @ weights
+            if (mul[1:, 1:] != 0).all():
+                break
+        self.modulus: tuple[int, ...] = tuple(low.tolist()) + (1,)
         # coefficients add digit by digit, so add and neg are one broadcast each
         self.add = (digits[:, None] + digits) % p @ weights
-        self.mul = np.array([[mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+        self.mul = mul
         self.neg = -digits % p @ weights
         for table in (self.add, self.mul, self.neg):
             table.flags.writeable = False

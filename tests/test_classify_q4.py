@@ -1,6 +1,6 @@
-import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from topolinear.classify_q4 import (_BALANCED_LABELINGS, _x_labelings,
 from topolinear.codes import (Isotopism, MdsCode, NAryQuasigroup, graph_of,
                               is_mds)
 from topolinear.isometry import (Isometry, autotopism_search, equivalent_codes,
-                                 is_isotopically_transitive, is_topolinear)
+                                 is_isotopically_transitive, is_topolinear, parastrophe)
 
 R0 = []
 R_PAIR = [(0, 1), (2, 3)]     # product of two disjoint pairs
@@ -219,14 +219,33 @@ def reference_form(M, labelings):
     return best
 
 
+def partition(lab):
+    """The pair partition of a balanced labeling, as the labeling of the
+    pair that labels symbol 0 with 0."""
+    return lab if lab[0] == 0 else tuple(1 - b for b in lab)
+
+
+def assert_replays_onto_its_standard_form(M, form):
+    image = form.witness.apply_code(M)
+    rebuilt = standard_semilinear_code(M.n, frozenset(
+        tuple(i for i in range(M.n - 1) if mono >> i & 1) for mono in form.monomials))
+    assert image.words == rebuilt.words
+
+
 def assert_matches_reference(M):
     labelings = dfs_x_labelings(M)
-    assert _x_labelings(M) == labelings
+    got = _x_labelings(M)
+    # one of the enumerated labelings for each pair partition of coordinate
+    # 0 they cover, in the order of _BALANCED_LABELINGS
+    assert all(labels in labelings for labels in got)
+    assert [labels[0] for labels in got] == sorted({partition(labels[0]) for labels in labelings})
     form, expected = semilinearity_test(M), reference_form(M, labelings)
-    if expected is None:
-        assert form is None
-    else:
-        assert (form.witness.taus, form.monomials, form.degree) == expected
+    assert (form is None) == (expected is None)
+    if form is not None:
+        # the reference keeps the affine part of r; the witness folds it away
+        assert form.degree == (expected[2] if expected[2] >= 2 else 0)
+        assert all(bin(mono).count("1") >= 2 for mono in form.monomials)
+        assert_replays_onto_its_standard_form(M, form)
     return form
 
 
@@ -253,36 +272,72 @@ def scrambled(M, rng):
     return Isometry(Isotopism(taus), eps).apply_code(M)
 
 
-def assert_replays_onto_its_standard_form(M, form):
-    image = form.witness.apply_code(M)
-    rebuilt = standard_semilinear_code(M.n, frozenset(
-        tuple(i for i in range(M.n - 1) if mono >> i & 1) for mono in form.monomials))
-    assert image.words == rebuilt.words
+def form_degree(n, monomials):
+    """The degree of the terms of degree 2 or more of r on the n-1 free
+    x-bits, the last bit read as their parity: 0 when r is affine."""
+    r = form_function(monomials)
+    truth = [r([mask >> i & 1 for i in range(n - 1)] + [bin(mask).count("1") & 1])
+             for mask in range(1 << (n - 1))]
+    return max((d for d in (bin(mono).count("1") for mono in anf(truth)) if d >= 2), default=0)
 
 
 @st.composite
 def scrambled_standard_forms(draw):
-    """A standard form of length 4..6 with a monomial of degree 1..3 and up to
-    three more of at most that degree, scrambled."""
+    """A standard form of length 4..6 with a monomial of degree 0..3 and up to
+    three more of at most that degree (or 1), with the degree of its form,
+    and its images under a random symbol relabeling, a random coordinate
+    permutation and both."""
     n = draw(st.integers(4, 6))
-    degree = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 3))
     top = tuple(draw(st.permutations(range(n)))[:degree])
-    rest = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=degree,
+    rest = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=max(degree, 1),
                                   unique=True).map(tuple), max_size=3))
-    return scrambled(standard_semilinear_code(n, [top] + rest), draw(st.randoms(use_true_random=False)))
+    source = standard_semilinear_code(n, [top] + rest)
+    rng = draw(st.randoms(use_true_random=False))
+    eps = rng.sample(range(n), n)
+    taus = Isotopism([rng.sample(range(4), 4) for _ in range(n)])
+    images = (taus.apply_code(source), parastrophe(source, eps),
+              Isometry(taus, eps).apply_code(source))
+    return source, form_degree(n, [top] + rest), images
 
 
 @settings(max_examples=8)
 @given(scrambled_standard_forms())
-def test_slice_labelings_match_the_enumeration_on_scrambled_standard_forms(M):
-    form = assert_matches_reference(M)
-    assert form is not None
-    assert_replays_onto_its_standard_form(M, form)
+def test_slice_labelings_match_the_enumeration_on_scrambled_standard_forms(case):
+    # every isotope and parastrophe prints its source's degree, 0 when affine
+    source, degree, (isotope, permuted, both) = case
+    assert classify(source).degree == degree
+    for M in (isotope, permuted):
+        v = classify(M)
+        assert (v.semilinear, v.degree) == (True, degree)
+        assert_replays_onto_its_standard_form(M, v.evidence)
+    form = assert_matches_reference(both)
+    assert form is not None and form.degree == degree
+
+
+def test_the_order_4_squares_print_the_degrees_of_their_two_isotopy_classes():
+    # the 144 squares isotopic to the Klein group have an affine form, and
+    # the 432 isotopic to the cyclic group one of degree 2
+    degrees = Counter(classify(graph_of(NAryQuasigroup(sq))).degree for sq in all_latin_squares(4))
+    assert degrees == {0: 144, 2: 432}
+
+
+def test_an_affine_form_prints_degree_0_on_every_isotope():
+    # the printed degree was 1 on each of these isotopes and 0 on the source
+    M = standard_semilinear_code(4, R0)
+    assert classify(M).degree == 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        isotope = Isotopism([rng.sample(range(4), 4) for _ in range(4)]).apply_code(M)
+        v = classify(isotope)
+        assert (v.semilinear, v.degree, v.transitive) == (True, 0, True)
+        assert v.evidence.monomials == frozenset()
+        assert v.evidence.witness.apply_code(isotope) == M
 
 
 def test_a_scrambled_length_7_cubic_form_classifies_and_replays():
     # 4096 words: enumerating the 6^6 labelings of coordinates 0..5 took
-    # tens of seconds; the slices leave 6 * 2^5 candidates at most
+    # tens of seconds; the slices leave one per pair partition, three at most
     M = scrambled(standard_semilinear_code(7, [(0, 1, 2), (3, 4)]), random.Random(7))
     v = classify(M)
     assert (v.semilinear, v.degree, v.transitive) == (True, 3, False)

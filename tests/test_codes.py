@@ -107,6 +107,21 @@ def test_subcode_fixes_coordinates():
     assert is_mds(R)
 
 
+@pytest.mark.parametrize("fixed", [{0: True}, {0: 1.0}, {1.0: 0}, {True: 0}, {0: "1"}],
+                         ids=["bool-value", "float-value", "float-coordinate",
+                              "bool-coordinate", "string-value"])
+def test_subcode_refuses_what_is_not_an_integer(fixed):
+    # a bool or a float in range was once written into the provenance
+    with pytest.raises(ValueError, match="^fixed coordinates and values must be integers$"):
+        subcode(parity_code(3, 3), fixed)
+
+
+def test_subcode_records_numpy_integers_as_python_ints():
+    R = subcode(parity_code(3, 3), {np.int64(0): np.int8(1)})
+    assert R.provenance["fixed"] == {"0": 1} and type(R.provenance["fixed"]["0"]) is int
+    assert R == subcode(parity_code(3, 3), {0: 1})
+
+
 def test_single_table_flip_breaks_mds():
     rng = random.Random(9)
     sq = random_latin_square(5, rng)
@@ -167,6 +182,16 @@ BAD_WORD_ARRAYS = [  # id, q, rows, message
 def test_a_code_refuses_a_bad_word_array(q, words, message):
     with pytest.raises(ValueError, match=message):
         MdsCode(q, 2, words)
+
+
+@pytest.mark.parametrize("q,n", [(-3, 2), (0, 2), (3, -1), (3, 0), (3, 1)])
+def test_a_code_refuses_a_q_or_n_out_of_range(q, n):
+    # q < 1 once built an empty code over no alphabet, and n < 0 reached
+    # numpy's reshape
+    with pytest.raises(ValueError, match="^q must be positive and n at least 2$"):
+        MdsCode(q, n, [])
+    with pytest.raises(ValueError, match="^q must be positive and n at least 2$"):
+        MdsCode(q, n, np.zeros((0, max(n, 0)), dtype=np.int64))
 
 
 def test_operations_on_an_array_built_code_build_no_word_tuples(monkeypatch):
@@ -342,8 +367,11 @@ def test_array_fed_builders_match_list_built_references():
         prov = {"construction": "parastrophe", "eps": eps, "of": M.provenance}
         assert_same_code(parastrophe(M, eps), MdsCode(q, n, moved, prov), f"parastrophe-{name}")
 
-    for q, n in [(3, 1), (2, 2), (3, 4), (4, 3), (5, 3)]:
+    for q, n in [(2, 2), (3, 4), (4, 3), (5, 3)]:
         want = [xs + (-sum(xs) % q,) for xs in itertools.product(range(q), repeat=n - 1)]
         assert_same_code(parity_code(q, n),
                          MdsCode(q, n, want, {"construction": "parity", "q": q, "n": n}),
                          f"parity-{q}-{n}")
+    # a code of length 1 is refused, as every code of length < 2 is
+    with pytest.raises(ValueError, match="^q must be positive and n at least 2$"):
+        parity_code(3, 1)

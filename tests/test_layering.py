@@ -174,3 +174,13 @@ def test_only_codes_and_fields_convert_a_table():
                           and arg.attr in ("table", "add", "mul", "neg", "mul_table")
                           for arg in node.args)}
     assert converters <= {"codes", "fields"}
+
+
+def test_the_tuple_oracle_imports_nothing_from_the_package():
+    # the oracle tests stay independent of the code paths they check
+    tree = ast.parse((Path(__file__).parent / "tuple_reference.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported and not any(name.split(".")[0] == "topolinear" for name in imported)

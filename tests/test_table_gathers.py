@@ -150,7 +150,20 @@ def test_quadratic_codes_and_witnesses_are_their_tuple_formulas(p, k, n):
             assert quadratic_witness(spec, w).taus == ref.quadratic_witness(F, alpha, beta, w)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
+SUPPORTED_FIELDS = [(p, k) for p in range(2, 257) if all(p % d for d in range(2, p))
+                    for k in range(1, 9) if p ** k <= 256]
+
+
+def test_field_moduli_are_the_least_irreducible_polynomials():
+    # the zero-divisor test picks the modulus trial division picks
+    assert len(SUPPORTED_FIELDS) == 70
+    for p, k in SUPPORTED_FIELDS:
+        assert field_make(p, k).modulus == ref.least_irreducible(p, k)
+
+
+# (2, 8) and (3, 5) are the costliest modulus searches: 28 candidates at q = 256, 8 at q = 243
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2),
+                                 (2, 8), (3, 5)])
 def test_field_tables_are_their_tuple_formulas(p, k):
     F, expected = field_make(p, k), ref.TupleField(p, k)
     for got, want in ((F.add, expected.add), (F.mul, expected.mul), (F.neg, expected.neg)):

@@ -3,13 +3,79 @@
 Loop and field tables are tuples of tuples of Python ints, a permutation is a
 tuple and an isotopism a tuple of them, and every formula is the word-by-word
 statement of its construction. The array gathers of `codes`, `constructions`
-and `loops` are compared with these byte for byte; nothing here calls them.
+and `loops`, and the field tables of `fields`, are compared with these byte
+for byte; nothing here imports the package.
 """
 import itertools
 import random
 
-from topolinear.fields import (_index_to_poly, _is_irreducible, _monic_polys, _poly_mod,
-                               _poly_mul, _poly_to_index)
+
+# ---------------------------------------------------------------------------
+# polynomials over GF(p) as little-endian coefficient lists: the trial
+# division oracle for the field tables
+
+def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
+    """Remainder of num by monic den, coefficients mod p, little-endian."""
+    num = num[:]
+    dn = len(den) - 1
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i] % p
+        if c:
+            shift = i - dn
+            for j, dj in enumerate(den):
+                num[shift + j] = (num[shift + j] - c * dj) % p
+    out = [c % p for c in num[:dn]]
+    return out + [0] * (dn - len(out))
+
+
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return out
+
+
+def _monic_polys(p: int, deg: int):
+    """All monic degree-deg polynomials, lexicographic in index order."""
+    for idx in range(p**deg):
+        coeffs = []
+        t = idx
+        for _ in range(deg):
+            coeffs.append(t % p)
+            t //= p
+        yield coeffs + [1]
+
+
+def _is_irreducible(poly: list[int], p: int) -> bool:
+    deg = len(poly) - 1
+    for d in range(1, deg // 2 + 1):
+        for cand in _monic_polys(p, d):
+            if not any(_poly_mod(poly, cand, p)):
+                return False
+    return True
+
+
+def _index_to_poly(idx: int, p: int, k: int) -> list[int]:
+    out = []
+    for _ in range(k):
+        out.append(idx % p)
+        idx //= p
+    return out
+
+
+def _poly_to_index(poly: list[int], p: int) -> int:
+    idx = 0
+    for c in reversed(poly):
+        idx = idx * p + (c % p)
+    return idx
+
+
+def least_irreducible(p, k):
+    """The lexicographically least monic irreducible polynomial of degree k
+    over GF(p), by trial division."""
+    return tuple(next(m for m in _monic_polys(p, k) if _is_irreducible(m, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +398,7 @@ class TupleField:
 
     def __init__(self, p, k):
         q = self.q = p ** k
-        modulus = next(m for m in _monic_polys(p, k) if _is_irreducible(m, p))
+        modulus = list(least_irreducible(p, k))
         polys = [_index_to_poly(i, p, k) for i in range(q)]
         self.add = tuple(tuple(_poly_to_index([(x + y) % p for x, y in zip(polys[a], polys[b])], p)
                                for b in range(q)) for a in range(q))
