@@ -121,9 +121,8 @@ def code_h(provenance=None) -> MdsCode:
 
 @dataclass(frozen=True)
 class SemilinearForm:
-    """Witness relabeling onto the standard form of `monomials`, the terms
-    of degree 2 or more of r reduced to the n-1 free variables (masks); the
-    witness absorbs the affine part, so an affine r has degree 0."""
+    """Witness relabeling onto the standard form of `monomials`: the terms of
+    r of degree 2 or more on the n-1 free variables, as masks (affine r: 0)."""
     witness: Isotopism
     monomials: frozenset[int]
     degree: int
