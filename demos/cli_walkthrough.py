@@ -13,7 +13,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-work = Path(tempfile.mkdtemp(prefix="topolinear-cli-"))
+# removed at the end, and at exit should a step fail
+workdir = tempfile.TemporaryDirectory(prefix="topolinear-cli-")
+work = Path(workdir.name)
 
 
 def run(*argv, expect: int):
@@ -80,3 +82,4 @@ run("construct", spec("bad.json", {"outer": "cp", "p": 1, "inner": [3]}),
     str(work / "never.json"), expect=2)
 
 print("\nall exit codes as promised")
+workdir.cleanup()

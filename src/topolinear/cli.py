@@ -69,13 +69,16 @@ def _cmd_construct(args) -> int:
 
 
 def _require_fit(cert: TransitivityCertificate, M) -> None:
-    """A certificate for other word lengths or another alphabet is malformed
-    input for this code, not a false verdict."""
-    if len(cert.base) != M.n or any(len(w) != M.n for w in cert.witnesses):
+    """A certificate for other word lengths, another alphabet or words over
+    other symbols is malformed input for this code, not a false verdict."""
+    words = [cert.base, *cert.witnesses]
+    if any(len(w) != M.n for w in words):
         raise MalformedInput(f"certificate words do not have the code's length {M.n}")
     if any(g.q != M.q for g in cert.witnesses.values()):
         raise MalformedInput(f"certificate permutations do not act on the code's "
                              f"{M.q} symbols")
+    if not all(0 <= s < M.q for w in words for s in w):
+        raise MalformedInput(f"certificate words are not over the code's {M.q} symbols")
 
 
 def _require_mds(M):

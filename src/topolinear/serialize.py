@@ -3,11 +3,16 @@ certificates, and construction spec files consumed by the batch commands.
 
 Code files are bit-exact canonical: words sorted lexicographically, keys
 sorted, two-space indent, trailing newline. Everything read from disk is
-validated before use; schema violations raise MalformedInput.
+validated before use; schema violations and unreadable files raise
+MalformedInput.
 """
 from __future__ import annotations
 
+import itertools
 import json
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .codes import Loop, MdsCode, isotopisms
 from .constructions import (CONSTRUCTIONS, MalformedInput, _as_int, _require,
@@ -16,10 +21,10 @@ from .isometry import TransitivityCertificate
 
 
 def dumps_canonical(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte.
-    That call always runs the pure-Python encoder, so the lists of ints that
-    make up code files and certificates are written here with one join each;
-    any other value goes through `json.dumps`, re-indented to its depth."""
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte, an
+    integer array as its `tolist()`. That call always runs the pure-Python
+    encoder, so lists of ints are written here with one join each and arrays
+    by one `_template`; any other value goes through `json.dumps`, re-indented."""
     out: list[str] = []
     _encode(obj, "\n", out)
     out.append("\n")
@@ -30,7 +35,9 @@ def _encode(obj, newline: str, out: list) -> None:
     """Append obj as `json.dumps(indent=2, sort_keys=True)` writes it at the
     depth whose line break (with indent) is `newline`."""
     inner = newline + "  "
-    if type(obj) is list and obj:
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        out.append(_template(obj.shape, newline) % tuple(obj.ravel().tolist()))
+    elif type(obj) is list and obj:
         if set(map(type, obj)) == {int}:  # no bools, no int subclasses
             out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
             return
@@ -42,24 +49,33 @@ def _encode(obj, newline: str, out: list) -> None:
     elif type(obj) is dict and obj and set(map(type, obj)) == {str}:
         out.append("{")
         for k, key in enumerate(sorted(obj)):
-            out.append((inner if k == 0 else "," + inner) + json.dumps(key) + ": ")
+            out.append((inner if k == 0 else "," + inner) + encode_basestring_ascii(key) + ": ")
             _encode(obj[key], inner, out)
         out.append(newline + "}")
     else:
         out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline))
 
 
+def _template(shape: tuple, newline: str) -> str:
+    """An integer array of `shape` as `json.dumps(indent=2)` writes it at the
+    depth of `newline`, with `%d` for each entry in ravel order."""
+    if not shape:
+        return "%d"
+    inner = newline + "  "
+    items = ("," + inner).join([_template(shape[1:], inner)] * shape[0])
+    return "[" + inner + items + newline + "]" if items else "[]"
+
+
 # ---------------------------------------------------------------------------
 # code files
 
 def code_to_json(M: MdsCode) -> dict:
-    return {
-        "q": M.q,
-        "n": M.n,
-        "structure": M.provenance.get("construction", "literal"),
-        "words": M.word_array().tolist(),
-        "provenance": M.provenance,
-    }
+    return _code_document(M, M.word_array().tolist())
+
+
+def _code_document(M: MdsCode, words) -> dict:
+    return {"q": M.q, "n": M.n, "structure": M.provenance.get("construction", "literal"),
+            "words": words, "provenance": M.provenance}
 
 
 def code_from_json(obj) -> MdsCode:
@@ -81,7 +97,7 @@ def code_from_json(obj) -> MdsCode:
 
 def save_code(M: MdsCode, path: str):
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(code_to_json(M)))
+        fh.write(dumps_canonical(_code_document(M, M.word_array())))
 
 
 def load_code(path: str) -> MdsCode:
@@ -92,8 +108,10 @@ def _load(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long, too deep
         raise MalformedInput(f"not valid JSON: {exc}") from exc
+    except (IsADirectoryError, PermissionError) as exc:
+        raise MalformedInput(f"cannot read {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +147,7 @@ def certificate_from_json(obj) -> TransitivityCertificate:
     _require(isinstance(base, list), "base must be a word")
     rows = obj.get("witnesses")
     _require(isinstance(rows, list), "witnesses must be a list")
-    words, flat = {}, []
-    for row in rows:
-        _require(isinstance(row, dict) and isinstance(row.get("word"), list)
-                 and isinstance(row.get("taus"), list), "bad witness row")
-        word = tuple(_as_int(s, "symbol") for s in row["word"])
-        _require(word not in words, f"two witnesses for {word}")
-        words[word] = taus = row["taus"]
-        _require(len(taus) == len(base), "one permutation per coordinate")
-        _require(all(isinstance(t, list) for t in taus), "each tau must be a list of integers")
-        flat += taus
+    words, flat = _witness_rows(rows, len(base))
     try:  # every witness at once, over one alphabet
         witnesses = dict(zip(words, isotopisms(flat, len(base)))) if words else {}
     except ValueError as exc:
@@ -146,9 +155,45 @@ def certificate_from_json(obj) -> TransitivityCertificate:
     return TransitivityCertificate(mode, tuple(_as_int(s, "symbol") for s in base), witnesses)
 
 
+def _witness_rows(rows: list, n: int) -> tuple[list, list]:
+    """The words as tuples and all the taus, every row checked at once; only a
+    refusal walks the rows, to name the first fault in file order."""
+    if set(map(type, rows)) <= {dict}:
+        words, taus = [row.get("word") for row in rows], [row.get("taus") for row in rows]
+        if set(map(type, words)) | set(map(type, taus)) <= {list}:
+            keys, flat = list(map(tuple, words)), list(itertools.chain.from_iterable(taus))
+            if (set(map(type, itertools.chain.from_iterable(words))) <= {int}
+                    and len(set(keys)) == len(keys) and set(map(len, taus)) <= {n}
+                    and set(map(type, flat)) <= {list}):
+                return keys, flat
+    words, flat = {}, []
+    for row in rows:
+        _require(isinstance(row, dict) and isinstance(row.get("word"), list)
+                 and isinstance(row.get("taus"), list), "bad witness row")
+        word = tuple(_as_int(s, "symbol") for s in row["word"])
+        _require(word not in words, f"two witnesses for {word}")
+        words[word] = taus = row["taus"]
+        _require(len(taus) == n, "one permutation per coordinate")
+        _require(all(isinstance(t, list) for t in taus), "each tau must be a list of integers")
+        flat += taus
+    return list(words), flat
+
+
 def save_certificate(cert: TransitivityCertificate, path: str):
+    """One record template per witness, filled by one `%` over the (k, n, q)
+    rows and (k, n) words: the witnesses share one shape, as a verdict's do."""
+    head, _, tail = dumps_canonical({"base": list(cert.base), "mode": cert.mode,
+                                     "witnesses": []}).rpartition("[]")
+    items, at, listing = sorted(cert.witnesses.items()), "\n      ", "[]"
+    if items:
+        words = np.array([w for w, _ in items], dtype=np.int64)
+        rows = np.stack([g.rows for _, g in items])
+        record = '{%s"taus": %s,%s"word": %s\n    }' % (
+            at, _template(rows.shape[1:], at), at, _template(words.shape[1:], at))
+        values = np.hstack([rows.reshape(len(items), -1), words]).ravel().tolist()
+        listing = ("[\n    " + ",\n    ".join([record] * len(items)) + "\n  ]") % tuple(values)
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(certificate_to_json(cert)))
+        fh.write(head + listing + tail)
 
 
 def load_certificate(path: str) -> TransitivityCertificate:

@@ -26,7 +26,7 @@ from topolinear.isometry import (GROUP_CAP, TransitivityCertificate, _regular_su
 from topolinear.codes import make_dihedral, twisted_graph_code
 from topolinear.serialize import (build_from_spec, certificate_to_json, code_to_json,
                                   dumps_canonical, loop_to_json, save_certificate,
-                                  save_code)
+                                  save_code, save_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -476,27 +476,31 @@ def old_writer(obj):
 
 
 def fixture_documents():
-    """The code files and certificates of the certify and cli benchmarks."""
+    """The code files and certificates of the certify and cli benchmarks, and
+    a loop table: (document, writer, object) each."""
     specs = CERTIFY_SPECS + [QUADRATIC_4]
     for spec in specs:
         M = build_from_spec(spec)
-        yield code_to_json(M)
+        yield code_to_json(M), save_code, M
         cert = is_isotopically_transitive(M).certificate
-        yield certificate_to_json(cert)
-        yield certificate_to_json(TransitivityCertificate("topolinear", cert.base,
-                                                          cert.witnesses))
+        for c in (cert, TransitivityCertificate("topolinear", cert.base, cert.witnesses)):
+            yield certificate_to_json(c), save_certificate, c
     for M in (scrambled(twisted_graph_code(3), 90), scrambled(code_h(), 91),
               MdsCode(6, 3, parity_code(6, 3).words,
                       provenance={"construction": "graph", "loop": "cp", "p": 3})):
-        yield code_to_json(M)
-    yield loop_to_json(make_dihedral(3))
+        yield code_to_json(M), save_code, M
+    loop = make_dihedral(3)
+    yield loop_to_json(loop), save_loop, loop
 
 
-def test_canonical_json_is_the_indenting_encoders_bytes():
+def test_canonical_json_is_the_indenting_encoders_bytes(tmp_path):
     docs = list(fixture_documents())
     assert len(docs) == 28
-    for doc in docs:
+    path = tmp_path / "doc.json"
+    for doc, save, obj in docs:
         assert dumps_canonical(doc) == old_writer(doc)
+        save(obj, str(path))
+        assert path.read_text() == old_writer(doc)
 
 
 def json_values():
@@ -528,3 +532,45 @@ def test_canonical_json_of_a_provenance_with_floats_bools_and_unicode():
             "nested": {"1": [[0, 1], []], "2": {}}, "ints": [rng.randrange(9) for _ in range(5)]}
     doc = code_to_json(MdsCode(2, 2, [(0, 0), (1, 1)], provenance=prov))
     assert dumps_canonical(doc) == old_writer(doc)
+
+
+def json_documents():
+    """JSON objects with text keys: unicode, floats, bools and nested lists."""
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
+    return st.dictionaries(st.text(max_size=4), st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+        max_leaves=8), max_size=4)
+
+
+ALPHABETS = [1, 2, 3, 4, 5, 300]  # q = 300 keeps isotopism rows in uint16
+
+
+def words_over(q, n, **kwargs):
+    return st.lists(st.tuples(*[st.integers(0, q - 1)] * n), max_size=6, **kwargs)
+
+
+@st.composite
+def certificates(draw):
+    q, n = draw(st.sampled_from(ALPHABETS)), draw(st.integers(2, 4))
+    wits = {w: Isotopism([draw(st.permutations(range(q))) for _ in range(n)])
+            for w in draw(words_over(q, n, unique=True))}
+    base = draw(st.tuples(*[st.integers(0, q - 1)] * n))
+    return TransitivityCertificate(draw(st.sampled_from(["isotopic", "topolinear"])), base, wits)
+
+
+@settings(max_examples=60)
+@given(certificates())
+def test_a_saved_certificate_is_the_indenting_encoders_bytes(tmp_path_factory, cert):
+    path = tmp_path_factory.getbasetemp() / "cert.json"
+    save_certificate(cert, str(path))
+    assert path.read_text() == old_writer(certificate_to_json(cert))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(ALPHABETS).flatmap(lambda q: st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(q), st.just(n), words_over(q, n)))), json_documents())
+def test_a_saved_code_is_the_indenting_encoders_bytes(tmp_path_factory, shape, prov):
+    M = MdsCode(*shape, provenance=prov)
+    path = tmp_path_factory.getbasetemp() / "code.json"
+    save_code(M, str(path))
+    assert path.read_text() == old_writer(code_to_json(M))

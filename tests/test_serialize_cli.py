@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topolinear import cli, fields
+from topolinear import cli, fields, serialize
 from topolinear.classify_q4 import code_h, standard_semilinear_code
 from topolinear.cli import main
 from topolinear.codes import (Loop, MdsCode, cyclic_loop, graph_code, make_dihedral, parity_code,
@@ -22,6 +24,8 @@ from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
                                   code_to_json, dumps_canonical, load_code, load_loop,
                                   loop_to_json, save_certificate, save_code, save_loop)
+import tuple_reference as reference
+from test_closure_kernel import CERTIFY_SPECS
 from test_isometry import oracle_cases
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -436,6 +440,143 @@ def test_cli_refuses_a_symbol_past_int64(tmp_path, capsys):
     assert main(["verify", path, "--mode", "mds"]) == 2
     assert capsys.readouterr().err.strip() == (
         f"malformed input: symbol {2**63} out of range in (0, 0, {2**63})")
+
+
+@pytest.mark.parametrize("reading", ["code", "certificate"])
+@pytest.mark.parametrize("fault", ["directory", "nested-too-deep", "permission"])
+def test_cli_refuses_a_file_it_cannot_read_with_exit_2(tmp_path, monkeypatch, capsys, reading,
+                                                       fault):
+    # a directory and JSON nested past the recursion limit exited 4
+    code, path = str(tmp_path / "code.json"), tmp_path / "bad.json"
+    save_code(twisted_graph_code(3), code)
+    if fault == "directory":
+        path.mkdir()
+        message = f"cannot read {path}: Is a directory"
+    else:
+        path.write_text("[" * 200000 + "]" * 200000)
+        message = "not valid JSON: maximum recursion depth exceeded"
+    if fault == "permission":  # root reads any file, so the refusal is simulated
+        def guarded(file, *args, **kwargs):
+            if file == str(path):
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(serialize, "open", guarded, raising=False)
+        message = f"cannot read {path}: Permission denied"
+    argv = (["verify", str(path), "--mode", "mds"] if reading == "code" else
+            ["verify", code, "--mode", "transitive", "--certificate", str(path)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"malformed input: {message}")
+
+
+@pytest.fixture(scope="module")
+def certify_files(tmp_path_factory):
+    """The code file and the saved certificate, as a document, of each
+    certify benchmark code."""
+    work = tmp_path_factory.mktemp("certify")
+    files = []
+    for k, spec in enumerate(CERTIFY_SPECS):
+        M = build_from_spec(spec)
+        code, cert = str(work / f"code{k}.json"), work / f"cert{k}.json"
+        save_code(M, code)
+        save_certificate(is_isotopically_transitive(M).certificate, str(cert))
+        files.append((code, json.loads(cert.read_text())))
+    return files
+
+
+SYMBOLS = {"bool": lambda rng: rng.random() < 0.5, "float": lambda rng: float(rng.randrange(3)),
+           "string": lambda rng: str(rng.randrange(3)),
+           "past-int64": lambda rng: 2**63 + rng.randrange(3)}
+MUTATIONS = ([f"{where}-{name}" for where in ("word", "tau") for name in SYMBOLS]
+             + ["row-key-missing", "row-key-extra", "row-key-renamed", "key-missing",
+                "key-extra", "key-renamed", "row-not-an-object", "word-twice", "taus-too-few",
+                "taus-too-many", "tau-not-a-list", "tau-empty-not-a-list", "tau-other-alphabet",
+                "no-witnesses"])
+# the only mutants both loaders accept, and what the command line says of
+# them: an extra key is read past, a word past int64 does not fit the code's
+# alphabet, and a certificate of no witnesses replays as false (exit 1, as
+# test_cli_replay_of_a_certificate_without_the_base_words_witness_exits_1 pins)
+LOADED = {"row-key-extra": (0, ""), "key-extra": (0, ""),
+          "word-past-int64": (2, "malformed input: certificate words are not over the code's"),
+          "no-witnesses": (1, "")}
+
+
+def mutated(doc, kind, rng):
+    """doc, a certificate document, with one seeded fault of the given kind."""
+    doc = copy.deepcopy(doc)
+    rows = doc["witnesses"]
+    at = rng.randrange(len(rows))
+    row, n = rows[at], len(doc["base"])
+    tau = row["taus"][rng.randrange(n)]
+    q = len(tau)
+    where, _, name = kind.partition("-")
+    if name in SYMBOLS:
+        target = row["word"] if where == "word" else tau
+        target[rng.randrange(len(target))] = SYMBOLS[name](rng)
+    elif kind.startswith(("row-key", "key")):
+        obj = row if kind.startswith("row") else doc
+        key = rng.choice(sorted(obj))
+        if kind.endswith("missing"):
+            del obj[key]
+        elif kind.endswith("extra"):
+            obj["note"] = [key]
+        else:
+            obj[key.upper()] = obj.pop(key)
+    elif kind == "row-not-an-object":
+        rows[at] = rng.choice([row["word"], None, 7, "row"])
+    elif kind == "word-twice":
+        row["word"] = list(rows[(at + rng.randrange(1, len(rows))) % len(rows)]["word"])
+    elif kind == "taus-too-few":
+        row["taus"].remove(tau)
+    elif kind == "taus-too-many":
+        row["taus"].append(list(range(q)))
+    elif kind == "tau-not-a-list":
+        row["taus"][row["taus"].index(tau)] = rng.choice([0, "0", {"0": 0}, None])
+    elif kind == "tau-empty-not-a-list":  # no entries to refuse: only its type tells
+        row["taus"][row["taus"].index(tau)] = rng.choice(["", {}])
+    elif kind == "tau-other-alphabet":
+        tau.append(q)
+    else:
+        doc["witnesses"] = []
+    return doc
+
+
+def test_the_certificate_loader_accepts_every_saved_certify_certificate(certify_files):
+    for code, doc in certify_files:
+        M, cert = load_code(code), certificate_from_json(doc)
+        mode, base, taus = reference.certificate_from_json(doc)
+        assert (cert.mode, cert.base, {w: g.taus for w, g in cert.witnesses.items()}) == (
+            mode, base, taus)
+        assert cert.witnesses == is_isotopically_transitive(M).certificate.witnesses
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+def test_the_certificate_loader_refuses_each_mutant_as_the_row_walk_did(
+        certify_files, tmp_path, capsys, kind):
+    path = tmp_path / "cert.json"
+    for k, (code, doc) in enumerate(certify_files):
+        bad = mutated(doc, kind, random.Random(f"{kind}:{k}"))
+        try:
+            want = reference.certificate_from_json(bad)
+        except reference.Refused as exc:
+            assert kind not in LOADED
+            with pytest.raises(MalformedInput) as got:
+                certificate_from_json(bad)
+            assert str(got.value) == str(exc)
+            status, err = 2, f"malformed input: {exc}\n"
+        else:
+            assert kind in LOADED
+            cert = certificate_from_json(bad)
+            assert (cert.mode, cert.base, {w: g.taus for w, g in cert.witnesses.items()}) == want
+            status, err = LOADED[kind]
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        mode = ("transitive", "topolinear")[k % 2]
+        assert main(["verify", code, "--mode", mode, "--certificate", str(path)]) == status, k
+        out = capsys.readouterr()
+        assert out.err.startswith(err) and bool(out.err) == bool(err), (k, out.err)
+        if kind == "no-witnesses":
+            assert out.out.startswith(f"{mode} (certificate replay): False (no witness for ")
 
 
 def test_cli_unexpected_errors_exit_4(monkeypatch, capsys):

@@ -487,3 +487,61 @@ def principal_isotope(table, a, b):
     xi0_inv = invert(tuple(fp[x][0] for x in range(q)))
     psi0_inv = invert(tuple(fp[0][y] for y in range(q)))
     return tuple(tuple(fp[xi0_inv[x]][psi0_inv[y]] for y in range(q)) for x in range(q))
+
+
+# ---------------------------------------------------------------------------
+# certificate files: the loader that walked the rows one at a time
+
+class Refused(ValueError):
+    """The reference loader's refusal; its text is the package's."""
+
+
+def _require(cond: bool, msg: str):
+    if not cond:
+        raise Refused(msg)
+
+
+def _as_int(value, what: str) -> int:
+    # bool is an int subtype; reject it explicitly
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{what} must be an integer")
+    return value
+
+
+def _isotopism_taus(flat, n):
+    """The taus of `flat`, n per isotopism, refused as `codes.isotopisms`
+    refuses them: entry types first, over all taus, then one alphabet."""
+    _require(all(isinstance(s, int) and not isinstance(s, bool) for t in flat for s in t),
+             "each tau must be a list of integers")
+    lengths = {len(t) for t in flat}
+    _require(len(lengths) == 1 and lengths != {0}
+             and all(sorted(t) == list(range(len(t))) for t in flat),
+             "each tau must be a permutation of the same 0..q-1")
+    taus = [tuple(t) for t in flat]
+    return [tuple(taus[i:i + n]) for i in range(0, len(taus), n)]
+
+
+def certificate_from_json(obj):
+    """(mode, base, {word: taus}) of a certificate document, or Refused with
+    the text of the first fault in file order: the row walk the package's
+    loader made before it checked all rows at once, verbatim, with the
+    isotopism check in tuple code."""
+    _require(isinstance(obj, dict), "certificate must be a JSON object")
+    mode = obj.get("mode")
+    _require(mode in ("isotopic", "topolinear"), "mode must be isotopic or topolinear")
+    base = obj.get("base")
+    _require(isinstance(base, list), "base must be a word")
+    rows = obj.get("witnesses")
+    _require(isinstance(rows, list), "witnesses must be a list")
+    words, flat = {}, []
+    for row in rows:
+        _require(isinstance(row, dict) and isinstance(row.get("word"), list)
+                 and isinstance(row.get("taus"), list), "bad witness row")
+        word = tuple(_as_int(s, "symbol") for s in row["word"])
+        _require(word not in words, f"two witnesses for {word}")
+        words[word] = taus = row["taus"]
+        _require(len(taus) == len(base), "one permutation per coordinate")
+        _require(all(isinstance(t, list) for t in taus), "each tau must be a list of integers")
+        flat += taus
+    witnesses = dict(zip(words, _isotopism_taus(flat, len(base)))) if words else {}
+    return mode, tuple(_as_int(s, "symbol") for s in base), witnesses
