@@ -2,10 +2,10 @@
 equivalent, count, gloop.
 
 Exit codes: 0 verdict true / command succeeded, 1 verdict false, 2 malformed
-input (a certificate that does not fit the code, a non-MDS code to search),
-3 budget exhausted or inconclusive, 4 internal error: any other exception,
-reported on one line. A crash never exits 1. Every command is deterministic
-given its inputs; verdict paths never consult randomness.
+input (an unreadable file, a certificate that does not fit the code, a non-MDS
+code to search), 3 budget exhausted or inconclusive, 4 internal error: any
+other exception, reported on one line. A crash never exits 1. Every command
+is deterministic given its inputs; verdict paths never consult randomness.
 """
 from __future__ import annotations
 

@@ -1,10 +1,12 @@
 """JSON interchange: canonical code files, loop tables, transitivity
 certificates, and construction spec files consumed by the batch commands.
 
-Code files are bit-exact canonical: words sorted lexicographically, keys
-sorted, two-space indent, trailing newline. Everything read from disk is
-validated before use; schema violations and unreadable files raise
-MalformedInput.
+Files are `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` byte for byte
+(words sorted, keys sorted, two-space indent), written from the code's word
+array and the certificate's witness rows, each through one template per shape
+and depth filled by one `%`. Everything read is validated before use; schema
+violations, unreadable files and JSON nested too deep raise MalformedInput.
+A certificate's rows are checked at once; only a refusal walks them.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ from .isometry import TransitivityCertificate
 def dumps_canonical(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, byte for byte, an
     integer array as its `tolist()`. That call always runs the pure-Python
-    encoder, so lists of ints are written here with one join each and arrays
-    by one `_template`; any other value goes through `json.dumps`, re-indented."""
+    encoder, so integer arrays and lists of ints are written here by one
+    `_template` each; any other value goes through `json.dumps`, re-indented."""
     out: list[str] = []
     _encode(obj, "\n", out)
     out.append("\n")
@@ -37,10 +39,9 @@ def _encode(obj, newline: str, out: list) -> None:
     inner = newline + "  "
     if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
         out.append(_template(obj.shape, newline) % tuple(obj.ravel().tolist()))
+    elif type(obj) is list and obj and set(map(type, obj)) == {int}:  # no bools
+        out.append(_template((len(obj),), newline) % tuple(obj))
     elif type(obj) is list and obj:
-        if set(map(type, obj)) == {int}:  # no bools, no int subclasses
-            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
-            return
         out.append("[")
         for k, item in enumerate(obj):
             out.append(inner if k == 0 else "," + inner)
