@@ -566,11 +566,15 @@ def test_a_saved_certificate_is_the_indenting_encoders_bytes(tmp_path_factory, c
     assert path.read_text() == old_writer(certificate_to_json(cert))
 
 
+@st.composite
+def literal_codes(draw):
+    q, n = draw(st.sampled_from(ALPHABETS)), draw(st.integers(2, 4))
+    return MdsCode(q, n, draw(words_over(q, n)), provenance=draw(json_documents()))
+
+
 @settings(max_examples=60)
-@given(st.sampled_from(ALPHABETS).flatmap(lambda q: st.integers(2, 4).flatmap(
-    lambda n: st.tuples(st.just(q), st.just(n), words_over(q, n)))), json_documents())
-def test_a_saved_code_is_the_indenting_encoders_bytes(tmp_path_factory, shape, prov):
-    M = MdsCode(*shape, provenance=prov)
+@given(literal_codes())
+def test_a_saved_code_is_the_indenting_encoders_bytes(tmp_path_factory, M):
     path = tmp_path_factory.getbasetemp() / "code.json"
     save_code(M, str(path))
     assert path.read_text() == old_writer(code_to_json(M))
