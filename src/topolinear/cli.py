@@ -2,15 +2,18 @@
 equivalent, count, gloop.
 
 Exit codes: 0 verdict true / command succeeded, 1 verdict false, 2 malformed
-input (an unreadable file, a certificate that does not fit the code, a non-MDS
-code to search), 3 budget exhausted or inconclusive, 4 internal error: any
-other exception, reported on one line. A crash never exits 1. Every command
-is deterministic given its inputs; verdict paths never consult randomness.
+input (an unreadable file, an output path that cannot be written, a
+certificate that does not fit the code, a non-MDS code to search), 3 budget
+exhausted or inconclusive, 4 internal error: any other exception, reported on
+one line. A crash never exits 1, and a construct call that exits non-zero
+leaves no output file. Every command is deterministic given its inputs;
+verdict paths never consult randomness.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -62,7 +65,11 @@ def _cmd_construct(args) -> int:
             cert = upgraded
     save_code(M, args.out)  # after the verdict: a refusal leaves no file
     if args.certificate:
-        save_certificate(cert, args.certificate)
+        try:
+            save_certificate(cert, args.certificate)
+        except MalformedInput:
+            os.remove(args.out)  # nor does a certificate that cannot be written
+            raise
     _emit(args, f"wrote {len(M)} words (q={M.q}, n={M.n}) to {args.out}",
           {"q": M.q, "n": M.n, "words": len(M), "out": args.out})
     return EXIT_TRUE

@@ -12,9 +12,9 @@ Algorithms, ch. 4; Holt, Eick and O'Brien, Handbook of Computational Group
 Theory, 4.1). The base word is the first codeword, which is 0..0 when
 M holds it. A symmetry carrying the base word to a codeword is looked for
 only when the orbit of the base word has not reached that codeword yet; it
-becomes a generator, and the orbit is closed under the generators, each new
-word keeping a Schreier witness (generator composed with the witness of the
-word it came from). The explicit route asks the witness formula of the
+becomes a generator, and the orbit is closed under the generators breadth
+first, each new word keeping a Schreier witness (generator composed with the
+witness of the word it came from). The explicit route asks the witness formula of the
 construction a code's provenance records and checks each answer; the pinned
 route runs a backtracking search that knows nothing about how the code was
 built. Provenance is a hint, not a fact: when it does not parse, or a
@@ -25,8 +25,12 @@ base-word stabilizer H, which one pinned search lists.
 
 Group closure, the Schreier witnesses and certificate replay share one
 array kernel: a set of isotopisms is an (m, n, q) integer array, and
-composing a layer of elements with the generators is one gather. Replay
-walks the same orbit, taking a certificate's own witnesses as generators,
+composing a layer of elements with the generators is one gather. The walk
+keeps its tree as index arrays, and the witnesses of one tree level are one
+gather. A regular group's witnesses are the group itself, whatever the tree;
+other witness sets, which only the pinned route writes, follow the walk's
+order, and those of the former depth-first walk replay witness by witness.
+Replay walks the same orbit, taking a certificate's own witnesses as generators,
 and checks every witness against the Schreier tree in one gather;
 topolinear replay also checks closure under those generators, at most
 log2|M| of them, one gather of |M| witnesses each. A certificate that
@@ -366,9 +370,9 @@ class TransitivityCertificate:
         if len(self.witnesses) == len(M) and all(
                 g is not None and (g.n, g.q) == (n, q) for g in wits):
             rows, wit = np.stack([g.rows for g in wits]), self.witnesses.get
-            came, gens, perms, failing = _orbit_closure(
+            tree, gens, perms, failing = _orbit_closure(
                 M, base, lambda w: None if _witness_fault(M, base, w, wit(w)) else wit(w))
-            if failing is None and _on_the_tree(came, gens, rows):
+            if failing is None and _on_the_tree(tree, gens, rows):
                 if self.mode == "isotopic" or all(
                         np.array_equal(_compose_rows(g[None], rows), rows[p])
                         for g, p in zip(gens, perms)):
@@ -393,15 +397,15 @@ def _witness_fault(M: MdsCode, base, w, g: Isotopism) -> str | None:
     return None if g.is_automorphism_of(M) else f"witness for {w} is not a symmetry of the code"
 
 
-def _on_the_tree(came: dict, gens: np.ndarray, rows: np.ndarray) -> bool:
+def _on_the_tree(tree, gens: np.ndarray, rows: np.ndarray) -> bool:
     """Whether `rows`, one per word index, are the Schreier witnesses of
-    the tree `came` (`_schreier_witnesses`): the identity at the base word,
+    the tree `tree` (`_schreier_witnesses`): the identity at the base word,
     and at every other word its generator composed with the row of its
     parent, checked for all words in one gather."""
-    base, *tree = came
-    k, u = np.array([came[v] for v in tree], dtype=np.intp).reshape(-1, 2).T
+    order, gen, parent, _ = tree
+    base, rest = order[0], order[1:]
     return ((rows[base] == np.arange(rows.shape[2])).all()
-            and np.array_equal(_compose_pairs(gens[k], rows[u]), rows[tree]))
+            and np.array_equal(_compose_pairs(gens[gen[rest]], rows[parent[rest]]), rows[rest]))
 
 
 @dataclass
@@ -454,12 +458,12 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
         if formula is not None:
             try:
-                came, gens, _, _ = _orbit_closure(M, base, explicit)
+                tree, gens, _, _ = _orbit_closure(M, base, explicit)
             except (ValueError, KeyError, TypeError) as exc:
                 note = dropped_hint(M, exc)
             else:
                 cert = TransitivityCertificate("isotopic", base,
-                                               _schreier_witnesses(M, came, gens))
+                                               _schreier_witnesses(M, tree, gens))
                 return TransitivityResult(True, cert, method="explicit",
                                           generators=_isotopisms(gens))
         if method == "explicit":
@@ -470,41 +474,44 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
         return next(autotopism_search(M, pins=pins, budget=budget), None)
 
     try:
-        came, gens, _, failing = _orbit_closure(M, base, pinned)
+        tree, gens, _, failing = _orbit_closure(M, base, pinned)
     except BudgetExceeded as exc:
         if note:  # a refusal still names the hint it dropped
             exc.args = (f"{exc}; {note}",)
         raise
     cert = None if failing else TransitivityCertificate(
-        "isotopic", base, _schreier_witnesses(M, came, gens))
+        "isotopic", base, _schreier_witnesses(M, tree, gens))
     return TransitivityResult(failing is None, cert, failing, method="pinned",
                               reason=note, generators=_isotopisms(gens))
 
 
 def _orbit_closure(M: MdsCode, base, find):
-    """(came, gens, perms, failing): the Schreier tree of the orbit of
-    `base`, mapping each word index reached to (generator index, parent
-    word index), or None for the base word, every word after its parent;
-    the generators found, as rows, and their permutations of the word
-    indices; the first word no symmetry reaches, or None. `find(w)` gives a
-    symmetry carrying `base` to w, or None when it shows there is none.
+    """(tree, gens, perms, failing): the Schreier tree of the orbit of
+    `base` as index arrays (order, gen, parent, depth), the word indices in
+    visit order, base first, and per word index its generator index, parent
+    and depth (-1 where none); the generators found, as rows, and their
+    permutations of the word indices; the first word no symmetry reaches, or
+    None. `find(w)` gives a symmetry carrying `base` to w, or None when it
+    shows there is none.
 
     Words are visited in order; `find` runs only for a word outside the
     orbit so far. Its symmetry joins the generators and the orbit is closed
-    again: the new generator moves every word reached before, and every
-    generator moves each newly reached word. The new generator carries the
-    base word to the word it was found for, so it is that word's Schreier
-    witness, and the witnesses generate the same group as the generators.
-    A failed `find` names the first word outside the full orbit, since
-    every earlier word was reached or found."""
+    again breadth first, so the tree stays shallow: the new generator moves
+    every word reached before, and every generator moves each newly reached
+    word, first in, first out. The new generator carries the base word to
+    the word it was found for, so it is that word's Schreier witness, and
+    the witnesses generate the same group as the generators. A failed
+    `find` names the first word outside the full orbit, since every earlier
+    word was reached or found."""
     words, n, q = M.words, M.n, M.q
     first = int(np.searchsorted(M.encoded(), M.encode(np.asarray(base))))
-    came = {first: None}
+    order, gen, parent, depth = [first], [-1] * len(words), [-1] * len(words), [-1] * len(words)
+    depth[first] = 0
     gens = Isotopism.identity(q, n).rows[None][:0]
     perms: list[list[int]] = []
     failing = None
     for w in range(len(words)):
-        if w in came:
+        if depth[w] >= 0:
             continue
         g = find(words[w])
         if g is None:
@@ -513,40 +520,31 @@ def _orbit_closure(M: MdsCode, base, find):
         gens = np.concatenate([gens, g.rows[None]])
         images = M.images(gens[-1:], M.word_array())[0]  # of the codewords, by g
         perms.append(np.searchsorted(M.encoded(), images).tolist())
-        fresh = []
-        for u in list(came):
-            v = perms[-1][u]
-            if v not in came:
-                came[v] = (len(perms) - 1, u)
-                fresh.append(v)
-        while fresh:
-            u = fresh.pop()
-            for k, perm in enumerate(perms):
-                v = perm[u]
-                if v not in came:
-                    came[v] = (k, u)
-                    fresh.append(v)
-    return came, gens, perms, failing
+        old, at = len(order), 0
+        while at < len(order):  # the queue is `order` itself, read as it grows
+            u = order[at]
+            for k in range(len(perms) - 1 if at < old else 0, len(perms)):
+                v = perms[k][u]
+                if depth[v] < 0:
+                    gen[v], parent[v], depth[v] = k, u, depth[u] + 1
+                    order.append(v)
+            at += 1
+    return tuple(map(np.array, (order, gen, parent, depth))), gens, perms, failing
 
 
-def _schreier_witnesses(M: MdsCode, came: dict, gens: np.ndarray) -> dict:
-    """Word -> witness for each word index in the Schreier tree `came`: the
-    identity for the base word, else its generator composed with its
-    parent's witness, built for all words of one depth in one gather."""
-    n, q = M.n, M.q
-    rows = np.empty((len(M), n, q), dtype=gens.dtype)
-    depth, layers = {}, []
-    for v, step in came.items():
-        depth[v] = 0 if step is None else depth[step[1]] + 1
-        if depth[v] == len(layers):
-            layers.append([])
-        layers[depth[v]].append(v)
-    rows[layers[0]] = Isotopism.identity(q, n).rows
-    for layer in layers[1:]:
-        k, u = np.array([came[v] for v in layer]).T
-        rows[layer] = _compose_pairs(gens[k], rows[u])
-    reached, words = list(came), M.words
-    return dict(zip((words[v] for v in reached), _isotopisms(rows[reached])))
+def _schreier_witnesses(M: MdsCode, tree, gens: np.ndarray) -> dict:
+    """Word -> witness for each word the Schreier tree `tree` reached, in
+    visit order: the identity for the base word, else its generator composed
+    with its parent's witness, one gather per tree level. The witnesses of a
+    regular group do not depend on the tree; other witness sets do."""
+    order, gen, parent, depth = tree
+    rows = np.empty((len(M), M.n, M.q), dtype=gens.dtype)
+    rows[order[0]] = Isotopism.identity(M.q, M.n).rows
+    level = depth[order]
+    for d in range(1, level.max() + 1):
+        layer = order[level == d]
+        rows[layer] = _compose_pairs(gens[gen[layer]], rows[parent[layer]])
+    return dict(zip(map(M.words.__getitem__, order.tolist()), _isotopisms(rows[order])))
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,15 @@ def code_from_json(obj) -> MdsCode:
 
 
 def save_code(M: MdsCode, path: str):
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(_code_document(M, M.word_array())))
+    _write(path, dumps_canonical(_code_document(M, M.word_array())))
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:  # a directory, a missing folder, no permission
+        raise MalformedInput(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_code(path: str) -> MdsCode:
@@ -123,8 +130,7 @@ def loop_to_json(loop: Loop) -> dict:
 
 
 def save_loop(loop: Loop, path: str):
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(loop_to_json(loop)))
+    _write(path, dumps_canonical(loop_to_json(loop)))
 
 
 def load_loop(path: str) -> Loop:
@@ -193,8 +199,7 @@ def save_certificate(cert: TransitivityCertificate, path: str):
             at, _template(rows.shape[1:], at), at, _template(words.shape[1:], at))
         values = np.hstack([rows.reshape(len(items), -1), words]).ravel().tolist()
         listing = ("[\n    " + ",\n    ".join([record] * len(items)) + "\n  ]") % tuple(values)
-    with open(path, "w") as fh:
-        fh.write(head + listing + tail)
+    _write(path, head + listing + tail)
 
 
 def load_certificate(path: str) -> TransitivityCertificate:

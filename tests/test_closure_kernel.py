@@ -3,6 +3,7 @@ paths they replaced, which composed one `Isotopism` at a time: the
 dict-keyed closure behind `mulclose` and the regular-group DFS, the orbit
 closure that composed each Schreier witness, and the per-witness `verify`.
 Those are kept here, unchanged, as references."""
+import collections
 import itertools
 import json
 import random
@@ -84,30 +85,35 @@ def ref_regular_subgroup_search(M, base, witnesses, stabilizer=None):
     return dfs({base: Isotopism.identity(M.q, M.n)}, [])
 
 
-def ref_orbit_closure(M, base, find):
+def ref_orbit_closure(M, base, find, depth_first=False):
+    """(witnesses, generators, failing, depth): the orbit closure composing
+    one witness at a time. Fresh words are taken first in, first out, as
+    the breadth-first walk does; `depth_first` takes them last in, first
+    out, as the walk did before, whose certificates must still replay."""
     witnesses = {base: Isotopism.identity(M.q, M.n)}
+    depth = {base: 0}
     generators = []
     for w in M.words:
         if w in witnesses:
             continue
         g = find(w)
         if g is None:
-            return witnesses, generators, w
+            return witnesses, generators, w, depth
         generators.append(g)
-        fresh = []
+        fresh = collections.deque()
         for u, h in list(witnesses.items()):
             v = g.apply_word(u)
             if v not in witnesses:
-                witnesses[v] = g.compose(h)
+                witnesses[v], depth[v] = g.compose(h), depth[u] + 1
                 fresh.append(v)
         while fresh:
-            u = fresh.pop()
+            u = fresh.pop() if depth_first else fresh.popleft()
             for gen in generators:
                 v = gen.apply_word(u)
                 if v not in witnesses:
-                    witnesses[v] = gen.compose(witnesses[u])
+                    witnesses[v], depth[v] = gen.compose(witnesses[u]), depth[u] + 1
                     fresh.append(v)
-    return witnesses, generators, None
+    return witnesses, generators, None, depth
 
 
 def ref_verify(cert, M):
@@ -232,7 +238,7 @@ def test_orbit_closure_gives_the_references_witnesses(route):
         res = is_isotopically_transitive(M, method=route)
         base = res.certificate.base if res else M.words[0]
         find = pinned_finder(M, base) if route == "pinned" else explicit_finder(M)
-        wits, gens, failing = ref_orbit_closure(M, base, find)
+        wits, gens, failing, _ = ref_orbit_closure(M, base, find)
         assert res.failing_word == failing, name
         assert [g.taus for g in res.generators] == [g.taus for g in gens], name
         if res:
@@ -243,12 +249,12 @@ def test_orbit_closure_gives_the_references_witnesses(route):
 # ---------------------------------------------------------------------------
 # replay of forged certificates
 
-def forged_certificates(M):
-    """(label, base, witnesses) for the honest certificate and forgeries of
-    it, each breaking one check, mostly at a middle word, or two checks at
-    two words; the base word is words[0], so a missing base-word witness
-    leaves no witness checkable."""
-    cert = is_isotopically_transitive(M).certificate
+def forged_certificates(M, cert=None):
+    """(label, base, witnesses) for the honest certificate, the verdict's
+    unless `cert` is given, and forgeries of it, each breaking one check,
+    mostly at a middle word, or two checks at two words; the base word is
+    words[0], so a missing base-word witness leaves no witness checkable."""
+    cert = cert or is_isotopically_transitive(M).certificate
     base, honest = cert.base, dict(cert.witnesses)
     mid = M.words[len(M) // 2]
     other = next(w for w in M.words if w not in (mid, base))
@@ -317,6 +323,63 @@ def test_replay_matches_the_per_witness_reference_on_forged_certificates():
                        "witness for w is not a symmetry of the code",
                        "extra witnesses for words outside the code",
                        "witness set is not closed under composition"}
+
+
+def test_a_depth_first_certificate_still_replays(monkeypatch):
+    # the walk was depth first, and the pinned-route certificates it wrote
+    # hold other witnesses than the breadth-first tree's: they replay by the
+    # witness-by-witness path, which still names a forgery's first fault
+    M = dict(forged_codes())["scrambled-twisted-5"]
+    base = M.words[0]
+    wits, _, failing, _ = ref_orbit_closure(M, base, pinned_finder(M, base), depth_first=True)
+    new = is_isotopically_transitive(M, method="pinned").certificate
+    assert failing is None and witness_taus(wits) != witness_taus(new.witnesses)
+    old = TransitivityCertificate("isotopic", base, wits)
+    on_tree, checked = [], []
+    tree_check, fault = isometry._on_the_tree, isometry._witness_fault
+
+    def counted_tree_check(*args):
+        on_tree.append(tree_check(*args))
+        return on_tree[-1]
+
+    def counted_fault(M, base, w, g):
+        checked.append(w)
+        return fault(M, base, w, g)
+
+    monkeypatch.setattr(isometry, "_on_the_tree", counted_tree_check)
+    monkeypatch.setattr(isometry, "_witness_fault", counted_fault)
+    assert old.verify(M) == (True, None)
+    assert on_tree == [False] and checked[-len(M):] == list(M.words)
+    mid = M.words[len(M) // 2]
+    for label, base, forged in forged_certificates(M, old):
+        for mode in ("isotopic", "topolinear"):
+            cert = TransitivityCertificate(mode, base, forged)
+            got = cert.verify(M)
+            want = ((False, f"witness for {mid} is not a symmetry of the code")
+                    if label in WRONG_SHAPE else ref_verify(cert, M))
+            assert got == want, (label, mode)
+            # "not-closed" swaps in another symmetry for the middle word
+            valid = mode == "isotopic" and label in ("honest", "not-closed")
+            assert got[0] == valid, (label, mode)
+
+
+def test_witnesses_take_one_gather_per_level_of_a_shallow_tree(monkeypatch):
+    # the depth-first walk left a tree over 90 levels deep on this code
+    M = scrambled(twisted_graph_code(9), 59)
+    base = M.words[0]
+    find = pinned_finder(M, base)
+    depth = max(ref_orbit_closure(M, base, find)[3].values())
+    deep = max(ref_orbit_closure(M, base, find, depth_first=True)[3].values())
+    gathers, compose = [], isometry._compose_pairs
+
+    def counted_compose(left, right):
+        gathers.append(len(left))
+        return compose(left, right)
+
+    monkeypatch.setattr(isometry, "_compose_pairs", counted_compose)
+    assert is_isotopically_transitive(M, method="pinned")
+    assert len(gathers) == depth <= 16 and sum(gathers) == len(M) - 1
+    assert 5 * depth < deep
 
 
 def test_a_witness_of_another_shape_is_no_automorphism():

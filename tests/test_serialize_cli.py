@@ -276,6 +276,27 @@ def test_cli_construct_writes_nothing_when_the_certificate_fails(tmp_path, capsy
     assert main(["construct", flat, str(out)]) == 0 and out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "spec.json", "outdir"],
+    ["construct", "spec.json", "c.json", "--certificate", "outdir"],
+    ["construct", "spec.json", "c.json", "--certificate", "missing/cert.json"]],
+    ids=["code-to-a-directory", "certificate-to-a-directory", "certificate-to-a-missing-folder"])
+def test_cli_construct_refuses_an_output_path_it_cannot_write_with_exit_2(
+        tmp_path, monkeypatch, capsys, argv):
+    # a directory exited 4 (IsADirectoryError), and as the certificate path
+    # it left c.json written without its certificate
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "spec.json", {"construction": "graph", "loop": {"name": "cp", "p": 3}})
+    (tmp_path / "outdir").mkdir()
+    bad = argv[-1]
+    reason = "Is a directory" if bad == "outdir" else "No such file or directory"
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"malformed input: cannot write {bad}: {reason}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "spec.json"]
+    assert list((tmp_path / "outdir").iterdir()) == []
+    assert main(["construct", "spec.json", "c.json", "--certificate", "cert.json"]) == 0
+
+
 def test_cli_exit_codes_for_bad_inputs(tmp_path):
     bad = write_json(tmp_path / "bad.json", {"outer": "cp", "p": 3, "inner": [3]})
     out = str(tmp_path / "x.json")
