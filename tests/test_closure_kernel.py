@@ -2,7 +2,9 @@
 paths they replaced, which composed one `Isotopism` at a time: the
 dict-keyed closure behind `mulclose` and the regular-group DFS, the orbit
 closure that composed each Schreier witness, and the per-witness `verify`.
-Those are kept here, unchanged, as references."""
+Those are kept here, unchanged, as references, except that the orbit
+closure now takes fresh words first in, first out, as the breadth-first
+walk does, and keeps the depth-first order behind a flag."""
 import collections
 import itertools
 import json
@@ -364,7 +366,7 @@ def test_a_depth_first_certificate_still_replays(monkeypatch):
 
 
 def test_witnesses_take_one_gather_per_level_of_a_shallow_tree(monkeypatch):
-    # the depth-first walk left a tree over 90 levels deep on this code
+    # the breadth-first tree is 9 levels deep on this code, the depth-first 91
     M = scrambled(twisted_graph_code(9), 59)
     base = M.words[0]
     find = pinned_finder(M, base)
