@@ -22,7 +22,7 @@ from .classify_q4 import classify
 from .codes import is_mds, require_mds
 from .counting import lower_bound_report, quadratic_form_count, ratio_report
 from .fields import field_order
-from .isometry import (TransitivityCertificate, equivalent_codes,
+from .isometry import (TransitivityCertificate, Witnesses, equivalent_codes,
                        is_isotopically_transitive, is_topolinear)
 from .loops import is_g_loop
 from .constructions import BUILTIN_LOOPS, MalformedInput, builtin_loop, builtin_order
@@ -78,10 +78,16 @@ def _cmd_construct(args) -> int:
 def _require_fit(cert: TransitivityCertificate, M) -> None:
     """A certificate for other word lengths, another alphabet or words over
     other symbols is malformed input for this code, not a false verdict."""
-    words = [cert.base, *cert.witnesses]
+    wits = cert.witnesses
+    if isinstance(wits, Witnesses):  # its arrays: each column's least and greatest symbol
+        arr = wits.word_rows
+        words = [cert.base, arr.min(0, initial=0), arr.max(0, initial=0)]
+        alphabets = {wits.rows.shape[2]}
+    else:
+        words, alphabets = [cert.base, *wits], {g.q for g in wits.values()}
     if any(len(w) != M.n for w in words):
         raise MalformedInput(f"certificate words do not have the code's length {M.n}")
-    if any(g.q != M.q for g in cert.witnesses.values()):
+    if alphabets - {M.q}:
         raise MalformedInput(f"certificate permutations do not act on the code's "
                              f"{M.q} symbols")
     if not all(0 <= s < M.q for w in words for s in w):

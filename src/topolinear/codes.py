@@ -41,9 +41,10 @@ def _row_dtype(q: int) -> np.dtype:
     return np.min_scalar_type(q - 1)
 
 
-def _lex_sorted(rows: np.ndarray) -> np.ndarray:
-    """rows, of shape (k, ...), in the lexicographic order of their entries."""
-    return rows[np.lexsort(rows.reshape(len(rows), -1).T[::-1])]
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """The permutation putting rows, of shape (k, ...), in the lexicographic
+    order of their entries."""
+    return np.lexsort(rows.reshape(len(rows), -1).T[::-1])
 
 
 def _word_rows(words, end: int, n: int) -> np.ndarray:
@@ -103,7 +104,7 @@ class MdsCode:
             words = _word_rows(words, end, self.n)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"word array has shape {words.shape}, expected (k, {self.n})")
-        rows = _lex_sorted(words) if words.size else words.copy()  # an empty array is sorted
+        rows = words[_lex_order(words)] if words.size else words.copy()  # an empty one is sorted
         if rows.size and not (0 <= int(rows.min()) and int(rows.max()) < end):
             raise ValueError(_first_fault(rows.tolist(), end, self.n))
         self._arr = _frozen(rows.astype(np.int64, copy=False))
@@ -315,7 +316,7 @@ class Isotopism:
     `rows`: rows[i, a] is the image of the symbol a at coordinate i. Its
     dtype, the smallest unsigned one holding q - 1, is the group kernel's,
     whose rows an isotopism views without a copy. Built from taus given as
-    integers or as an integer (n, q) array, checked as `isotopisms` checks
+    integers or as an integer (n, q) array, checked as `isotopism_rows` checks
     them."""
 
     __slots__ = ("rows",)
@@ -323,7 +324,7 @@ class Isotopism:
     def __init__(self, taus):
         if not isinstance(taus, np.ndarray):
             taus = list(taus)
-        self.rows = isotopisms(taus, len(taus))[0].rows
+        self.rows = isotopism_rows(taus, len(taus))[0]
 
     @classmethod
     def _of(cls, rows: np.ndarray) -> "Isotopism":
@@ -384,9 +385,9 @@ class Isotopism:
         return f"Isotopism(q={self.q}, n={self.n})"
 
 
-def isotopisms(taus, n: int) -> list[Isotopism]:
-    """The isotopisms that `taus` gives, n taus each, as views of one
-    read-only (k, n, q) array, all checked by one sort. `taus` is a list of
+def isotopism_rows(taus, n: int) -> np.ndarray:
+    """The read-only (k, n, q) kernel array of the k isotopisms that `taus`
+    gives, n taus each, all checked by one sort. `taus` is a list of
     taus, whose entries' types are checked by one scan before one array
     build, or an integer array of shape (k*n, q), checked by the sort alone,
     as `MdsCode` checks a word array. ValueError "each tau must be a list of
@@ -407,8 +408,7 @@ def isotopisms(taus, n: int) -> list[Isotopism]:
     q = 0 if rows is None else rows.shape[1]
     if rows is None or not (np.sort(rows, axis=1) == np.arange(q)).all():
         raise ValueError("each tau must be a permutation of the same 0..q-1")
-    rows = rows.astype(_row_dtype(q)).reshape(-1, n, q)
-    return list(map(Isotopism._of, _frozen(rows)))
+    return _frozen(rows.astype(_row_dtype(q)).reshape(-1, n, q))
 
 
 @dataclass

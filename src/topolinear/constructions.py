@@ -201,16 +201,23 @@ def ic_p_generators(p: int) -> list[Isotopism]:
     return gens
 
 
+@lru_cache(maxsize=None)
+def _cp_members(p: int) -> tuple:
+    """(family, shears): the members of `ic_p_generators(p)`, in its order,
+    and the powers 0..p-1 of `cp_shear(p)`, built and checked once per p."""
+    return tuple(ic_p_generators(p)), tuple(cp_shear(p, t) for t in range(p))
+
+
 def chase_to_zero_cp(p: int, word) -> Isotopism:
     """Compose one member of each family so the given graph word lands on
-    (0, 0, 0). Parameters are read off the word itself."""
+    (0, 0, 0). Parameters are read off the word itself, and the members
+    from `_cp_members`: a1(beta), a2(a1, b, alpha), a3(alpha)."""
+    family = _cp_members(p)[0]
     alpha, a = divmod(word[0], p)
     beta, b = divmod(word[1], p)
-    g1 = cp_autotopism_a1(p, beta)
     a1 = ((-a if beta & 1 else a) + alpha * beta) % p
-    g2 = cp_autotopism_a2(p, a1, b, alpha)
-    g3 = cp_autotopism_a3(p, alpha)
-    return g3.compose(g2.compose(g1))
+    g2 = family[2 + 2 * (a1 * p + b) + alpha]
+    return family[2 + 2 * p * p + alpha].compose(g2.compose(family[beta]))
 
 
 def cp_shear(p: int, t: int = 1) -> Isotopism:
@@ -252,7 +259,7 @@ def cp_regular_witness(p: int, word) -> Isotopism:
     tx = c.rows[0].tolist()
     sgn = 1 if (tx[1] - tx[0]) % p == 1 else -1
     delta = (tx[p] - tx[0]) % p
-    return c.compose(cp_shear(p, delta * pow(2 * sgn, -1, p)))
+    return c.compose(_cp_members(p)[1][delta * pow(2 * sgn, -1, p) % p])
 
 
 def _inverses(loop: Loop) -> np.ndarray:

@@ -19,23 +19,22 @@ construction a code's provenance records and checks each answer; the pinned
 route runs a backtracking search that knows nothing about how the code was
 built. Provenance is a hint, not a fact: when it does not parse, or a
 witness fails its checks, the verdict drops it, says so in its reason, and
-falls back to search. The topolinear verdict looks for a sharply transitive
-group among the witnesses, then among the cosets witness[w]·H of the
-base-word stabilizer H, which one pinned search lists.
+falls back to search. The topolinear verdict takes the witnesses when they
+form a group, else looks among the cosets witness[w]·H of the base-word
+stabilizer H, which one pinned search lists.
 
 Group closure, the Schreier witnesses and certificate replay share one
 array kernel: a set of isotopisms is an (m, n, q) integer array, and
 composing a layer of elements with the generators is one gather. The walk
-keeps its tree as index arrays, and the witnesses of one tree level are one
-gather. A regular group's witnesses are the group itself, whatever the tree;
-other witness sets, which only the pinned route writes, follow the walk's
-order, and those of the former depth-first walk replay witness by witness.
-Replay walks the same orbit, taking a certificate's own witnesses as generators,
-and checks every witness against the Schreier tree in one gather;
-topolinear replay also checks closure under those generators, at most
-log2|M| of them, one gather of |M| witnesses each. A certificate that
-fails there is checked witness by witness, as the verdict checks a
-generator, to name its first fault; `MdsCode.symmetries` is the one
+keeps its tree as index arrays, the witnesses of one tree level are one
+gather, and a certificate holds them as one array (`Witnesses`), making an
+`Isotopism` view only for a word that is read. Replay walks the same orbit,
+taking a certificate's own witnesses as generators, and checks in one gather
+per generator that every witness derives from the base word's through them,
+whatever Schreier tree wrote it; topolinear replay, and the topolinear
+verdict, also check that each generator maps the witnesses onto themselves.
+A certificate that fails there is checked witness by witness, as the verdict
+checks a generator, to name its first fault; `MdsCode.symmetries` is the one
 symmetry test.
 
 Code equivalence checks an invariant before it searches. Over each 3-set T
@@ -62,12 +61,13 @@ word set.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .budget import BudgetExceeded, DEFAULT_BUDGET, SearchBudget
-from .codes import Isotopism, MdsCode, _frozen, _integers, _lex_sorted, _row_dtype, require_mds
+from .codes import Isotopism, MdsCode, _frozen, _integers, _lex_order, _row_dtype, require_mds
 from .constructions import construction_hint, dropped_hint
 
 
@@ -209,7 +209,7 @@ def mulclose(gens, cap: int = GROUP_CAP) -> list[Isotopism]:
         if b not in index:
             kept.append(j)
             group, index = _close(group, index, rows[kept], _row_bytes, cap)
-    return _isotopisms(_lex_sorted(group))
+    return _isotopisms(group[_lex_order(group)])
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,52 @@ def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDG
 # ---------------------------------------------------------------------------
 # transitivity
 
+class Witnesses(Mapping):
+    """Word tuple -> witness, read-only: the (k, m) int64 `word_rows` and
+    the (k, n, q) kernel `rows` of k witnesses, in one order, visit order
+    for a verdict and file order for a file. A view is made per word read."""
+
+    __slots__ = ("word_rows", "rows", "_index")
+
+    def __init__(self, word_rows: np.ndarray, rows: np.ndarray):
+        self.word_rows, self.rows, self._index = _frozen(word_rows), _frozen(rows), None
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(tuple, self.word_rows.tolist())
+
+    def __getitem__(self, w):
+        self._index = self._index or {key: j for j, key in enumerate(self)}
+        return Isotopism._of(self.rows[self._index[w]])
+
+
+def _witness_map(words, rows: np.ndarray):
+    """The witnesses of checked kernel rows: `Witnesses` for an int64 word
+    array, else a dict keyed by the words."""
+    return Witnesses(words, rows) if isinstance(words, np.ndarray) else dict(
+        zip(words, _isotopisms(rows)))
+
+
+def _rows_in_word_order(witnesses, M: MdsCode) -> np.ndarray | None:
+    """The witnesses' rows in word order, or None unless they hold one
+    witness of the code's n and q per codeword and no other: a `Witnesses`
+    is aligned by one searchsorted, any other mapping read word by word."""
+    if not isinstance(witnesses, Witnesses):
+        wits = [witnesses.get(w) for w in M.words]
+        fit = len(witnesses) == len(M) and all(
+            g is not None and g.rows.shape == (M.n, M.q) for g in wits)
+        return np.stack([g.rows for g in wits]) if fit else None
+    words, rows = witnesses.word_rows, witnesses.rows
+    if (words.shape, rows.shape) != ((len(M), M.n), (len(M), M.n, M.q)):
+        return None
+    at = np.searchsorted(M.encoded(), M.encode(words)).clip(max=len(M) - 1)
+    out = np.empty_like(rows)
+    out[at] = rows  # the words are distinct, so when they are the code's, `at` permutes
+    return _frozen(out) if np.array_equal(M.word_array()[at], words) else None
+
+
 @dataclass
 class TransitivityCertificate:
     """One symmetry per codeword, each carrying the base word to it. In
@@ -345,7 +391,7 @@ class TransitivityCertificate:
 
     mode: str
     base: tuple
-    witnesses: dict = field(default_factory=dict)  # word -> Isotopism
+    witnesses: Mapping = field(default_factory=dict)  # word -> Isotopism
 
     def verify(self, M: MdsCode) -> tuple[bool, str | None]:
         """(True, None), or (False, the first check that failed), in word
@@ -353,32 +399,31 @@ class TransitivityCertificate:
         carries the base word to it and maps the code onto itself.
 
         Replay walks the orbit of the base word as the verdict does
-        (`_orbit_closure`), each certificate witness it takes as a generator
-        checked alone (`_witness_fault`). The witnesses W pass when they are
-        the Schreier witnesses of that tree (`_on_the_tree`), as every
-        certificate the verdict writes and every sharply transitive group
-        are. In topolinear mode each generator g must also map W onto
-        itself, g o W[u] = W[pi_g(u)] (pi_g: g's permutation of the words):
-        then W[pi_h(base)] = h for every h in the group the generators
-        make, so W is that group. Otherwise `_witness_fault` runs word by
-        word to name the first fault."""
+        (`_orbit_closure`), each witness it takes as a generator checked
+        alone (`_witness_fault`). The witnesses W pass when each derives from
+        the base word's (`_derivation`), W[v] = g o W[u] for a generator g,
+        v = pi_g(u) and u derived before, whatever Schreier tree wrote them.
+        In topolinear mode each generator must also map W onto itself: then
+        W[pi_h(base)] = h for every h in the group the generators make, so W
+        is that group. Otherwise `_witness_fault` runs word by word to name
+        the first fault."""
         base = tuple(self.base)
         if base not in M:
             return False, "base word not in code"
-        words, n, q = M.words, M.n, M.q
-        wits = [self.witnesses.get(w) for w in words]
-        if len(self.witnesses) == len(M) and all(
-                g is not None and (g.n, g.q) == (n, q) for g in wits):
-            rows, wit = np.stack([g.rows for g in wits]), self.witnesses.get
-            tree, gens, perms, failing = _orbit_closure(
-                M, base, lambda w: None if _witness_fault(M, base, w, wit(w)) else wit(w))
-            if failing is None and _on_the_tree(tree, gens, rows):
-                if self.mode == "isotopic" or all(
-                        np.array_equal(_compose_rows(g[None], rows), rows[p])
-                        for g, p in zip(gens, perms)):
+        rows = _rows_in_word_order(self.witnesses, M)
+        if rows is not None:
+            def find(w):
+                g = Isotopism._of(rows[np.searchsorted(M.encoded(), M.encode(np.asarray(w)))])
+                return None if _witness_fault(M, base, w, g) else g
+
+            tree, gens, failing = _orbit_closure(M, base, find)
+            derived, closed = (False, False) if failing else _derivation(M, gens, rows, tree[0][0])
+            if derived:
+                if self.mode == "isotopic" or closed:
                     return True, None
                 return False, "witness set is not closed under composition"
-        for w, g in zip(words, wits):
+        for w in M.words:
+            g = self.witnesses.get(w)
             fault = f"no witness for {w}" if g is None else _witness_fault(M, base, w, g)
             if fault:
                 return False, fault
@@ -397,15 +442,24 @@ def _witness_fault(M: MdsCode, base, w, g: Isotopism) -> str | None:
     return None if g.is_automorphism_of(M) else f"witness for {w} is not a symmetry of the code"
 
 
-def _on_the_tree(tree, gens: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether `rows`, one per word index, are the Schreier witnesses of
-    the tree `tree` (`_schreier_witnesses`): the identity at the base word,
-    and at every other word its generator composed with the row of its
-    parent, checked for all words in one gather."""
-    order, gen, parent, _ = tree
-    base, rest = order[0], order[1:]
-    return ((rows[base] == np.arange(rows.shape[2])).all()
-            and np.array_equal(_compose_pairs(gens[gen[rest]], rows[parent[rest]]), rows[rest]))
+def _derivation(M: MdsCode, gens: np.ndarray, rows: np.ndarray, first: int):
+    """(derived, closed) for witness rows, one per word index. Closed: every
+    g o rows[u] == rows[pi_g(u)] (pi_g: generator g's word permutation), one
+    gather for all generators. Derived: rows[first] is the identity and
+    steps u -> pi_g(u) that keep that equation reach every word from it."""
+    k, m = len(gens), len(rows)
+    perms = np.searchsorted(M.encoded(), M.images(gens, M.word_array()))
+    moved = _compose_rows(gens, rows).reshape(k, m, rows[0].size)
+    kept = (moved == rows[perms].reshape(k, m, rows[0].size)).all(axis=2)
+    reached = np.full(m, kept.all())  # all steps kept: the generators reach every word
+    reached[first] = True
+    while not reached.all():
+        grown = reached.copy()
+        grown[perms[kept & reached]] = True
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    return reached.all() and (rows[first] == np.arange(rows.shape[2])).all(), kept.all()
 
 
 @dataclass
@@ -458,7 +512,7 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
         if formula is not None:
             try:
-                tree, gens, _, _ = _orbit_closure(M, base, explicit)
+                tree, gens, _ = _orbit_closure(M, base, explicit)
             except (ValueError, KeyError, TypeError) as exc:
                 note = dropped_hint(M, exc)
             else:
@@ -474,7 +528,7 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
         return next(autotopism_search(M, pins=pins, budget=budget), None)
 
     try:
-        tree, gens, _, failing = _orbit_closure(M, base, pinned)
+        tree, gens, failing = _orbit_closure(M, base, pinned)
     except BudgetExceeded as exc:
         if note:  # a refusal still names the hint it dropped
             exc.args = (f"{exc}; {note}",)
@@ -486,13 +540,12 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
 
 def _orbit_closure(M: MdsCode, base, find):
-    """(tree, gens, perms, failing): the Schreier tree of the orbit of
-    `base` as index arrays (order, gen, parent, depth), the word indices in
-    visit order, base first, and per word index its generator index, parent
-    and depth (-1 where none); the generators found, as rows, and their
-    permutations of the word indices; the first word no symmetry reaches, or
-    None. `find(w)` gives a symmetry carrying `base` to w, or None when it
-    shows there is none.
+    """(tree, gens, failing): the Schreier tree of the orbit of `base` as
+    index arrays (order, gen, parent, depth), the word indices in visit
+    order, base first, and per word index its generator index, parent and
+    depth (-1 where none); the generators found, as rows; the first word no
+    symmetry reaches, or None. `find(w)` gives a symmetry carrying `base`
+    to w, or None when it shows there is none.
 
     Words are visited in order; `find` runs only for a word outside the
     orbit so far. Its symmetry joins the generators and the orbit is closed
@@ -529,13 +582,13 @@ def _orbit_closure(M: MdsCode, base, find):
                     gen[v], parent[v], depth[v] = k, u, depth[u] + 1
                     order.append(v)
             at += 1
-    return tuple(map(np.array, (order, gen, parent, depth))), gens, perms, failing
+    return tuple(map(np.array, (order, gen, parent, depth))), gens, failing
 
 
-def _schreier_witnesses(M: MdsCode, tree, gens: np.ndarray) -> dict:
-    """Word -> witness for each word the Schreier tree `tree` reached, in
-    visit order: the identity for the base word, else its generator composed
-    with its parent's witness, one gather per tree level. The witnesses of a
+def _schreier_witnesses(M: MdsCode, tree, gens: np.ndarray) -> Witnesses:
+    """The witness of each word the Schreier tree `tree` reached, in visit
+    order: the identity for the base word, else its generator composed with
+    its parent's witness, one gather per tree level. The witnesses of a
     regular group do not depend on the tree; other witness sets do."""
     order, gen, parent, depth = tree
     rows = np.empty((len(M), M.n, M.q), dtype=gens.dtype)
@@ -544,7 +597,7 @@ def _schreier_witnesses(M: MdsCode, tree, gens: np.ndarray) -> dict:
     for d in range(1, level.max() + 1):
         layer = order[level == d]
         rows[layer] = _compose_pairs(gens[gen[layer]], rows[parent[layer]])
-    return dict(zip(map(M.words.__getitem__, order.tolist()), _isotopisms(rows[order])))
+    return Witnesses(M.word_array()[order], rows[order])
 
 
 # ---------------------------------------------------------------------------
@@ -560,18 +613,18 @@ class TopolinearResult:
         return bool(self.status)
 
 
-def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer=None,
+def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer,
                              budget: SearchBudget = DEFAULT_BUDGET):
     """A sharply transitive group of symmetries, or None. Every symmetry
-    carrying `base` to w is witnesses[w]·h, h in the stabilizer of `base`
-    (the witnesses alone when no stabilizer is given). The DFS tries these
+    carrying `base` to w is witnesses[w]·h, h in the stabilizer of `base`,
+    listed in `stabilizer`. The DFS tries these
     for the first word its group has not reached, all built by one gather,
     pruning a closure with two elements over one image of `base`; each step
     at least doubles the group, so it is at most log2|M| deep. Each
     candidate tried counts against `budget.max_nodes`."""
     n, q, target = M.n, M.q, len(M)
-    wits = np.stack([witnesses[w].rows for w in M.words])
-    coset = None if stabilizer is None else np.stack([h.rows for h in stabilizer])
+    wits = _rows_in_word_order(witnesses, M)
+    coset = np.stack([h.rows for h in stabilizer])
     enc, base = M.encoded(), np.asarray(base)
 
     def key(rows):  # word index of the base image: every row is a symmetry
@@ -584,8 +637,7 @@ def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer=None,
         if len(index) == target:
             return group
         w = next(w for w in range(target) if w not in index)
-        cands = wits[w:w + 1] if coset is None else _compose_rows(wits[w:w + 1], coset)
-        for g in cands:
+        for g in _compose_rows(wits[w:w + 1], coset):
             tried += 1
             if tried > budget.max_nodes:
                 raise BudgetExceeded("search nodes", budget.max_nodes)
@@ -606,10 +658,10 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
     """Three-way verdict: True with a regular witness group, False after an
     exhaustive refusal, None when a budget stopped the deciding search.
 
-    `_regular_subgroup_search` runs over the transitivity witnesses alone,
-    then over the cosets of the base-word stabilizer, which one pinned
-    search lists; the searches and both passes of the DFS are bounded by
-    `budget.max_nodes`."""
+    The transitivity witnesses are the group when the walk's generators map
+    them onto themselves (`_derivation`). Otherwise `_regular_subgroup_search`
+    runs over the cosets of the base-word stabilizer, which one pinned search
+    lists; the search and the DFS are bounded by `budget.max_nodes`."""
     try:
         trans = is_isotopically_transitive(M, budget=budget)
     except BudgetExceeded as exc:
@@ -619,11 +671,12 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
         return TopolinearResult(False, None,
                                 f"not isotopically transitive at {trans.failing_word}{note}")
     base, witnesses = trans.certificate.base, trans.certificate.witnesses
+    rows = _rows_in_word_order(witnesses, M)
+    gens = np.array([g.rows for g in trans.generators], rows.dtype).reshape(-1, M.n, M.q)
+    if _derivation(M, gens, rows, 0)[1]:  # the base word is the first codeword
+        route = "construction group" if trans.method == "explicit" else "witness closure"
+        return TopolinearResult(True, _isotopisms(rows), route + note)
     try:
-        group = _regular_subgroup_search(M, base, witnesses, budget=budget)
-        if group is not None:
-            route = "construction group" if trans.method == "explicit" else "witness closure"
-            return TopolinearResult(True, group, route + note)
         stabilizer = list(autotopism_search(M, pins={(i, b): b for i, b in enumerate(base)},
                                             budget=budget))
         group = _regular_subgroup_search(M, base, witnesses, stabilizer, budget)
@@ -685,8 +738,9 @@ def equivalent_codes(M1: MdsCode, M2: MdsCode,
     require_mds(M1)
     require_mds(M2)
 
-    def search(eps):
-        found = next(search_isotopisms(parastrophe(M1, eps), M2, budget=budget), None)
+    def search(eps):  # the identity searches from M1 itself
+        src = M1 if eps == tuple(range(M1.n)) else parastrophe(M1, eps)
+        found = next(search_isotopisms(src, M2, budget=budget), None)
         return None if found is None else Isometry(found, eps)
 
     def kept(p1, p2):

@@ -6,7 +6,8 @@ Files are `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` byte for byte
 array and the certificate's witness rows, each through one template per shape
 and depth filled by one `%`. Everything read is validated before use; schema
 violations, unreadable files and JSON nested too deep raise MalformedInput.
-A certificate's rows are checked at once; only a refusal walks them.
+A certificate's rows are checked at once, and load as arrays in file order
+(`isometry.Witnesses`); only a refusal walks them.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .codes import Loop, MdsCode, isotopisms
+from .codes import Loop, MdsCode, _lex_order, isotopism_rows
 from .constructions import (CONSTRUCTIONS, MalformedInput, _as_int, _require,
                             loop_from_json)
-from .isometry import TransitivityCertificate
+from .isometry import TransitivityCertificate, Witnesses, _witness_map
 
 
 def dumps_canonical(obj) -> str:
@@ -156,15 +157,15 @@ def certificate_from_json(obj) -> TransitivityCertificate:
     _require(isinstance(rows, list), "witnesses must be a list")
     words, flat = _witness_rows(rows, len(base))
     try:  # every witness at once, over one alphabet
-        witnesses = dict(zip(words, isotopisms(flat, len(base)))) if words else {}
+        witnesses = _witness_map(words, isotopism_rows(flat, len(base))) if len(words) else {}
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
     return TransitivityCertificate(mode, tuple(_as_int(s, "symbol") for s in base), witnesses)
 
 
-def _witness_rows(rows: list, n: int) -> tuple[list, list]:
-    """The words as tuples and all the taus, every row checked at once; only a
-    refusal walks the rows, to name the first fault in file order."""
+def _witness_rows(rows: list, n: int) -> tuple:
+    """The words (one int64 array, else tuples) and all the taus, every row
+    checked at once; only a refusal walks the rows, to name its first fault."""
     if set(map(type, rows)) <= {dict}:
         words, taus = [row.get("word") for row in rows], [row.get("taus") for row in rows]
         if set(map(type, words)) | set(map(type, taus)) <= {list}:
@@ -172,7 +173,10 @@ def _witness_rows(rows: list, n: int) -> tuple[list, list]:
             if (set(map(type, itertools.chain.from_iterable(words))) <= {int}
                     and len(set(keys)) == len(keys) and set(map(len, taus)) <= {n}
                     and set(map(type, flat)) <= {list}):
-                return keys, flat
+                try:
+                    return np.array(words, np.int64).reshape(len(words), -1), flat
+                except (ValueError, OverflowError):  # words of two lengths, a symbol past int64
+                    return keys, flat
     words, flat = {}, []
     for row in rows:
         _require(isinstance(row, dict) and isinstance(row.get("word"), list)
@@ -188,17 +192,18 @@ def _witness_rows(rows: list, n: int) -> tuple[list, list]:
 
 def save_certificate(cert: TransitivityCertificate, path: str):
     """One record template per witness, filled by one `%` over the (k, n, q)
-    rows and (k, n) words: the witnesses share one shape, as a verdict's do."""
+    rows and (k, n) words in word order: the witnesses share one shape."""
     head, _, tail = dumps_canonical({"base": list(cert.base), "mode": cert.mode,
                                      "witnesses": []}).rpartition("[]")
-    items, at, listing = sorted(cert.witnesses.items()), "\n      ", "[]"
-    if items:
-        words = np.array([w for w, _ in items], dtype=np.int64)
-        rows = np.stack([g.rows for _, g in items])
+    wits, at, listing = cert.witnesses, "\n      ", "[]"
+    if len(wits):
+        words, rows = ((wits.word_rows, wits.rows) if isinstance(wits, Witnesses) else
+                       (np.array(list(wits), np.int64), np.stack([g.rows for g in wits.values()])))
+        order = _lex_order(words)
         record = '{%s"taus": %s,%s"word": %s\n    }' % (
             at, _template(rows.shape[1:], at), at, _template(words.shape[1:], at))
-        values = np.hstack([rows.reshape(len(items), -1), words]).ravel().tolist()
-        listing = ("[\n    " + ",\n    ".join([record] * len(items)) + "\n  ]") % tuple(values)
+        values = np.hstack([rows[order].reshape(len(words), -1), words[order]]).ravel().tolist()
+        listing = ("[\n    " + ",\n    ".join([record] * len(words)) + "\n  ]") % tuple(values)
     _write(path, head + listing + tail)
 
 

@@ -12,6 +12,7 @@ import random
 import re
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,16 +21,16 @@ from test_isometry import (COMPOSITION, QUADRATIC_4, at_base, base_stabilizer,
                            without_base_word)
 from topolinear import cli, isometry
 from topolinear.budget import BudgetExceeded, DEFAULT_BUDGET, SearchBudget
-from topolinear.classify_q4 import code_h, standard_semilinear_code
-from topolinear.codes import Isotopism, MdsCode, parity_code
+from topolinear.classify_q4 import all_latin_squares, code_h, standard_semilinear_code
+from topolinear.codes import Isotopism, MdsCode, NAryQuasigroup, graph_of, parity_code
 from topolinear.constructions import construction_hint
 from topolinear.isometry import (GROUP_CAP, TransitivityCertificate, _regular_subgroup_search,
                                  autotopism_search, is_isotopically_transitive,
                                  is_topolinear, mulclose)
 from topolinear.codes import make_dihedral, twisted_graph_code
 from topolinear.serialize import (build_from_spec, certificate_to_json, code_to_json,
-                                  dumps_canonical, loop_to_json, save_certificate,
-                                  save_code, save_loop)
+                                  dumps_canonical, load_certificate, loop_to_json,
+                                  save_certificate, save_code, save_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +176,9 @@ def test_regular_subgroup_search_finds_the_references_group():
             continue
         base, wits = trans.certificate.base, trans.certificate.witnesses
         stab = base_stabilizer(M)
-        for stabilizer in (None, stab):
-            got = _regular_subgroup_search(M, base, wits, stabilizer)
+        for stabilizer in (None, stab):  # None: the witnesses alone, H = {identity}
+            got = _regular_subgroup_search(M, base, wits, stabilizer or [
+                Isotopism.identity(M.q, M.n)])
             want = ref_regular_subgroup_search(M, base, wits, stabilizer)
             assert taus_of(got) == taus_of(want), (name, stabilizer is None)
             found += got is not None
@@ -186,19 +188,20 @@ def test_regular_subgroup_search_finds_the_references_group():
 # ---------------------------------------------------------------------------
 # the orbit closure: the same Schreier witness for every word
 
-def search_codes():
-    """The code families of the search benchmark, scrambled here."""
+def search_codes(seed=0):
+    """The code families of the search benchmark, scrambled here; `seed`
+    shifts every scramble."""
     for p in (3, 5, 7, 9):
-        yield f"twisted-{p}", scrambled(twisted_graph_code(p), 50 + p)
+        yield f"twisted-{p}", scrambled(twisted_graph_code(p), seed + 50 + p)
     for n in (4, 5):
         yield f"quadratic-{n}", scrambled(build_from_spec(
             {"construction": "quadratic", "p": 2, "k": 1, "n": n,
-             "r": "x1x2+x3x4" if n == 5 else "x1x2+x2x3"}), 60 + n)
-    yield "H", scrambled(code_h(), 61)
-    yield "r4", scrambled(standard_semilinear_code(4, [(0, 1, 2)]), 62)
+             "r": "x1x2+x3x4" if n == 5 else "x1x2+x2x3"}), seed + 60 + n)
+    yield "H", scrambled(code_h(), seed + 61)
+    yield "r4", scrambled(standard_semilinear_code(4, [(0, 1, 2)]), seed + 62)
     for n, monos in ((5, [(0, 1), (2, 3)]), (6, [(0, 1, 2)])):
-        yield f"standard-{n}", scrambled(standard_semilinear_code(n, monos), 63 + n)
-    yield "zero-free-3", without_base_word(scrambled(twisted_graph_code(3), 70))
+        yield f"standard-{n}", scrambled(standard_semilinear_code(n, monos), seed + 63 + n)
+    yield "zero-free-3", without_base_word(scrambled(twisted_graph_code(3), seed + 70))
 
 
 CERTIFY_SPECS = [{"construction": "graph", "loop": {"name": "cp", "p": p}} for p in (5, 7, 9)] + [
@@ -329,29 +332,25 @@ def test_replay_matches_the_per_witness_reference_on_forged_certificates():
 
 def test_a_depth_first_certificate_still_replays(monkeypatch):
     # the walk was depth first, and the pinned-route certificates it wrote
-    # hold other witnesses than the breadth-first tree's: they replay by the
-    # witness-by-witness path, which still names a forgery's first fault
+    # hold other witnesses than the breadth-first tree's; each still derives
+    # from the base word's through the walk's generators, so replay accepts
+    # it checking only the generators alone, and a forgery of it still gets
+    # its first fault named witness by witness
     M = dict(forged_codes())["scrambled-twisted-5"]
     base = M.words[0]
-    wits, _, failing, _ = ref_orbit_closure(M, base, pinned_finder(M, base), depth_first=True)
+    wits, gens, failing, _ = ref_orbit_closure(M, base, pinned_finder(M, base), depth_first=True)
     new = is_isotopically_transitive(M, method="pinned").certificate
     assert failing is None and witness_taus(wits) != witness_taus(new.witnesses)
     old = TransitivityCertificate("isotopic", base, wits)
-    on_tree, checked = [], []
-    tree_check, fault = isometry._on_the_tree, isometry._witness_fault
-
-    def counted_tree_check(*args):
-        on_tree.append(tree_check(*args))
-        return on_tree[-1]
+    checked, fault = [], isometry._witness_fault
 
     def counted_fault(M, base, w, g):
         checked.append(w)
         return fault(M, base, w, g)
 
-    monkeypatch.setattr(isometry, "_on_the_tree", counted_tree_check)
     monkeypatch.setattr(isometry, "_witness_fault", counted_fault)
     assert old.verify(M) == (True, None)
-    assert on_tree == [False] and checked[-len(M):] == list(M.words)
+    assert checked == [g.apply_word(base) for g in gens]
     mid = M.words[len(M) // 2]
     for label, base, forged in forged_certificates(M, old):
         for mode in ("isotopic", "topolinear"):
@@ -363,6 +362,24 @@ def test_a_depth_first_certificate_still_replays(monkeypatch):
             # "not-closed" swaps in another symmetry for the middle word
             valid = mode == "isotopic" and label in ("honest", "not-closed")
             assert got[0] == valid, (label, mode)
+
+
+def test_a_large_depth_first_certificate_replays_in_a_few_gathers():
+    # 4096 witnesses on a depth-first tree of 587 levels: checking each one
+    # against the whole code took 0.48 s
+    M = scrambled(standard_semilinear_code(7, [(0, 1), (2, 3), (4, 5)]), 41)
+    base = M.words[0]
+    res = is_isotopically_transitive(M, budget=SearchBudget(max_points=2 ** 15))
+    found = {g.apply_word(base): g for g in res.generators}
+    wits, _, failing, depth = ref_orbit_closure(M, base, found.get, depth_first=True)
+    assert failing is None and max(depth.values()) > 500
+    cert = TransitivityCertificate("isotopic", base, wits)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert cert.verify(M) == (True, None)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.1
 
 
 def test_witnesses_take_one_gather_per_level_of_a_shallow_tree(monkeypatch):
@@ -382,6 +399,110 @@ def test_witnesses_take_one_gather_per_level_of_a_shallow_tree(monkeypatch):
     assert is_isotopically_transitive(M, method="pinned")
     assert len(gathers) == depth <= 16 and sum(gathers) == len(M) - 1
     assert 5 * depth < deep
+
+
+def witness_arrays(wits):
+    """The `Witnesses` of a dict whose words and rows each stack into one
+    array, in its order, or None."""
+    try:
+        words = np.array(list(wits), np.int64).reshape(len(wits), -1)
+        return isometry._witness_map(words, np.stack([g.rows for g in wits.values()]))
+    except ValueError:  # no witnesses, or rows of two shapes
+        return None
+
+
+def saved_bytes(cert, path):
+    save_certificate(cert, str(path))
+    return path.read_bytes()
+
+
+def test_witness_arrays_replay_and_save_as_the_dict_of_their_views(tmp_path):
+    # every forgery whose rows stack: the array form and the dict built from
+    # it give the same verdict, the same first fault and the same file
+    arrays = 0
+    for name, M in forged_codes():
+        for label, base, wits in forged_certificates(M):
+            W = witness_arrays(wits)
+            assert (W is None) == (label in WRONG_SHAPE or label == "empty"), (name, label)
+            if W is None:
+                continue
+            arrays += 1
+            assert isinstance(W, isometry.Witnesses) and list(W) == list(wits), (name, label)
+            for mode in ("isotopic", "topolinear"):
+                got = TransitivityCertificate(mode, base, W).verify(M)
+                assert got == TransitivityCertificate(mode, base, dict(W)).verify(M), (
+                    name, label, mode)
+                assert got == ref_verify(TransitivityCertificate(mode, base, wits), M), (
+                    name, label, mode)
+            assert saved_bytes(TransitivityCertificate("isotopic", base, W), tmp_path / "a") == \
+                saved_bytes(TransitivityCertificate("isotopic", base, dict(W)), tmp_path / "b")
+    assert arrays >= 45
+
+
+def group_test_codes():
+    """Every transitive oracle code, the order-4 squares, the certify codes
+    and the search codes at three scrambles."""
+    yield from oracle_cases()
+    for k, square in enumerate(all_latin_squares(4)):
+        yield f"square-{k}", graph_of(NAryQuasigroup(square))
+    yield from certify_codes()
+    for seed in (0, 100, 200):
+        for name, M in search_codes(seed):
+            yield f"{name}@{seed}", M
+
+
+def test_the_witness_group_test_agrees_with_the_witness_only_dfs():
+    # is_topolinear asks whether each walk generator maps the witnesses onto
+    # themselves, one gather each, where it ran the DFS over the witnesses
+    routes = collections.Counter()
+    for name, M in group_test_codes():
+        trans = is_isotopically_transitive(M, budget=SearchBudget(max_points=2 ** 15))
+        if not trans:
+            continue
+        want = ref_regular_subgroup_search(M, trans.certificate.base, trans.certificate.witnesses)
+        res = is_topolinear(M, budget=SearchBudget(max_points=2 ** 15))
+        route = res.reason.split(";")[0]
+        routes[route] += 1
+        assert (route in ("construction group", "witness closure")) == (want is not None), name
+        if want is not None:
+            assert res.status is True and set(res.group) == set(want), name
+            assert [g.apply_word(trans.certificate.base) for g in res.group] == list(M.words)
+    assert routes["construction group"] >= 7 and routes["witness closure"] >= 4
+    assert routes["regular subgroup of the full group"] > 600
+
+
+def count_views(monkeypatch):
+    """A counter of the `Isotopism` views made while the fixture is live."""
+    count, of = [0], Isotopism._of.__func__
+
+    def counted(cls, rows):
+        count[0] += 1
+        return of(cls, rows)
+
+    monkeypatch.setattr(Isotopism, "_of", classmethod(counted))
+    return count
+
+
+def test_a_certificate_makes_views_per_generator_not_per_word(monkeypatch, tmp_path):
+    views, path = count_views(monkeypatch), str(tmp_path / "cert.json")
+    for name, M in certify_codes():
+        views[0] = 0
+        res = is_isotopically_transitive(M)
+        cert = res.certificate
+        for mode in ("isotopic", "topolinear"):
+            assert TransitivityCertificate(mode, cert.base, cert.witnesses).verify(M) == (
+                True, None), name
+        save_certificate(cert, path)
+        loaded = load_certificate(path)
+        assert isinstance(loaded.witnesses, isometry.Witnesses), name
+        assert loaded.verify(M) == (True, None), name
+        gens = len(res.generators)
+        assert views[0] <= 10 * (gens + 1) and views[0] < len(M), (name, views[0], gens)
+        views[0] = 0
+        top = is_topolinear(M)
+        assert top.reason == "construction group", name
+        # the group is a list of |M| views; the rest is per generator
+        assert views[0] - len(top.group) <= 10 * (gens + 1), (name, views[0], gens)
 
 
 def test_a_witness_of_another_shape_is_no_automorphism():

@@ -190,6 +190,29 @@ def test_cp_regular_witnesses_match_the_shear_loop(p):
     assert cp_regular_generators(p)[3] == w
 
 
+def family_witness(p, word):
+    """cp_regular_witness as it was written before the family members were
+    cached: one checked member of each family and one checked shear power,
+    built for this word."""
+    alpha, a = divmod(word[0], p)
+    beta, b = divmod(word[1], p)
+    a1 = ((-a if beta & 1 else a) + alpha * beta) % p
+    chase = cp_autotopism_a3(p, alpha).compose(
+        cp_autotopism_a2(p, a1, b, alpha).compose(cp_autotopism_a1(p, beta)))
+    c = chase.inverse()
+    tx = c.rows[0].tolist()
+    sgn = 1 if (tx[1] - tx[0]) % p == 1 else -1
+    return c.compose(cp_shear(p, (tx[p] - tx[0]) % p * pow(2 * sgn, -1, p)))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 9, 11])
+def test_cp_regular_witnesses_compose_the_cached_members_as_the_formula_did(p):
+    for w in twisted_graph_code(p).words:
+        got, want = cp_regular_witness(p, w), family_witness(p, w)
+        assert got == want and got.rows.dtype == want.rows.dtype, w
+        assert not got.rows.flags.writeable, w
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_cp_regular_witnesses_are_the_group_elements(p):
     M = twisted_graph_code(p)
@@ -760,18 +783,15 @@ def test_is_topolinear_runs_only_pinned_searches(make, monkeypatch):
 
 
 def test_regular_subgroup_search_with_a_trivial_stabilizer():
-    # with no stabilizer, or H = {identity}, the candidates are the witnesses
-    # themselves
+    # with H = {identity} the candidates are the witnesses themselves
     base, ident = (0, 0, 0), [Isotopism.identity(10, 3)]
     T = at_base(scrambled(twisted_graph_code(5), 36))
     pinned = is_isotopically_transitive(T, method="pinned").certificate.witnesses
-    assert _regular_subgroup_search(T, base, pinned) is None
     assert _regular_subgroup_search(T, base, pinned, ident) is None
     M = twisted_graph_code(5)
     regular = {w: cp_regular_witness(5, w) for w in M.words}
-    for stabilizer in (None, ident):
-        group = _regular_subgroup_search(M, base, regular, stabilizer)
-        assert len(group) == len(M) and replays_as_a_group(M, group)
+    group = _regular_subgroup_search(M, base, regular, ident)
+    assert len(group) == len(M) and replays_as_a_group(M, group)
 
 
 def test_coset_search_agrees_with_the_full_group_enumeration():
@@ -1023,12 +1043,22 @@ def test_subcube_profiles_follow_an_isometry(name, rng):
 
 
 def count_profile_work(monkeypatch):
-    """Lists that record each isotopism search and each box-profile build."""
-    searches, builds = [], []
-    search, build = isometry.search_isotopisms, MdsCode.subcube_profiles
+    """Lists that record each isotopism search, as (source, coordinate
+    permutation of the source), and each box-profile build. A source that
+    no parastrophe made is searched under the identity."""
+    searches, builds, made = [], [], {}
+    search, build, parastrophe = (isometry.search_isotopisms, MdsCode.subcube_profiles,
+                                  isometry.parastrophe)
+
+    def counted_parastrophe(M, eps):
+        P = parastrophe(M, eps)
+        made[id(P)] = (P, tuple(eps))
+        return P
 
     def counted_search(*args, **kwargs):
-        searches.append(args[0])
+        src = args[0]
+        P, eps = made.get(id(src), (None, None))
+        searches.append((src, eps if P is src else tuple(range(src.n))))
         return search(*args, **kwargs)
 
     def counted_build(M):
@@ -1036,6 +1066,7 @@ def count_profile_work(monkeypatch):
         return build(M)
 
     monkeypatch.setattr(isometry, "search_isotopisms", counted_search)
+    monkeypatch.setattr(isometry, "parastrophe", counted_parastrophe)
     monkeypatch.setattr(MdsCode, "subcube_profiles", counted_build)
     return searches, builds
 
@@ -1063,8 +1094,11 @@ def test_box_profiles_are_built_only_after_a_failed_first_candidate(monkeypatch)
             # the identity is the first candidate, and an isotope is found there
             assert len(searches) == 1 or not isotope, name
             assert len(builds) == (0 if len(searches) == 1 else 2), name
-            tried = [tuple(P.provenance["eps"]) for P in searches]
+            tried = [eps for _, eps in searches]
             assert tried == sorted(set(tried)), name  # in order, none twice
+            # the identity, tried first, searches from M itself: no parastrophe
+            assert [src is M for src, _ in searches] == [
+                eps == tuple(range(M.n)) for eps in tried], name
             refined += len(searches) > 1
     assert refined > 0
 

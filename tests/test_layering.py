@@ -6,7 +6,8 @@ round a cycle. The size policy sits in one place: one budget instance,
 whose points bound each verdict checks once, on entry. Only the modules
 that compose checked isotopisms or read rows of them build one past the
 constructor's check, every code is built by the checked constructor, and
-only `codes` sorts arrays: it holds the one symmetry test. An isotopism has
+only `codes` sorts arrays: it holds the one symmetry test. Only `isometry`
+builds the witness arrays a certificate holds. An isotopism has
 one representation, its rows: only `codes` reads the taus or picks their
 dtype, and no call passes a knob that skips a check. A loop or field table
 has one form too, a read-only int64 array: the formulas gather on it, with
@@ -103,6 +104,18 @@ def test_only_codes_and_isometry_build_isotopisms_unchecked():
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_of"}
     assert callers == {("codes", "Isotopism"), ("isometry", "Isotopism")}
+
+
+def test_only_isometry_builds_witnesses():
+    # a `Witnesses` makes its views with `Isotopism._of`: only isometry builds
+    # one, from a verdict's Schreier witnesses or a certificate file's
+    # checked rows, which serialize hands it
+    builders = {path.stem for path in MODULES
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                and "Witnesses" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))}
+    assert builders == {"isometry"}
 
 
 def test_only_codes_sorts_arrays():

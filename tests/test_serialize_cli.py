@@ -15,8 +15,8 @@ from topolinear.classify_q4 import code_h, standard_semilinear_code
 from topolinear.cli import main
 from topolinear.codes import (Loop, MdsCode, cyclic_loop, graph_code, make_dihedral, parity_code,
                               twisted_graph_code)
-from topolinear.isometry import (Isotopism, TransitivityCertificate, autotopism_search,
-                                 is_isotopically_transitive)
+from topolinear.isometry import (Isotopism, TransitivityCertificate, Witnesses,
+                                 autotopism_search, is_isotopically_transitive)
 from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedInput,
                                       builtin_loop, composition_code, construction_hint,
                                       loop_from_json, parse_r_expression)
@@ -598,6 +598,36 @@ def test_the_certificate_loader_refuses_each_mutant_as_the_row_walk_did(
         assert out.err.startswith(err) and bool(out.err) == bool(err), (k, out.err)
         if kind == "no-witnesses":
             assert out.out.startswith(f"{mode} (certificate replay): False (no witness for ")
+
+
+def test_a_certificate_loads_as_word_and_row_arrays_in_file_order(certify_files):
+    for _, doc in certify_files:
+        cert = certificate_from_json(doc)
+        assert isinstance(cert.witnesses, Witnesses)
+        assert list(cert.witnesses) == [tuple(row["word"]) for row in doc["witnesses"]]
+
+
+@pytest.mark.parametrize("fault", ["word-longer", "word-past-int64"])
+def test_words_that_fit_no_int64_array_load_as_the_row_walk_loads_them(
+        certify_files, tmp_path, capsys, fault):
+    code, doc = certify_files[0]
+    bad = copy.deepcopy(doc)
+    word = bad["witnesses"][len(bad["witnesses"]) // 2]["word"]
+    if fault == "word-longer":
+        word.append(0)
+    else:
+        word[0] = 2 ** 63
+    cert = certificate_from_json(bad)
+    mode, base, taus = reference.certificate_from_json(bad)
+    assert type(cert.witnesses) is dict and list(cert.witnesses) == list(taus)
+    assert (cert.mode, cert.base, {w: g.taus for w, g in cert.witnesses.items()}) == (
+        mode, base, taus)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(bad))
+    assert main(["verify", code, "--mode", "transitive", "--certificate", str(path)]) == 2
+    message = ("certificate words do not have the code's length" if fault == "word-longer"
+               else "certificate words are not over the code's")
+    assert capsys.readouterr().err.startswith(f"malformed input: {message}")
 
 
 def test_cli_unexpected_errors_exit_4(monkeypatch, capsys):
