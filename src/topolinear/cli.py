@@ -83,7 +83,7 @@ def _require_fit(cert: TransitivityCertificate, M) -> None:
         arr = wits.word_rows
         words = [cert.base, arr.min(0, initial=0), arr.max(0, initial=0)]
         alphabets = {wits.rows.shape[2]}
-    else:
+    else:  # witnesses that cannot stack
         words, alphabets = [cert.base, *wits], {g.q for g in wits.values()}
     if any(len(w) != M.n for w in words):
         raise MalformedInput(f"certificate words do not have the code's length {M.n}")

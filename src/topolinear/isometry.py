@@ -27,12 +27,13 @@ Group closure, the Schreier witnesses and certificate replay share one
 array kernel: a set of isotopisms is an (m, n, q) integer array, and
 composing a layer of elements with the generators is one gather. The walk
 keeps its tree as index arrays, the witnesses of one tree level are one
-gather, and a certificate holds them as one array (`Witnesses`), making an
-`Isotopism` view only for a word that is read. Replay walks the same orbit,
-taking a certificate's own witnesses as generators, and checks in one gather
-per generator that every witness derives from the base word's through them,
-whatever Schreier tree wrote it; topolinear replay, and the topolinear
-verdict, also check that each generator maps the witnesses onto themselves.
+gather, and a certificate holds them as a code holds its words, as arrays in
+word order (`Witnesses`; only witnesses that cannot stack stay a dict). Replay
+walks the same orbit, taking a certificate's own witnesses as generators,
+and checks in one gather per generator, through the walk's word permutation,
+that every witness derives from the base word's, whatever Schreier tree
+wrote it; topolinear replay, and the topolinear verdict, also check that
+each generator maps the witnesses onto themselves.
 A certificate that fails there is checked witness by witness, as the verdict
 checks a generator, to name its first fault; `MdsCode.symmetries` is the one
 symmetry test.
@@ -338,9 +339,8 @@ def autotopism_search(M: MdsCode, pins=None, budget: SearchBudget = DEFAULT_BUDG
 # transitivity
 
 class Witnesses(Mapping):
-    """Word tuple -> witness, read-only: the (k, m) int64 `word_rows` and
-    the (k, n, q) kernel `rows` of k witnesses, in one order, visit order
-    for a verdict and file order for a file. A view is made per word read."""
+    """Word tuple -> witness, read-only: the (k, m) int64 `word_rows` and the
+    (k, n, q) kernel `rows` of k witnesses, in word order; a view per word read."""
 
     __slots__ = ("word_rows", "rows", "_index")
 
@@ -359,28 +359,12 @@ class Witnesses(Mapping):
 
 
 def _witness_map(words, rows: np.ndarray):
-    """The witnesses of checked kernel rows: `Witnesses` for an int64 word
-    array, else a dict keyed by the words."""
-    return Witnesses(words, rows) if isinstance(words, np.ndarray) else dict(
-        zip(words, _isotopisms(rows)))
-
-
-def _rows_in_word_order(witnesses, M: MdsCode) -> np.ndarray | None:
-    """The witnesses' rows in word order, or None unless they hold one
-    witness of the code's n and q per codeword and no other: a `Witnesses`
-    is aligned by one searchsorted, any other mapping read word by word."""
-    if not isinstance(witnesses, Witnesses):
-        wits = [witnesses.get(w) for w in M.words]
-        fit = len(witnesses) == len(M) and all(
-            g is not None and g.rows.shape == (M.n, M.q) for g in wits)
-        return np.stack([g.rows for g in wits]) if fit else None
-    words, rows = witnesses.word_rows, witnesses.rows
-    if (words.shape, rows.shape) != ((len(M), M.n), (len(M), M.n, M.q)):
-        return None
-    at = np.searchsorted(M.encoded(), M.encode(words)).clip(max=len(M) - 1)
-    out = np.empty_like(rows)
-    out[at] = rows  # the words are distinct, so when they are the code's, `at` permutes
-    return _frozen(out) if np.array_equal(M.word_array()[at], words) else None
+    """The witnesses of checked kernel rows: `Witnesses` in word order for an
+    int64 word array, else a dict keyed by the words."""
+    if not isinstance(words, np.ndarray):
+        return dict(zip(words, _isotopisms(rows)))
+    order = _lex_order(words)
+    return Witnesses(words[order], rows[order])
 
 
 @dataclass
@@ -392,6 +376,19 @@ class TransitivityCertificate:
     mode: str
     base: tuple
     witnesses: Mapping = field(default_factory=dict)  # word -> Isotopism
+
+    def __post_init__(self):
+        """Witnesses keyed by integer tuples of one length, in int64, and of one
+        shape become `Witnesses`; others, which cannot stack, stay as given."""
+        wits = self.witnesses
+        if isinstance(wits, Witnesses):
+            return
+        try:
+            words = np.array([_integers(w, "not a word") for w in wits], np.int64)
+            rows = np.stack([g.rows for g in wits.values()])
+        except (ValueError, OverflowError):  # two lengths, past int64, two shapes, none
+            return
+        self.witnesses = _witness_map(words, rows)
 
     def verify(self, M: MdsCode) -> tuple[bool, str | None]:
         """(True, None), or (False, the first check that failed), in word
@@ -407,27 +404,28 @@ class TransitivityCertificate:
         W[pi_h(base)] = h for every h in the group the generators make, so W
         is that group. Otherwise `_witness_fault` runs word by word to name
         the first fault."""
-        base = tuple(self.base)
+        base, W = tuple(self.base), self.witnesses
         if base not in M:
             return False, "base word not in code"
-        rows = _rows_in_word_order(self.witnesses, M)
-        if rows is not None:
+        if (isinstance(W, Witnesses) and W.rows.shape == (len(M), M.n, M.q)
+                and np.array_equal(W.word_rows, M.word_array())):
             def find(w):
-                g = Isotopism._of(rows[np.searchsorted(M.encoded(), M.encode(np.asarray(w)))])
+                g = Isotopism._of(W.rows[np.searchsorted(M.encoded(), M.encode(np.asarray(w)))])
                 return None if _witness_fault(M, base, w, g) else g
 
-            tree, gens, failing = _orbit_closure(M, base, find)
-            derived, closed = (False, False) if failing else _derivation(M, gens, rows, tree[0][0])
+            tree, gens, perms, failing = _orbit_closure(M, base, find)
+            derived, closed = ((False, False) if failing else
+                               _derivation(perms, gens, W.rows, tree[0][0]))
             if derived:
                 if self.mode == "isotopic" or closed:
                     return True, None
                 return False, "witness set is not closed under composition"
         for w in M.words:
-            g = self.witnesses.get(w)
+            g = W.get(w)
             fault = f"no witness for {w}" if g is None else _witness_fault(M, base, w, g)
             if fault:
                 return False, fault
-        if len(self.witnesses) != len(M):
+        if len(W) != len(M):
             return False, "extra witnesses for words outside the code"
         if self.mode == "topolinear":  # every witness is a symmetry: the group check failed
             return False, "witness set is not closed under composition"
@@ -442,13 +440,12 @@ def _witness_fault(M: MdsCode, base, w, g: Isotopism) -> str | None:
     return None if g.is_automorphism_of(M) else f"witness for {w} is not a symmetry of the code"
 
 
-def _derivation(M: MdsCode, gens: np.ndarray, rows: np.ndarray, first: int):
+def _derivation(perms: np.ndarray, gens: np.ndarray, rows: np.ndarray, first: int):
     """(derived, closed) for witness rows, one per word index. Closed: every
-    g o rows[u] == rows[pi_g(u)] (pi_g: generator g's word permutation), one
-    gather for all generators. Derived: rows[first] is the identity and
-    steps u -> pi_g(u) that keep that equation reach every word from it."""
-    k, m = len(gens), len(rows)
-    perms = np.searchsorted(M.encoded(), M.images(gens, M.word_array()))
+    g o rows[u] == rows[pi_g(u)] (pi_g: row g of `perms`), one gather for all
+    generators. Derived: rows[first] is the identity and steps u -> pi_g(u)
+    that keep that equation reach every word from it."""
+    k, m = perms.shape
     moved = _compose_rows(gens, rows).reshape(k, m, rows[0].size)
     kept = (moved == rows[perms].reshape(k, m, rows[0].size)).all(axis=2)
     reached = np.full(m, kept.all())  # all steps kept: the generators reach every word
@@ -512,7 +509,7 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
         if formula is not None:
             try:
-                tree, gens, _ = _orbit_closure(M, base, explicit)
+                tree, gens, _, _ = _orbit_closure(M, base, explicit)
             except (ValueError, KeyError, TypeError) as exc:
                 note = dropped_hint(M, exc)
             else:
@@ -528,7 +525,7 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
         return next(autotopism_search(M, pins=pins, budget=budget), None)
 
     try:
-        tree, gens, failing = _orbit_closure(M, base, pinned)
+        tree, gens, _, failing = _orbit_closure(M, base, pinned)
     except BudgetExceeded as exc:
         if note:  # a refusal still names the hint it dropped
             exc.args = (f"{exc}; {note}",)
@@ -540,12 +537,13 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
 
 def _orbit_closure(M: MdsCode, base, find):
-    """(tree, gens, failing): the Schreier tree of the orbit of `base` as
-    index arrays (order, gen, parent, depth), the word indices in visit
+    """(tree, gens, perms, failing): the Schreier tree of the orbit of `base`
+    as index arrays (order, gen, parent, depth), the word indices in visit
     order, base first, and per word index its generator index, parent and
-    depth (-1 where none); the generators found, as rows; the first word no
-    symmetry reaches, or None. `find(w)` gives a symmetry carrying `base`
-    to w, or None when it shows there is none.
+    depth (-1 where none); the generators found, as rows, and their word
+    permutations, one (k, |M|) array; the first word no symmetry reaches, or
+    None. `find(w)` gives a symmetry carrying `base` to w, or None when it
+    shows there is none.
 
     Words are visited in order; `find` runs only for a word outside the
     orbit so far. Its symmetry joins the generators and the orbit is closed
@@ -561,7 +559,7 @@ def _orbit_closure(M: MdsCode, base, find):
     order, gen, parent, depth = [first], [-1] * len(words), [-1] * len(words), [-1] * len(words)
     depth[first] = 0
     gens = Isotopism.identity(q, n).rows[None][:0]
-    perms: list[list[int]] = []
+    perm_rows, perms = [], []  # each as an array, and as a list read by the walk
     failing = None
     for w in range(len(words)):
         if depth[w] >= 0:
@@ -571,8 +569,8 @@ def _orbit_closure(M: MdsCode, base, find):
             failing = words[w]
             break
         gens = np.concatenate([gens, g.rows[None]])
-        images = M.images(gens[-1:], M.word_array())[0]  # of the codewords, by g
-        perms.append(np.searchsorted(M.encoded(), images).tolist())
+        perm_rows.append(np.searchsorted(M.encoded(), M.images(gens[-1:], M.word_array())[0]))
+        perms.append(perm_rows[-1].tolist())
         old, at = len(order), 0
         while at < len(order):  # the queue is `order` itself, read as it grows
             u = order[at]
@@ -582,11 +580,12 @@ def _orbit_closure(M: MdsCode, base, find):
                     gen[v], parent[v], depth[v] = k, u, depth[u] + 1
                     order.append(v)
             at += 1
-    return tuple(map(np.array, (order, gen, parent, depth))), gens, failing
+    perm_rows = np.array(perm_rows, np.intp).reshape(len(gens), len(words))
+    return tuple(map(np.array, (order, gen, parent, depth))), gens, perm_rows, failing
 
 
 def _schreier_witnesses(M: MdsCode, tree, gens: np.ndarray) -> Witnesses:
-    """The witness of each word the Schreier tree `tree` reached, in visit
+    """The witness of each word the Schreier tree `tree` reached, in word
     order: the identity for the base word, else its generator composed with
     its parent's witness, one gather per tree level. The witnesses of a
     regular group do not depend on the tree; other witness sets do."""
@@ -597,7 +596,7 @@ def _schreier_witnesses(M: MdsCode, tree, gens: np.ndarray) -> Witnesses:
     for d in range(1, level.max() + 1):
         layer = order[level == d]
         rows[layer] = _compose_pairs(gens[gen[layer]], rows[parent[layer]])
-    return Witnesses(M.word_array()[order], rows[order])
+    return Witnesses(M.word_array(), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +616,13 @@ def _regular_subgroup_search(M: MdsCode, base, witnesses, stabilizer,
                              budget: SearchBudget = DEFAULT_BUDGET):
     """A sharply transitive group of symmetries, or None. Every symmetry
     carrying `base` to w is witnesses[w]·h, h in the stabilizer of `base`,
-    listed in `stabilizer`. The DFS tries these
+    listed in `stabilizer`; `witnesses` is a `Witnesses`. The DFS tries these
     for the first word its group has not reached, all built by one gather,
     pruning a closure with two elements over one image of `base`; each step
     at least doubles the group, so it is at most log2|M| deep. Each
     candidate tried counts against `budget.max_nodes`."""
     n, q, target = M.n, M.q, len(M)
-    wits = _rows_in_word_order(witnesses, M)
+    wits = witnesses.rows
     coset = np.stack([h.rows for h in stabilizer])
     enc, base = M.encoded(), np.asarray(base)
 
@@ -670,16 +669,16 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
     if not trans:
         return TopolinearResult(False, None,
                                 f"not isotopically transitive at {trans.failing_word}{note}")
-    base, witnesses = trans.certificate.base, trans.certificate.witnesses
-    rows = _rows_in_word_order(witnesses, M)
+    cert, rows = trans.certificate, trans.certificate.witnesses.rows
     gens = np.array([g.rows for g in trans.generators], rows.dtype).reshape(-1, M.n, M.q)
-    if _derivation(M, gens, rows, 0)[1]:  # the base word is the first codeword
+    perms = np.searchsorted(M.encoded(), M.images(gens, M.word_array()))
+    if _derivation(perms, gens, rows, 0)[1]:  # the base word is the first codeword
         route = "construction group" if trans.method == "explicit" else "witness closure"
         return TopolinearResult(True, _isotopisms(rows), route + note)
     try:
-        stabilizer = list(autotopism_search(M, pins={(i, b): b for i, b in enumerate(base)},
+        stabilizer = list(autotopism_search(M, pins={(i, b): b for i, b in enumerate(cert.base)},
                                             budget=budget))
-        group = _regular_subgroup_search(M, base, witnesses, stabilizer, budget)
+        group = _regular_subgroup_search(M, cert.base, cert.witnesses, stabilizer, budget)
     except BudgetExceeded as exc:
         return TopolinearResult(None, None, f"inconclusive: {exc}{note}")
     if group is not None:

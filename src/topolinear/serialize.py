@@ -6,8 +6,9 @@ Files are `json.dumps(doc, indent=2, sort_keys=True) + "\\n"` byte for byte
 array and the certificate's witness rows, each through one template per shape
 and depth filled by one `%`. Everything read is validated before use; schema
 violations, unreadable files and JSON nested too deep raise MalformedInput.
-A certificate's rows are checked at once, and load as arrays in file order
-(`isometry.Witnesses`); only a refusal walks them.
+A certificate's rows are checked at once, and load as arrays in word order
+(`isometry.Witnesses`); only a refusal walks them. Witnesses that cannot
+stack load, and are written, as a dict.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .codes import Loop, MdsCode, _lex_order, isotopism_rows
+from .codes import Loop, MdsCode, isotopism_rows
 from .constructions import (CONSTRUCTIONS, MalformedInput, _as_int, _require,
                             loop_from_json)
 from .isometry import TransitivityCertificate, Witnesses, _witness_map
@@ -192,18 +193,16 @@ def _witness_rows(rows: list, n: int) -> tuple:
 
 def save_certificate(cert: TransitivityCertificate, path: str):
     """One record template per witness, filled by one `%` over the (k, n, q)
-    rows and (k, n) words in word order: the witnesses share one shape."""
+    rows and (k, n) words of `Witnesses`; a dict through `certificate_to_json`."""
+    if not isinstance(cert.witnesses, Witnesses):  # witnesses that cannot stack
+        return _write(path, dumps_canonical(certificate_to_json(cert)))
     head, _, tail = dumps_canonical({"base": list(cert.base), "mode": cert.mode,
                                      "witnesses": []}).rpartition("[]")
-    wits, at, listing = cert.witnesses, "\n      ", "[]"
-    if len(wits):
-        words, rows = ((wits.word_rows, wits.rows) if isinstance(wits, Witnesses) else
-                       (np.array(list(wits), np.int64), np.stack([g.rows for g in wits.values()])))
-        order = _lex_order(words)
-        record = '{%s"taus": %s,%s"word": %s\n    }' % (
-            at, _template(rows.shape[1:], at), at, _template(words.shape[1:], at))
-        values = np.hstack([rows[order].reshape(len(words), -1), words[order]]).ravel().tolist()
-        listing = ("[\n    " + ",\n    ".join([record] * len(words)) + "\n  ]") % tuple(values)
+    words, rows, at = cert.witnesses.word_rows, cert.witnesses.rows, "\n      "
+    record = '{%s"taus": %s,%s"word": %s\n    }' % (
+        at, _template(rows.shape[1:], at), at, _template(words.shape[1:], at))
+    values = np.hstack([rows.reshape(len(words), -1), words]).ravel().tolist()
+    listing = ("[\n    " + ",\n    ".join([record] * len(words)) + "\n  ]") % tuple(values)
     _write(path, head + listing + tail)
 
 

@@ -10,6 +10,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import time
 
 import numpy as np
@@ -248,7 +249,7 @@ def test_orbit_closure_gives_the_references_witnesses(route):
         assert [g.taus for g in res.generators] == [g.taus for g in gens], name
         if res:
             assert witness_taus(res.certificate.witnesses) == witness_taus(wits), name
-            assert list(res.certificate.witnesses) == list(wits), name
+            assert list(res.certificate.witnesses) == list(M.words), name
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +428,7 @@ def test_witness_arrays_replay_and_save_as_the_dict_of_their_views(tmp_path):
             if W is None:
                 continue
             arrays += 1
-            assert isinstance(W, isometry.Witnesses) and list(W) == list(wits), (name, label)
+            assert isinstance(W, isometry.Witnesses) and list(W) == sorted(wits), (name, label)
             for mode in ("isotopic", "topolinear"):
                 got = TransitivityCertificate(mode, base, W).verify(M)
                 assert got == TransitivityCertificate(mode, base, dict(W)).verify(M), (
@@ -503,6 +504,63 @@ def test_a_certificate_makes_views_per_generator_not_per_word(monkeypatch, tmp_p
         assert top.reason == "construction group", name
         # the group is a list of |M| views; the rest is per generator
         assert views[0] - len(top.group) <= 10 * (gens + 1), (name, views[0], gens)
+
+
+def transitive_codes():
+    """The certify codes and the transitive search codes, with their verdicts."""
+    for name, M in [*certify_codes(), *search_codes()]:
+        res = is_isotopically_transitive(M)
+        if res:
+            yield name, M, res
+
+
+def test_a_verdicts_witnesses_share_the_codes_word_array():
+    routes = collections.Counter()
+    for name, M, res in transitive_codes():
+        for found in (res, is_isotopically_transitive(M, method="pinned")):
+            W = found.certificate.witnesses
+            assert isinstance(W, isometry.Witnesses) and W.word_rows is M.word_array(), (
+                name, found.method)
+            routes[found.method] += 1
+    assert routes == {"explicit": 7, "pinned": 25}
+
+
+def test_a_shuffled_dict_of_witnesses_becomes_the_same_arrays(tmp_path):
+    rng = random.Random(26)
+    for name, M, res in transitive_codes():
+        cert = res.certificate
+        items = list(cert.witnesses.items())
+        rng.shuffle(items)
+        W = TransitivityCertificate(cert.mode, cert.base, dict(items)).witnesses
+        assert isinstance(W, isometry.Witnesses), name
+        for mine, theirs in ((W.word_rows, cert.witnesses.word_rows),
+                             (W.rows, cert.witnesses.rows)):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), name
+        for mode in ("isotopic", "topolinear"):
+            assert TransitivityCertificate(mode, cert.base, W).verify(M) == \
+                TransitivityCertificate(mode, cert.base, cert.witnesses).verify(M), (name, mode)
+        assert saved_bytes(TransitivityCertificate(cert.mode, cert.base, W), tmp_path / "a") == \
+            saved_bytes(cert, tmp_path / "b"), name
+
+
+def test_replay_computes_each_walk_generators_word_permutation_once(monkeypatch):
+    # `_derivation` reads the permutations the walk built; the other call per
+    # generator is its symmetry test, `MdsCode.symmetries`
+    callers, images = collections.Counter(), MdsCode.images
+
+    def counted(self, rows, words):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return images(self, rows, words)
+
+    for name, M, res in transitive_codes():
+        k = len(res.generators)
+        for mode in ("isotopic", "topolinear"):
+            cert = TransitivityCertificate(mode, res.certificate.base, res.certificate.witnesses)
+            callers.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(MdsCode, "images", counted)
+                assert cert.verify(M)[0] or mode == "topolinear", name
+            assert callers == {"_orbit_closure": k, "symmetries": k}, (name, mode, callers)
 
 
 def test_a_witness_of_another_shape_is_no_automorphism():

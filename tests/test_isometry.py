@@ -789,7 +789,8 @@ def test_regular_subgroup_search_with_a_trivial_stabilizer():
     pinned = is_isotopically_transitive(T, method="pinned").certificate.witnesses
     assert _regular_subgroup_search(T, base, pinned, ident) is None
     M = twisted_graph_code(5)
-    regular = {w: cp_regular_witness(5, w) for w in M.words}
+    regular = TransitivityCertificate("isotopic", base, {
+        w: cp_regular_witness(5, w) for w in M.words}).witnesses
     group = _regular_subgroup_search(M, base, regular, ident)
     assert len(group) == len(M) and replays_as_a_group(M, group)
 

@@ -22,8 +22,9 @@ from topolinear.constructions import (BUILTIN_LOOPS, CompositionSpec, MalformedI
                                       loop_from_json, parse_r_expression)
 from topolinear.serialize import (build_from_spec, certificate_from_json,
                                   certificate_to_json, code_from_json,
-                                  code_to_json, dumps_canonical, load_code, load_loop,
-                                  loop_to_json, save_certificate, save_code, save_loop)
+                                  code_to_json, dumps_canonical, load_certificate, load_code,
+                                  load_loop, loop_to_json, save_certificate, save_code,
+                                  save_loop)
 import tuple_reference as reference
 from test_closure_kernel import CERTIFY_SPECS
 from test_isometry import oracle_cases
@@ -600,11 +601,17 @@ def test_the_certificate_loader_refuses_each_mutant_as_the_row_walk_did(
             assert out.out.startswith(f"{mode} (certificate replay): False (no witness for ")
 
 
-def test_a_certificate_loads_as_word_and_row_arrays_in_file_order(certify_files):
+def test_a_certificate_loads_as_word_and_row_arrays_in_word_order(certify_files):
+    # the writer's files are in word order already; a shuffled one is sorted on load
+    rng = random.Random(26)
     for _, doc in certify_files:
-        cert = certificate_from_json(doc)
-        assert isinstance(cert.witnesses, Witnesses)
-        assert list(cert.witnesses) == [tuple(row["word"]) for row in doc["witnesses"]]
+        rows = doc["witnesses"]
+        for listed in (rows, rng.sample(rows, len(rows))):
+            cert = certificate_from_json(dict(doc, witnesses=listed))
+            assert isinstance(cert.witnesses, Witnesses)
+            assert list(cert.witnesses) == sorted(tuple(row["word"]) for row in listed)
+            assert {w: g.taus for w, g in cert.witnesses.items()} == {
+                tuple(row["word"]): tuple(map(tuple, row["taus"])) for row in listed}
 
 
 @pytest.mark.parametrize("fault", ["word-longer", "word-past-int64"])
@@ -621,6 +628,12 @@ def test_words_that_fit_no_int64_array_load_as_the_row_walk_loads_them(
     mode, base, taus = reference.certificate_from_json(bad)
     assert type(cert.witnesses) is dict and list(cert.witnesses) == list(taus)
     assert (cert.mode, cert.base, {w: g.taus for w, g in cert.witnesses.items()}) == (
+        mode, base, taus)
+    saved = str(tmp_path / "saved.json")  # the writer takes what the loader gave
+    save_certificate(cert, saved)
+    again = load_certificate(saved)
+    assert type(again.witnesses) is dict
+    assert (again.mode, again.base, {w: g.taus for w, g in again.witnesses.items()}) == (
         mode, base, taus)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(bad))
