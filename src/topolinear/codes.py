@@ -115,8 +115,7 @@ class MdsCode:
         self._complete = None
         self._slots = None
         self._enc = None
-        self._profiles = None
-        self._subcubes = None
+        self._boxes = {}
 
     def __len__(self):
         return len(self._arr)
@@ -200,18 +199,21 @@ class MdsCode:
         checks before building this. The build, one scatter per direction,
         records in `_lost_line` the first direction in which a line holds no
         word (its entry is -1, and another line holds two), or None: an MDS
-        code has no such line."""
+        code has no such line. It keeps the lines and the words' line keys,
+        a row per direction, as read-only arrays `_lines` and `_line_keys`."""
         if self._complete is None:
             enc, arr = self.encoded(), self.word_array()
-            maps, self._lost_line = [], None
+            keys = np.empty((self.n, len(enc)), dtype=np.int64)
+            lines = np.full((self.n, len(enc)), -1, dtype=np.int64)
+            self._lost_line = None
             for i in range(self.n):
                 low = self.q ** (self.n - 1 - i)
-                line = np.full(len(enc), -1, dtype=np.int64)
-                line[enc // (low * self.q) * low + enc % low] = arr[:, i]
-                if self._lost_line is None and line.min() < 0:
+                keys[i] = enc // (low * self.q) * low + enc % low
+                lines[i, keys[i]] = arr[:, i]
+                if self._lost_line is None and lines[i].min() < 0:
                     self._lost_line = i
-                maps.append(line.tolist())
-            self._complete = maps
+            self._lines, self._line_keys = _frozen(lines), _frozen(keys)
+            self._complete = lines.tolist()
         return self._complete
 
     def slots(self) -> list[list[list[int]]]:
@@ -224,91 +226,53 @@ class MdsCode:
             self._slots = table
         return self._slots
 
-    def triple_profiles(self) -> dict:
-        """3-set T of coordinates (sorted) -> the sorted intercalate counts of
-        the Latin squares left over T, one per assignment of the other
-        coordinates; computed once per code. The code must be MDS, so each
-        of those squares is full.
+    def box_profiles(self, k: int) -> dict:
+        """k-set U of coordinates (sorted) -> the sorted counts of full boxes
+        of the codes of length k left over U, one per assignment of the other
+        coordinates; computed once per code and k, and {} for n < k. A box
+        picks two symbols at each coordinate of U and is full when it holds
+        2^(k-1) words, an order-2 subcode: for k = 3, an intercalate of the
+        Latin square left over U. The code must be MDS.
 
-        Rows r1 < r2 of a square link its columns by sigma: the symbol at
-        (r1, x) sits at (r2, sigma(x)). An intercalate on those rows is a
-        2-cycle of sigma, so a square costs O(q^3)."""
-        if self._profiles is None:
+        Read off the line index, with U0 the first coordinate of U: a word w
+        and a symbol a > w[U0] give the point w moved to a at U0, and the
+        line through it in direction u holds the word that names the box's
+        second symbol at u. The box is full when every other move of w on an
+        even subset of U is a word, one line lookup each. Each full box is
+        found from its 2^(k-2) words with the smaller symbol at U0."""
+        if k not in self._boxes:
             q, n = self.q, self.n
             arr = self.word_array()
-            rows = np.array(list(itertools.combinations(range(q), 2)),
-                            dtype=np.int64).reshape(-1, 2)
-            r1, r2 = rows[:, 0], rows[:, 1:]
-            pair = np.arange(len(rows))[:, None]
-            x = np.arange(q)
-            profiles = {}
-            for T in itertools.combinations(range(n), 3):
-                a, b, c = T
-                rest = [i for i in range(n) if i not in T]
-                key = arr[:, rest] @ q ** np.arange(len(rest), dtype=np.int64)
-                square = np.arange(q ** len(rest))[:, None, None]
-                symbol = np.empty((len(square), q, q), dtype=np.int64)  # [square, row, column]
-                symbol[key, arr[:, a], arr[:, b]] = arr[:, c]
-                column = np.empty_like(symbol)  # [square, row, symbol]
-                column[key, arr[:, a], arr[:, c]] = arr[:, b]
-                sigma = column[square, r2, symbol[:, r1, :]]  # [square, row pair, x]
-                back = sigma[square, pair, sigma]
-                counts = ((back == x) & (sigma != x)).sum(axis=(1, 2)) // 2
-                profiles[T] = tuple(sorted(counts.tolist()))
-            self._profiles = profiles
-        return self._profiles
+            cols = arr.T.copy()  # each coordinate's symbols, contiguous for the gathers
+            self.completion_maps()
+            lines, keys = self._lines, self._line_keys
 
-    def subcube_profiles(self) -> dict:
-        """4-set U of coordinates (sorted) -> the sorted counts of full boxes
-        of the codes of length 4 left over U, one per assignment of the other
-        coordinates; computed once per code, and {} for n < 4. A box picks
-        two symbols at each coordinate of U and is full when it holds 8
-        words, an order-2 subcode. The code must be MDS.
+            def place(i, c):  # the place value of digit i in a line key of direction c
+                return q ** (n - 1 - i - (i < c))
 
-        Read with U = (a, b, c, d), the slice d = t of such a code is a Latin
-        square, and a full box is an intercalate on rows x0 < x1 and columns
-        y0 < y1 of one slice whose swapped symbols sit on the same cells of
-        another slice t'. Starting from the intercalate in the slice t < t',
-        each box is counted once, and the arrays hold O(|M|·q) entries."""
-        if self._subcubes is None:
-            q, n = self.q, self.n
-            arr = self.word_array()
-            rows = np.array(list(itertools.combinations(range(q), 2)),
-                            dtype=np.int64).reshape(-1, 2)
-            x0, x1 = rows[:, :1] * q, rows[:, 1:] * q  # [row pair, 1], row offsets
-            y0 = np.arange(q)
-            # candidates [slice (code, t), row pair, y0] index flat arrays
-            # [code, t, x, y] and [code, x, y, z] from these offsets
-            square = np.arange(len(arr) // (q * q))[:, None, None]
-            t, code = square % q, square // q * q ** 3
-            row0, row1 = square * q * q + x0, square * q * q + x1
-            line = code + (x0 + y0) * q
             profiles = {}
-            for U in itertools.combinations(range(n), 4):
-                a, b, c, d = U
-                rest = [i for i in range(n) if i not in U]
-                key = arr[:, rest] @ q ** np.arange(len(rest), dtype=np.int64)
-                # [code, t, x, y] -> z, [code, t, x, z] -> y, [code, x, y, z] -> t
-                at = ((key * q + arr[:, d]) * q + arr[:, a]) * q
-                symbol = np.empty(len(arr), dtype=np.int64)
-                symbol[at + arr[:, b]] = arr[:, c]
-                column = np.empty_like(symbol)
-                column[at + arr[:, c]] = arr[:, b]
-                slice_ = np.empty_like(symbol)
-                slice_[((key * q + arr[:, a]) * q + arr[:, b]) * q + arr[:, c]] = arr[:, d]
-                z0, z1 = symbol[row0 + y0], symbol[row1 + y0]
-                y1 = column[row0 + z1]
-                t2 = slice_[line + z1]  # the slice holding z1 at (x0, y0)
-                other = code + t2 * q * q
-                box = ((y0 < y1) & (t < t2)
-                       & (symbol[row1 + y1] == z0)
-                       & (symbol[other + x0 + y1] == z0)
-                       & (symbol[other + x1 + y0] == z0)
-                       & (symbol[other + x1 + y1] == z1))
-                counts = box.reshape(len(arr) // q ** 3, -1).sum(axis=1)
-                profiles[U] = tuple(sorted(counts.tolist()))
-            self._subcubes = profiles
-        return self._subcubes
+            for u0 in range(n - k + 1):
+                word, a = np.nonzero(arr[:, u0, None] < np.arange(q))
+                move = {u0: a - cols[u0][word]}
+                shift = move[u0] * place(u0, n)  # the same in each direction after u0
+                for tail in itertools.combinations(range(u0 + 1, n), k - 1):
+                    to = {}
+                    for u in tail:
+                        to[u] = lines[u][keys[u][word] + shift]
+                        move[u] = to[u] - cols[u][word]
+                    full = np.ones(len(word), dtype=bool)
+                    for m in range(2, k):  # even sets: m coordinates of tail, and U0 if m is odd
+                        for T in itertools.combinations(tail, m):
+                            *moved, c = (u0,) * (m % 2) + T
+                            at = sum((move[i] * place(i, c) for i in moved), keys[c][word])
+                            full &= lines[c][at] == to[c]
+                    rest = np.zeros(len(arr), dtype=np.int64)  # each word's other coordinates
+                    for i in set(range(n)) - {u0, *tail}:
+                        rest = rest * q + cols[i]
+                    counts = np.bincount(rest[word[full]], minlength=q ** (n - k))
+                    profiles[(u0, *tail)] = tuple(sorted((counts // 2 ** (k - 2)).tolist()))
+            self._boxes[k] = profiles
+        return self._boxes[k]
 
 
 class Isotopism:

@@ -38,26 +38,25 @@ A certificate that fails there is checked witness by witness, as the verdict
 checks a generator, to name its first fault; `MdsCode.symmetries` is the one
 symmetry test.
 
-Code equivalence checks an invariant before it searches. Over each 3-set T
-of coordinates, every assignment of the other coordinates leaves a Latin
-square in an MDS code, and its count of intercalates (2x2 subsquares) is
-kept by isotopy and by permuting its three coordinates (McKay, Meynert and
-Myrvold, Small Latin squares, quasigroups and loops, J. Combin. Des. 15,
-2007). An isometry with coordinate permutation eps therefore carries the
-multiset of counts over T onto the multiset over eps(T): profiles that
-differ prove two codes inequivalent, and only the eps that keep them, the
-first step of partition refinement (McKay and Piperno, J. Symb. Comput. 60,
-2014), are searched. When the first of them fails, a finer invariant refines
-the rest (McKay, Practical graph isomorphism, Congr. Numer. 30, 1981): over
-each 4-set U, the counts of full 2x2x2x2 boxes, order-2 subcodes, of the
-codes left over U. It tells r2 = x0x1 + x2x3 (8 boxes) from the pair code H
-(none), whose intercalate counts agree.
+Code equivalence checks an invariant before it searches. Over each k-set U
+of coordinates, every assignment of the other coordinates leaves an MDS
+code of length k, whose count of full boxes, order-2 subcodes, is kept by
+isotopy and by permuting U (`MdsCode.box_profiles(k)`). For k = 3 it is the
+count of intercalates, 2x2 subsquares, of a Latin square (McKay, Meynert
+and Myrvold, Small Latin squares, quasigroups and loops, J. Combin. Des.
+15, 2007). An isometry with coordinate permutation eps therefore carries
+the multiset of counts over U onto the multiset over eps(U): 3-set profiles
+that differ prove two codes inequivalent, and only the eps that keep them,
+the first step of partition refinement (McKay and Piperno, J. Symb. Comput.
+60, 2014), are searched. When the first of them fails, the 4-set profiles
+refine the rest (McKay, Practical graph isomorphism, Congr. Numer. 30,
+1981). They tell r2 = x0x1 + x2x3 (8 boxes) from the pair code H (none),
+whose intercalate counts agree.
 
-Line completion and the intercalate and box counts are defined on MDS
-codes only, so the searches, and every verdict that runs one, raise
-ValueError naming the `is_mds` reason on any other word set. The explicit
-route and certificate replay search nothing: they check witnesses on any
-word set.
+Line completion and the box counts are defined on MDS codes only, so the
+searches, and every verdict that runs one, raise ValueError naming the
+`is_mds` reason on any other word set. The explicit route and certificate
+replay search nothing: they check witnesses on any word set.
 """
 
 from __future__ import annotations
@@ -467,6 +466,7 @@ class TransitivityResult:
     method: str = "search"
     reason: str = ""  # names a provenance hint the verdict dropped
     generators: list = field(default_factory=list)  # checked symmetries found
+    _walk: tuple = field(default=(), repr=False, compare=False)  # their rows and word permutations
 
     def __bool__(self):
         return self.transitive
@@ -509,14 +509,14 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
 
         if formula is not None:
             try:
-                tree, gens, _, _ = _orbit_closure(M, base, explicit)
+                tree, gens, perms, _ = _orbit_closure(M, base, explicit)
             except (ValueError, KeyError, TypeError) as exc:
                 note = dropped_hint(M, exc)
             else:
                 cert = TransitivityCertificate("isotopic", base,
                                                _schreier_witnesses(M, tree, gens))
                 return TransitivityResult(True, cert, method="explicit",
-                                          generators=_isotopisms(gens))
+                                          generators=_isotopisms(gens), _walk=(gens, perms))
         if method == "explicit":
             raise ValueError(note or "no explicit witness family for this provenance")
 
@@ -525,15 +525,15 @@ def is_isotopically_transitive(M: MdsCode, method: str = "auto",
         return next(autotopism_search(M, pins=pins, budget=budget), None)
 
     try:
-        tree, gens, _, failing = _orbit_closure(M, base, pinned)
+        tree, gens, perms, failing = _orbit_closure(M, base, pinned)
     except BudgetExceeded as exc:
         if note:  # a refusal still names the hint it dropped
             exc.args = (f"{exc}; {note}",)
         raise
     cert = None if failing else TransitivityCertificate(
         "isotopic", base, _schreier_witnesses(M, tree, gens))
-    return TransitivityResult(failing is None, cert, failing, method="pinned",
-                              reason=note, generators=_isotopisms(gens))
+    return TransitivityResult(failing is None, cert, failing, method="pinned", reason=note,
+                              generators=_isotopisms(gens), _walk=(gens, perms))
 
 
 def _orbit_closure(M: MdsCode, base, find):
@@ -670,8 +670,7 @@ def is_topolinear(M: MdsCode, budget: SearchBudget = DEFAULT_BUDGET) -> Topoline
         return TopolinearResult(False, None,
                                 f"not isotopically transitive at {trans.failing_word}{note}")
     cert, rows = trans.certificate, trans.certificate.witnesses.rows
-    gens = np.array([g.rows for g in trans.generators], rows.dtype).reshape(-1, M.n, M.q)
-    perms = np.searchsorted(M.encoded(), M.images(gens, M.word_array()))
+    gens, perms = trans._walk
     if _derivation(perms, gens, rows, 0)[1]:  # the base word is the first codeword
         route = "construction group" if trans.method == "explicit" else "witness closure"
         return TopolinearResult(True, _isotopisms(rows), route + note)
@@ -723,12 +722,12 @@ def equivalent_codes(M1: MdsCode, M2: MdsCode,
     codes must be MDS: ValueError "not an MDS code: ..." otherwise. Codes of
     more than `budget.max_points` points are refused before any profile.
 
-    Their intercalate profiles (`MdsCode.triple_profiles`) come first: None
+    Their intercalate profiles (`MdsCode.box_profiles(3)`) come first: None
     at once when their multisets differ, else only the permutations that
     carry each profile onto an equal one are searched, in lexicographic
-    order. When the search at the first of them fails, the box profiles
-    (`MdsCode.subcube_profiles`) refine the rest the same way, so a pair
-    found at its first candidate never builds them. Every None is a proof,
+    order. When the search at the first of them fails, the profiles of
+    4-sets (`MdsCode.box_profiles(4)`) refine the rest the same way, so a
+    pair found at its first candidate never builds them. Every None is a proof,
     since an isometry keeps both profiles, and the isometry found is the
     first in that order."""
     if (M1.q, M1.n) != (M2.q, M2.n):
@@ -745,7 +744,7 @@ def equivalent_codes(M1: MdsCode, M2: MdsCode,
     def kept(p1, p2):
         return sorted(p1.values()) == sorted(p2.values())
 
-    triples = M1.triple_profiles(), M2.triple_profiles()
+    triples = M1.box_profiles(3), M2.box_profiles(3)
     if not kept(*triples):
         return None
     first = next(_profile_permutations([triples], M1.n), None)
@@ -754,7 +753,7 @@ def equivalent_codes(M1: MdsCode, M2: MdsCode,
     found = search(first)
     if found is not None:
         return found
-    boxes = M1.subcube_profiles(), M2.subcube_profiles()
+    boxes = M1.box_profiles(4), M2.box_profiles(4)
     if not kept(*boxes):
         return None
     for eps in _profile_permutations([triples, boxes], M1.n):

@@ -120,7 +120,9 @@ def _load(path: str):
             return json.load(fh)
     except (ValueError, RecursionError) as exc:  # bad JSON, an integer too long, too deep
         raise MalformedInput(f"not valid JSON: {exc}") from exc
-    except (IsADirectoryError, PermissionError) as exc:
+    except FileNotFoundError:
+        raise
+    except OSError as exc:  # a directory, no permission, a name too long, a symlink loop
         raise MalformedInput(f"cannot read {path}: {exc.strerror}") from exc
 
 

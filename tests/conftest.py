@@ -1,6 +1,12 @@
+import os
 import sys
 
 from hypothesis import settings
+
+# no bytecode written into the checkout, by this process or the demo and CLI
+# subprocesses it starts: a tree holding it starts each process faster
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 # fixed examples, no deadline, and no example database written into the checkout
 settings.register_profile("tier1", derandomize=True, deadline=None, database=None)

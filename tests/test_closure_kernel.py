@@ -545,8 +545,10 @@ def test_a_shuffled_dict_of_witnesses_becomes_the_same_arrays(tmp_path):
 
 def test_replay_computes_each_walk_generators_word_permutation_once(monkeypatch):
     # `_derivation` reads the permutations the walk built; the other call per
-    # generator is its symmetry test, `MdsCode.symmetries`
+    # generator is its symmetry test, `MdsCode.symmetries`. The topolinear
+    # verdict reads the permutations of its own walk and computes none
     callers, images = collections.Counter(), MdsCode.images
+    routes = set()
 
     def counted(self, rows, words):
         callers[sys._getframe(1).f_code.co_name] += 1
@@ -561,6 +563,15 @@ def test_replay_computes_each_walk_generators_word_permutation_once(monkeypatch)
                 patch.setattr(MdsCode, "images", counted)
                 assert cert.verify(M)[0] or mode == "topolinear", name
             assert callers == {"_orbit_closure": k, "symmetries": k}, (name, mode, callers)
+        callers.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(MdsCode, "images", counted)
+            route = is_topolinear(M).reason.split(";")[0]
+        if route in ("construction group", "witness closure"):
+            routes.add(route)
+            assert callers["_orbit_closure"] == k and "is_topolinear" not in callers, (
+                name, callers)
+    assert routes == {"construction group", "witness closure"}
 
 
 def test_a_witness_of_another_shape_is_no_automorphism():

@@ -191,14 +191,14 @@ def test_lower_bound_report_resolves_gf2_n4_into_three_classes(monkeypatch):
 
 def test_lower_bound_report_profiles_each_code_once(monkeypatch):
     built = []
-    profiles = MdsCode.triple_profiles
+    profiles = MdsCode.box_profiles
 
-    def counted(self):
-        if self._profiles is None:
+    def counted(self, k):
+        if k == 3 and k not in self._boxes:
             built.append(self)
-        return profiles(self)
+        return profiles(self, k)
 
-    monkeypatch.setattr(MdsCode, "triple_profiles", counted)
+    monkeypatch.setattr(MdsCode, "box_profiles", counted)
     rep = lower_bound_report(2, 1, 4)
     assert rep.verified and [len(c) for c in rep.classes] == [8, 48, 8]
     assert len(built) == len(set(map(id, built))) == 64

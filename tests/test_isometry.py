@@ -962,7 +962,7 @@ def test_intercalate_count_matches_the_definition_on_all_order_4_squares():
     assert len(squares) == 576
     for L in squares:
         M = MdsCode(4, 3, [(r, c, L[r][c]) for r in range(4) for c in range(4)])
-        assert M.triple_profiles() == {(0, 1, 2): (intercalates(L),)}
+        assert M.box_profiles(3) == {(0, 1, 2): (intercalates(L),)}
 
 
 PROFILE_SOURCES = {
@@ -990,29 +990,29 @@ def profile_source(name):
 def test_triple_profiles_follow_an_isometry(name, rng):
     M = profile_source(name)
     g = random_isometry(M, rng)
-    before = M.triple_profiles()
-    after = g.apply_code(M).triple_profiles()
+    before = M.box_profiles(3)
+    after = g.apply_code(M).box_profiles(3)
     for T, profile in before.items():
         assert after[tuple(sorted(g.eps[i] for i in T))] == profile, name
 
 
-def brute_subcube_profiles(M):
-    """Reference: over each 4-set U and each assignment of the other
+def brute_box_profiles(M, k):
+    """Reference: over each k-set U and each assignment of the other
     coordinates, every box of two symbols per coordinate of U, counted when
-    all 8 words it can hold lie in the sub-code the assignment leaves."""
+    all 2^(k-1) words it can hold lie in the sub-code the assignment leaves."""
     pairs = np.array(list(itertools.combinations(range(M.q), 2)))
     profiles = {}
-    for U in itertools.combinations(range(M.n), 4):
+    for U in itertools.combinations(range(M.n), k):
         rest = [i for i in range(M.n) if i not in U]
         counts = []
         for fixed in itertools.product(range(M.q), repeat=len(rest)):
-            inside = np.zeros((M.q,) * 4, dtype=np.int64)
+            inside = np.zeros((M.q,) * k, dtype=np.int64)
             for w in M.words:
                 if all(w[i] == v for i, v in zip(rest, fixed)):
                     inside[tuple(w[i] for i in U)] = 1
             held = sum(inside[np.ix_(*(pairs[:, e] for e in corner))]
-                       for corner in itertools.product((0, 1), repeat=4))
-            counts.append(int((held == 8).sum()))
+                       for corner in itertools.product((0, 1), repeat=k))
+            counts.append(int((held == 2 ** (k - 1)).sum()))
         profiles[U] = tuple(sorted(counts))
     return profiles
 
@@ -1022,13 +1022,14 @@ def test_subcube_profiles_match_the_box_enumeration():
              for name in ["r1", "r2", "r3", "r4", "H", "partition-21"]}
     cases["q4-std-5"] = scrambled(standard_semilinear_code(5, [(0, 1), (2, 3)]), 7)
     for name, M in cases.items():
-        assert M.subcube_profiles() == brute_subcube_profiles(M), name
+        for k in (3, 4):
+            assert M.box_profiles(k) == brute_box_profiles(M, k), (name, k)
     # r1..r4 and H apart: the pair whose intercalate profiles tie, r2 and H
-    assert {name: cases[name].subcube_profiles()[(0, 1, 2, 3)]
+    assert {name: cases[name].box_profiles(4)[(0, 1, 2, 3)]
             for name in ["r1", "r2", "r3", "r4", "H"]} == {
         "r1": (24,), "r2": (8,), "r3": (8,), "r4": (8,), "H": (0,)}
-    assert profile_source("r2").triple_profiles() == profile_source("H").triple_profiles()
-    assert profile_source("twisted-3").subcube_profiles() == {}
+    assert profile_source("r2").box_profiles(3) == profile_source("H").box_profiles(3)
+    assert profile_source("twisted-3").box_profiles(4) == {}
 
 
 @settings(max_examples=60)
@@ -1036,8 +1037,8 @@ def test_subcube_profiles_match_the_box_enumeration():
 def test_subcube_profiles_follow_an_isometry(name, rng):
     M = profile_source(name)
     g = random_isometry(M, rng)
-    before = M.subcube_profiles()
-    after = g.apply_code(M).subcube_profiles()
+    before = M.box_profiles(4)
+    after = g.apply_code(M).box_profiles(4)
     assert len(after) == len(before)
     for U, profile in before.items():
         assert after[tuple(sorted(g.eps[i] for i in U))] == profile, name
@@ -1045,10 +1046,10 @@ def test_subcube_profiles_follow_an_isometry(name, rng):
 
 def count_profile_work(monkeypatch):
     """Lists that record each isotopism search, as (source, coordinate
-    permutation of the source), and each box-profile build. A source that
-    no parastrophe made is searched under the identity."""
+    permutation of the source), and each build of box profiles of 4-sets. A
+    source that no parastrophe made is searched under the identity."""
     searches, builds, made = [], [], {}
-    search, build, parastrophe = (isometry.search_isotopisms, MdsCode.subcube_profiles,
+    search, build, parastrophe = (isometry.search_isotopisms, MdsCode.box_profiles,
                                   isometry.parastrophe)
 
     def counted_parastrophe(M, eps):
@@ -1062,13 +1063,14 @@ def count_profile_work(monkeypatch):
         searches.append((src, eps if P is src else tuple(range(src.n))))
         return search(*args, **kwargs)
 
-    def counted_build(M):
-        builds.append(M)
-        return build(M)
+    def counted_build(M, k):
+        if k == 4 and k not in M._boxes:
+            builds.append(M)
+        return build(M, k)
 
     monkeypatch.setattr(isometry, "search_isotopisms", counted_search)
     monkeypatch.setattr(isometry, "parastrophe", counted_parastrophe)
-    monkeypatch.setattr(MdsCode, "subcube_profiles", counted_build)
+    monkeypatch.setattr(MdsCode, "box_profiles", counted_build)
     return searches, builds
 
 

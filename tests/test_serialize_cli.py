@@ -491,6 +491,34 @@ def test_cli_refuses_a_file_it_cannot_read_with_exit_2(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err.startswith(f"malformed input: {message}")
 
 
+def unreadable_path(tmp_path, fault) -> str:
+    """A path whose opening fails with ENAMETOOLONG, ELOOP or ENOTDIR."""
+    if fault == "name-too-long":
+        return str(tmp_path / ("x" * 5000 + ".json"))
+    if fault == "symlink-loop":
+        (tmp_path / "loop.json").symlink_to("loop.json")
+        return str(tmp_path / "loop.json")
+    (tmp_path / "f.json").write_text("{}")
+    return str(tmp_path / "f.json" / "x")
+
+
+@pytest.mark.parametrize("command", ["verify", "verify-certificate", "construct", "classify",
+                                     "equivalent", "gloop"])
+@pytest.mark.parametrize("fault", ["name-too-long", "symlink-loop", "not-a-directory"])
+def test_cli_refuses_a_path_it_cannot_open_with_exit_2(tmp_path, capsys, command, fault):
+    # every OSError on read but a missing file left as an internal error, exit 4
+    code, bad = str(tmp_path / "code.json"), unreadable_path(tmp_path, fault)
+    save_code(twisted_graph_code(3), code)
+    argv = {"verify": ["verify", bad, "--mode", "mds"],
+            "verify-certificate": ["verify", code, "--mode", "transitive", "--certificate", bad],
+            "construct": ["construct", bad, str(tmp_path / "out.json")],
+            "classify": ["classify", bad],
+            "equivalent": ["equivalent", code, bad],
+            "gloop": ["gloop", bad]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"malformed input: cannot read {bad}: ")
+
+
 @pytest.fixture(scope="module")
 def certify_files(tmp_path_factory):
     """The code file and the saved certificate, as a document, of each
