@@ -222,13 +222,17 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
     dst must be MDS (ValueError "not an MDS code: ..." otherwise); src may be
     any word set of its shape, and yields nothing unless it is an isotope of
     dst. Slot assignment tau_i(a) = b propagates through line completion.
-    Each word of src keeps the base-q value of its images assigned so far
-    and the sum of its unassigned coordinates: once one coordinate j is left,
-    that sum is j, and the line key of the image in direction j reads the
-    forced image off `dst.completion_maps()`. A full image lies in dst when
-    the line through it in the direction assigned last holds it. Pins are
-    pre-assigned slots {(coord, sym): sym}. Only `budget.max_nodes` applies
-    here: the verdicts that run a search check the code's size on entry.
+    Each word of src keeps one int, value + Q*miss + QR*unk (Q = q^n, QR =
+    Q*(C(n,2)+1)): the base-q value of its images assigned so far, the sum
+    and the count of its unassigned coordinates, so an assignment adds one
+    delta to each word of slot (i, a). With one coordinate j left, miss is
+    j, and the line key in direction j reads the forced image off
+    `dst.completion_maps()`: it must equal tau_j when that slot is set, else
+    it sets and queues it, so a full image needs no check. A slot counts as
+    a node when its propagation starts; a DFS level undoes by one copy of
+    the ints and the trail of slots. Pins are pre-assigned slots {(coord,
+    sym): sym}. Only `budget.max_nodes` applies here: the verdicts that run
+    a search check the code's size on entry.
     """
     if (src.q, src.n) != (dst.q, dst.n):
         raise ValueError("codes live on different point sets")
@@ -238,75 +242,71 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
 
     q, n = src.q, src.n
     column = src.word_array().T.tolist()  # column[i][widx]: n lists, not one per word
-    nwords = len(src)
     comp = dst.completion_maps()
     slots = src.slots()
     low = [q ** (n - 1 - i) for i in range(n)]  # weight of coordinate i
     high = [q * w for w in low]
+    Q = q ** n  # bounds the images' value
+    QR = Q * (n * (n - 1) // 2 + 1)  # bounds value + Q * (sum of the unknowns)
+    QR2 = 2 * QR
+    delta = [[b * low[i] - i * Q - QR for b in range(q)] for i in range(n)]
 
     tau = [[-1] * q for _ in range(n)]
     dtype = _row_dtype(q)  # a found tau permutes: no check
     tinv = [[-1] * q for _ in range(n)]
-    acc = [0] * nwords  # base-q value of the images assigned so far
-    miss = [n * (n - 1) // 2] * nwords  # sum of the unassigned coordinates
-    unk = [n] * nwords
-    trail: list[tuple[int, int, int]] = []
-    nodes = 0
+    state = [Q * (n * (n - 1) // 2) + QR * n] * len(src)
+    trail: list[tuple[int, int]] = []
+    limit, nodes = budget.max_nodes, 0
 
-    def assign(i0: int, a0: int, b0: int) -> bool:
+    def assign(i: int, a: int, b: int) -> bool:
         nonlocal nodes
-        queue = [(i0, a0, b0)]
+        cur = tau[i][a]
+        if cur != -1:
+            return cur == b
+        tau[i][a] = b
+        trail.append((i, a))
+        queue = [(i, a, b)]
         while queue:
             i, a, b = queue.pop()
-            cur = tau[i][a]
-            if cur != -1:
-                if cur != b:
-                    return False
-                continue
             if tinv[i][b] != -1:
                 return False
             nodes += 1
-            if nodes > budget.max_nodes:
-                raise BudgetExceeded("search nodes", budget.max_nodes)
-            tau[i][a] = b
+            if nodes > limit:
+                raise BudgetExceeded("search nodes", limit)
             tinv[i][b] = a
-            trail.append((i, a, b))
-            pending = []
-            step = b * low[i]
+            d = delta[i][b]
             for widx in slots[i][a]:
-                acc[widx] += step
-                miss[widx] -= i
-                unk[widx] -= 1
-                if unk[widx] <= 1:
-                    pending.append(widx)
-            for widx in pending:
-                u, k = unk[widx], acc[widx]
-                j = miss[widx] if u else i
-                val = comp[j][k // high[j] * low[j] + k % low[j]]
-                if u:
-                    queue.append((j, column[j][widx], val))
-                elif val != b:
-                    return False
+                s = state[widx] + d
+                state[widx] = s
+                if QR <= s < QR2:  # one unknown j: its image is forced
+                    j, k = (s - QR) // Q, s % Q
+                    val = comp[j][k // high[j] * low[j] + k % low[j]]
+                    c = column[j][widx]
+                    cur = tau[j][c]
+                    if cur == -1:
+                        tau[j][c] = val
+                        trail.append((j, c))
+                        queue.append((j, c, val))
+                    elif cur != val:
+                        return False
         return True
 
     def undo_to(mark: int) -> None:
         while len(trail) > mark:
-            i, a, b = trail.pop()
+            i, a = trail.pop()
+            b = tau[i][a]
+            if tinv[i][b] == a:
+                tinv[i][b] = -1
             tau[i][a] = -1
-            tinv[i][b] = -1
-            step = b * low[i]
-            for widx in slots[i][a]:
-                acc[widx] -= step
-                miss[widx] += i
-                unk[widx] += 1
 
     def pick_word():
-        best, best_u = -1, n + 1
-        for widx in range(nwords):
-            u = unk[widx]
-            if 0 < u < best_u:
-                best, best_u = widx, u
-                if u == 2:
+        if len(trail) == n * q:
+            return -1
+        best, bound = -1, (n + 1) * QR
+        for widx, s in enumerate(state):
+            if QR <= s < bound:  # fewer unknowns than the best so far
+                best, bound = widx, s - s % QR
+                if bound == QR2:
                     break
         return best
 
@@ -317,6 +317,7 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
             return
         i = next(i for i in range(n) if tau[i][column[i][widx]] == -1)
         a = column[i][widx]
+        saved = state[:]
         for b in range(q):
             if tinv[i][b] != -1:
                 continue
@@ -324,6 +325,7 @@ def search_isotopisms(src: MdsCode, dst: MdsCode, pins=None,
             if assign(i, a, b):
                 yield from dfs()
             undo_to(mark)
+            state[:] = saved
 
     if all(assign(i, a, b) for (i, a), b in (pins or {}).items()):
         yield from dfs()
@@ -397,8 +399,9 @@ class TransitivityCertificate:
         Replay walks the orbit of the base word as the verdict does
         (`_orbit_closure`), each witness it takes as a generator checked
         alone (`_witness_fault`). The witnesses W pass when each derives from
-        the base word's (`_derivation`), W[v] = g o W[u] for a generator g,
-        v = pi_g(u) and u derived before, whatever Schreier tree wrote them.
+        the base word's, W[v] = g o W[u] for a generator g, v = pi_g(u) and u
+        derived before: isotopic replay first tries the walk's own tree
+        (`_tree_holds`), and `_derivation` takes any other Schreier tree.
         In topolinear mode each generator must also map W onto itself: then
         W[pi_h(base)] = h for every h in the group the generators make, so W
         is that group. Otherwise `_witness_fault` runs word by word to name
@@ -413,6 +416,8 @@ class TransitivityCertificate:
                 return None if _witness_fault(M, base, w, g) else g
 
             tree, gens, perms, failing = _orbit_closure(M, base, find)
+            if failing is None and self.mode == "isotopic" and _tree_holds(tree, gens, W.rows):
+                return True, None
             derived, closed = ((False, False) if failing else
                                _derivation(perms, gens, W.rows, tree[0][0]))
             if derived:
@@ -437,6 +442,15 @@ def _witness_fault(M: MdsCode, base, w, g: Isotopism) -> str | None:
     if (g.n, g.q) == (M.n, M.q) and g.apply_word(base) != w:
         return f"witness for {w} misses its word"
     return None if g.is_automorphism_of(M) else f"witness for {w} is not a symmetry of the code"
+
+
+def _tree_holds(tree, gens: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether witness rows, one per word index, hold on the walk's tree: the
+    identity at its root, gens[gen[v]] o rows[parent[v]] at v, one gather."""
+    order, gen, parent, _ = tree
+    rest = order[1:]
+    return bool((rows[order[0]] == np.arange(rows.shape[2])).all()) and np.array_equal(
+        rows[rest], _compose_pairs(gens[gen[rest]], rows[parent[rest]]))
 
 
 def _derivation(perms: np.ndarray, gens: np.ndarray, rows: np.ndarray, first: int):
@@ -571,11 +585,16 @@ def _orbit_closure(M: MdsCode, base, find):
         gens = np.concatenate([gens, g.rows[None]])
         perm_rows.append(np.searchsorted(M.encoded(), M.images(gens[-1:], M.word_array())[0]))
         perms.append(perm_rows[-1].tolist())
-        old, at = len(order), 0
+        k, pk, at = len(perms) - 1, perms[-1], len(order)
+        for u in order[:at]:  # the new generator moves every word reached before
+            v = pk[u]
+            if depth[v] < 0:
+                gen[v], parent[v], depth[v] = k, u, depth[u] + 1
+                order.append(v)
         while at < len(order):  # the queue is `order` itself, read as it grows
             u = order[at]
-            for k in range(len(perms) - 1 if at < old else 0, len(perms)):
-                v = perms[k][u]
+            for k, pk in enumerate(perms):
+                v = pk[u]
                 if depth[v] < 0:
                     gen[v], parent[v], depth[v] = k, u, depth[u] + 1
                     order.append(v)

@@ -32,6 +32,7 @@ from topolinear.isometry import (Isometry, Isotopism, TransitivityCertificate,
 from topolinear.codes import Loop, graph_code, make_dihedral, twisted_graph_code
 from topolinear.serialize import build_from_spec
 from test_constructions import regular_group_iterated
+import tuple_reference
 from tuple_reference import random_permutation
 
 
@@ -1404,6 +1405,100 @@ def test_search_stops_at_the_same_node_as_the_reference():
                 found.append(g)
         runs.append(found)
     assert runs[0] == runs[1] and runs[0]
+
+
+# ---------------------------------------------------------------------------
+# the packed search core against the search that trailed three lists per word
+
+def both_streams(src, dst, pins=None):
+    """The complete isotopism streams of the package's search and of the
+    frozen trailing search, as tuples of permutations."""
+    packed = [g.taus for g in search_isotopisms(src, dst, pins=pins)]
+    trailed = list(tuple_reference.search_isotopisms(src.q, src.n, src.words, dst.words, pins))
+    return packed, trailed
+
+
+def base_pins(M, w):
+    return {(i, b): w[i] for i, b in enumerate(M.words[0])}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pinned_searches_match_the_trailing_search(p):
+    M = scrambled(twisted_graph_code(p), 60 + p)
+    for w in M.words[::len(M) // 6]:
+        packed, trailed = both_streams(M, M, base_pins(M, w))
+        assert packed == trailed and packed, w
+
+
+def test_stabilizer_listings_match_the_trailing_search():
+    for name in ["twisted-3", "twisted-5", "H", "r2", "r4", "parity-4-3"]:
+        M = scrambled(profile_source(name), 61)
+        packed, trailed = both_streams(M, M, base_pins(M, M.words[0]))
+        assert packed == trailed and packed, name
+
+
+def test_parastrophe_searches_match_the_trailing_search():
+    H = profile_source("H")
+    for M1, M2, equivalent in [(H, random_isometry(H, random.Random(62)).apply_code(H), True),
+                               (profile_source("r2"), scrambled(H, 63), False)]:
+        hits = 0
+        for eps in itertools.permutations(range(M1.n)):
+            packed, trailed = both_streams(isometry.parastrophe(M1, eps), M2)
+            assert packed == trailed, eps
+            hits += bool(packed)
+        assert (hits > 0) == equivalent
+
+
+def test_no_isotope_yields_nothing_from_either_search():
+    M = profile_source("twisted-3")
+    words = list(M.words)
+    words[5] = words[5][:2] + ((words[5][2] + 1) % M.q,)  # same size, one line holds two
+    for src, dst in [(MdsCode(M.q, M.n, words), M), (profile_source("r4"), profile_source("r1"))]:
+        assert both_streams(src, dst) == ([], [])
+
+
+def test_pins_that_clash_at_once_yield_nothing_from_either_search():
+    M = scrambled(twisted_graph_code(5), 64)
+    w = M.words[7]
+    clash = base_pins(M, w)
+    clash[(M.n - 1, M.words[0][-1])] = (w[-1] + 1) % M.q  # the base word's image leaves M
+    for pins in [{(0, 0): 1, (0, 1): 1}, clash]:
+        assert both_streams(M, M, pins) == ([], [])
+
+
+def test_both_searches_refuse_a_tiny_node_budget_alike():
+    M = scrambled(twisted_graph_code(5), 65)
+    for limit in [0, 1, M.n * M.q - 1]:
+        with pytest.raises(BudgetExceeded) as packed:
+            list(search_isotopisms(M, M, budget=SearchBudget(max_nodes=limit)))
+        with pytest.raises(tuple_reference.NodeLimit) as trailed:
+            list(tuple_reference.search_isotopisms(M.q, M.n, M.words, M.words, max_nodes=limit))
+        assert (packed.value.bound, packed.value.limit) == trailed.value.args == ("search nodes",
+                                                                                   limit)
+
+
+UNREFUTED = {  # a code, its scrambling seed, and a word k whose pinned search refutes no branch
+    "twisted-9": (lambda: twisted_graph_code(9), 9, 270),
+    "quadratic-5": (lambda: quadratic_code(QuadraticSpec.make(2, 1, 5, alpha=[
+        [0, 1, 0, 1, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5])), 5, 252),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREFUTED))
+def test_a_search_with_no_refuted_branch_assigns_each_slot_once(name):
+    """Each of the n*q slots is assigned once on the way to the first
+    isotopism, so n*q nodes find it and one fewer refuses, in both searches."""
+    build, seed, k = UNREFUTED[name]
+    M = scrambled(build(), seed)
+    pins, nq = base_pins(M, M.words[k]), M.n * M.q
+    found = next(search_isotopisms(M, M, pins=pins, budget=SearchBudget(max_nodes=nq)))
+    assert found.apply_word(M.words[0]) == M.words[k]
+    assert next(tuple_reference.search_isotopisms(M.q, M.n, M.words, M.words, pins, nq)) == \
+        found.taus
+    with pytest.raises(BudgetExceeded, match=f"search nodes limit {nq - 1}"):
+        next(search_isotopisms(M, M, pins=pins, budget=SearchBudget(max_nodes=nq - 1)))
+    with pytest.raises(tuple_reference.NodeLimit):
+        next(tuple_reference.search_isotopisms(M.q, M.n, M.words, M.words, pins, nq - 1))
 
 
 def test_line_keys_read_back_each_words_own_symbol():

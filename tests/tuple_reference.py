@@ -545,3 +545,124 @@ def certificate_from_json(obj):
         flat += taus
     witnesses = dict(zip(words, _isotopism_taus(flat, len(base)))) if words else {}
     return mode, tuple(_as_int(s, "symbol") for s in base), witnesses
+
+
+# ---------------------------------------------------------------------------
+# the isotopism search as it ran on per-word lists undone by trailing
+
+class NodeLimit(Exception):
+    """The reference search stopped: args are ("search nodes", limit)."""
+
+
+def search_isotopisms(q, n, src_words, dst_words, pins=None, max_nodes=2_000_000):
+    """Every isotopism (a tuple of n symbol permutations) carrying the word
+    set `src_words` onto the MDS word set `dst_words`, honoring the pins
+    {(coord, sym): sym}, in the order of the backtracking search that keeps
+    three lists per word: the base-q value of its images assigned so far,
+    the sum of its unassigned coordinates and their count. A word left with
+    one unknown queues its forced image, read off the line index of dst; a
+    word left with none is checked against the line in the direction
+    assigned last. Every assignment pushes a trail entry that undo pops,
+    and NodeLimit("search nodes", max_nodes) stops the search past that many
+    assignments."""
+    words = sorted(map(tuple, src_words))
+    if len(words) != len(dst_words) or len(set(words)) != len(words):
+        return
+    column = [[w[i] for w in words] for i in range(n)]
+    nwords = len(words)
+    low = [q ** (n - 1 - i) for i in range(n)]
+    high = [q * w for w in low]
+    comp = [[-1] * (q ** (n - 1)) for _ in range(n)]
+    for w in dst_words:
+        value = 0
+        for s in w:
+            value = value * q + s
+        for i in range(n):
+            comp[i][value // high[i] * low[i] + value % low[i]] = w[i]
+    slots = [[[] for _ in range(q)] for _ in range(n)]
+    for widx, w in enumerate(words):
+        for i, s in enumerate(w):
+            slots[i][s].append(widx)
+
+    tau = [[-1] * q for _ in range(n)]
+    tinv = [[-1] * q for _ in range(n)]
+    acc = [0] * nwords
+    miss = [n * (n - 1) // 2] * nwords
+    unk = [n] * nwords
+    trail = []
+    nodes = 0
+
+    def assign(i0, a0, b0):
+        nonlocal nodes
+        queue = [(i0, a0, b0)]
+        while queue:
+            i, a, b = queue.pop()
+            cur = tau[i][a]
+            if cur != -1:
+                if cur != b:
+                    return False
+                continue
+            if tinv[i][b] != -1:
+                return False
+            nodes += 1
+            if nodes > max_nodes:
+                raise NodeLimit("search nodes", max_nodes)
+            tau[i][a] = b
+            tinv[i][b] = a
+            trail.append((i, a, b))
+            pending = []
+            step = b * low[i]
+            for widx in slots[i][a]:
+                acc[widx] += step
+                miss[widx] -= i
+                unk[widx] -= 1
+                if unk[widx] <= 1:
+                    pending.append(widx)
+            for widx in pending:
+                u, k = unk[widx], acc[widx]
+                j = miss[widx] if u else i
+                val = comp[j][k // high[j] * low[j] + k % low[j]]
+                if u:
+                    queue.append((j, column[j][widx], val))
+                elif val != b:
+                    return False
+        return True
+
+    def undo_to(mark):
+        while len(trail) > mark:
+            i, a, b = trail.pop()
+            tau[i][a] = -1
+            tinv[i][b] = -1
+            step = b * low[i]
+            for widx in slots[i][a]:
+                acc[widx] -= step
+                miss[widx] += i
+                unk[widx] += 1
+
+    def pick_word():
+        best, best_u = -1, n + 1
+        for widx in range(nwords):
+            u = unk[widx]
+            if 0 < u < best_u:
+                best, best_u = widx, u
+                if u == 2:
+                    break
+        return best
+
+    def dfs():
+        widx = pick_word()
+        if widx == -1:
+            yield tuple(map(tuple, tau))
+            return
+        i = next(i for i in range(n) if tau[i][column[i][widx]] == -1)
+        a = column[i][widx]
+        for b in range(q):
+            if tinv[i][b] != -1:
+                continue
+            mark = len(trail)
+            if assign(i, a, b):
+                yield from dfs()
+            undo_to(mark)
+
+    if all(assign(i, a, b) for (i, a), b in (pins or {}).items()):
+        yield from dfs()
